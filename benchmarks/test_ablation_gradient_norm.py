@@ -6,44 +6,41 @@ RMS) and the fixed step size s barely moves the input; with it, s means
 "pixels per iteration".  This bench quantifies that design choice.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
+import repro.core.engine as engine_mod
 from benchmarks.conftest import SCALE, SEED
 from repro.core import DeepXplore, PAPER_HYPERPARAMS, LightingConstraint
-from repro.core.generator import normalize_gradient
 from repro.datasets import load_dataset
 from repro.models import get_trio
 from repro.utils.tables import render_table
 
 
-class _NoNormDeepXplore(DeepXplore):
-    """Generator variant with normalization disabled (raw gradients)."""
-
-    def generate_from_seed(self, seed_x, seed_index=0):
-        import repro.core.generator as gen
-        original = gen.normalize_gradient
-        gen.normalize_gradient = lambda g: g
-        try:
-            return super().generate_from_seed(seed_x, seed_index)
-        finally:
-            gen.normalize_gradient = original
+def _ascent_found(result):
+    return sum(1 for t in result.tests if t.iterations > 0)
 
 
 @pytest.mark.parametrize("normalized", [True, False])
-def test_ablation_gradient_norm(benchmark, normalized):
+def test_ablation_gradient_norm(benchmark, monkeypatch, normalized):
     dataset = load_dataset("mnist", scale=SCALE, seed=SEED)
     models = get_trio("mnist", scale=SCALE, seed=SEED, dataset=dataset)
     seeds, _ = dataset.sample_seeds(15, np.random.default_rng(61))
     hp = PAPER_HYPERPARAMS["mnist"]
-    engine_cls = DeepXplore if normalized else _NoNormDeepXplore
 
     def run():
-        engine = engine_cls(models, hp, LightingConstraint(), rng=67)
+        engine = DeepXplore(models, hp, LightingConstraint(), rng=67)
         return engine.run(seeds)
 
+    if not normalized:
+        # The engine resolves run_ascent from its module on every seed,
+        # so this arm steps along the raw gradient (direction=None).
+        monkeypatch.setattr(engine_mod, "run_ascent", functools.partial(
+            engine_mod.run_ascent, direction=None))
     result = benchmark.pedantic(run, rounds=1, iterations=1)
-    ascent = sum(1 for t in result.tests if t.iterations > 0)
+    ascent = _ascent_found(result)
     print()
     print(render_table(
         ["normalized", "# diffs (ascent)", "pre-disagreed"],
@@ -51,3 +48,6 @@ def test_ablation_gradient_norm(benchmark, normalized):
         title="[ablation] gradient RMS normalization"))
     if normalized:
         assert ascent > 0
+    else:
+        monkeypatch.undo()
+        assert _ascent_found(run()) > ascent

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import SCALE, SEED
-from repro.core import (BatchDeepXplore, DeepXplore, LightingConstraint,
+from repro.core import (AscentEngine, DeepXplore, LightingConstraint,
                         PAPER_HYPERPARAMS)
 from repro.datasets import load_dataset
 from repro.models import get_trio
@@ -23,7 +23,7 @@ def test_batch_throughput(benchmark, mode):
     models = get_trio("mnist", scale=SCALE, seed=SEED, dataset=dataset)
     seeds, _ = dataset.sample_seeds(40, np.random.default_rng(71))
     hp = PAPER_HYPERPARAMS["mnist"]
-    engine_cls = DeepXplore if mode == "sequential" else BatchDeepXplore
+    engine_cls = DeepXplore if mode == "sequential" else AscentEngine
 
     def run():
         engine = engine_cls(models, hp, LightingConstraint(), rng=73)

@@ -20,7 +20,7 @@ import numpy as np
 from repro import (PAPER_HYPERPARAMS, constraint_for_dataset, get_trio,
                    load_dataset)
 from repro.analysis import minimize_suite
-from repro.core import BatchDeepXplore
+from repro.core import AscentEngine
 from repro.coverage import coverage_of_inputs
 from repro.nn import save_network
 
@@ -34,8 +34,8 @@ def main():
 
     print("Generating difference-inducing inputs (batched)...")
     seeds, _ = dataset.sample_seeds(50, np.random.default_rng(47))
-    engine = BatchDeepXplore(models, PAPER_HYPERPARAMS["mnist"],
-                             constraint_for_dataset(dataset), rng=53)
+    engine = AscentEngine(models, PAPER_HYPERPARAMS["mnist"],
+                          constraint_for_dataset(dataset), rng=53)
     result = engine.run(seeds)
     tests = result.test_inputs()
     if tests.shape[0] == 0:

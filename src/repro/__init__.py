@@ -37,10 +37,9 @@ Package map:
 * :mod:`repro.experiments` — one runner per paper table/figure
 """
 
-from repro.core import (AscentEngine, AscentRule, BatchDeepXplore,
-                        Campaign, DeepXplore, GeneratedTest,
-                        GenerationResult, Hyperparams, MomentumRule,
-                        PAPER_HYPERPARAMS, VanillaRule,
+from repro.core import (AscentEngine, AscentRule, Campaign, DeepXplore,
+                        GeneratedTest, GenerationResult, Hyperparams,
+                        MomentumRule, PAPER_HYPERPARAMS, VanillaRule,
                         constraint_for_dataset, majority_label, make_engine,
                         make_rule)
 from repro.corpus import CorpusStore, FuzzReport, FuzzSession, SeedScheduler
@@ -52,7 +51,7 @@ from repro.models import get_model, get_trio, zoo_names
 __version__ = "1.0.0"
 
 __all__ = [
-    "AscentEngine", "AscentRule", "BatchDeepXplore", "Campaign",
+    "AscentEngine", "AscentRule", "Campaign",
     "DeepXplore", "GeneratedTest", "GenerationResult", "Hyperparams",
     "MomentumRule", "VanillaRule", "make_engine", "make_rule",
     "PAPER_HYPERPARAMS", "constraint_for_dataset", "majority_label",

@@ -19,7 +19,7 @@ __all__ = ["average_l1_diversity", "pairwise_l1_diversity"]
 def average_l1_diversity(tests, seeds):
     """Mean L1 distance from each generated test to its originating seed.
 
-    ``tests`` is a list of :class:`~repro.core.generator.GeneratedTest`;
+    ``tests`` is a list of :class:`~repro.core.engine.GeneratedTest`;
     ``seeds`` the array they were generated from (indexed by
     ``seed_index``).
     """

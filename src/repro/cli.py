@@ -42,7 +42,6 @@ import sys
 
 import numpy as np
 
-from repro.backends import backend_names
 from repro.core import (ASCENT_RULES, PAPER_HYPERPARAMS,
                         constraint_for_dataset, make_engine, make_rule,
                         resolve_models)
@@ -103,9 +102,6 @@ def build_parser():
                      choices=["float32", "float64"],
                      help="compute precision; the zoo trains at float64, "
                           "float32 runs a converted copy ~2x faster")
-    gen.add_argument("--backend", default="numpy", choices=backend_names(),
-                     help="compute backend adapter (gradient ascent "
-                          "needs a differentiable one; default: numpy)")
     gen.add_argument("--show", action="store_true",
                      help="render a seed/generated pair as ASCII art")
     gen.add_argument("--corpus", metavar="DIR",
@@ -302,9 +298,9 @@ def _cmd_generate(args):
     dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     models = get_trio(args.dataset, scale=args.scale, seed=args.seed,
                       dataset=dataset)
-    # Resolve backend/dtype BEFORE trackers and fingerprints, so both
-    # bind to the networks the engine will actually run.
-    models = resolve_models(models, dtype=args.dtype, backend=args.backend)
+    # Resolve the dtype BEFORE trackers and fingerprints, so both bind
+    # to the networks the engine will actually run.
+    models = resolve_models(models, dtype=args.dtype)
     hp = PAPER_HYPERPARAMS[args.dataset]
     seeds, _ = dataset.sample_seeds(
         min(args.seeds, dataset.x_test.shape[0]),

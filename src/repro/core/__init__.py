@@ -8,10 +8,10 @@ from repro.core.constraints import (Constraint, DrebinConstraint,
                                     Unconstrained, constraint_for_dataset)
 from repro.core.engine import (ASCENT_RULES, AdamRule, AdaptiveStepRule,
                                AscentContext, AscentEngine, AscentRule,
-                               BatchDeepXplore, DeepFoolRule, DeepXplore,
-                               GeneratedTest, GenerationResult, MomentumRule,
-                               NesterovRule, VanillaRule, make_rule,
-                               rule_from_identity, run_ascent)
+                               DeepFoolRule, DeepXplore, GeneratedTest,
+                               GenerationResult, MomentumRule, NesterovRule,
+                               VanillaRule, make_rule, rule_from_identity,
+                               run_ascent)
 from repro.core.factory import make_engine, resolve_models
 from repro.core.objectives import (CoverageObjective, DifferentialObjective,
                                    JointObjective,
@@ -21,7 +21,7 @@ from repro.core.oracle import (ClassificationOracle, RegressionOracle,
 
 __all__ = [
     "ASCENT_RULES", "AdamRule", "AdaptiveStepRule", "AscentContext",
-    "AscentEngine", "AscentRule", "BatchDeepXplore", "DeepFoolRule",
+    "AscentEngine", "AscentRule", "DeepFoolRule",
     "MomentumRule", "NesterovRule", "VanillaRule", "make_engine",
     "make_rule", "resolve_models", "rule_from_identity", "run_ascent",
     "Campaign", "CampaignShard", "shard_corpus",

@@ -1,11 +1,6 @@
 """The one ascent engine: Algorithm 1, vectorized, strategy-composed.
 
-This module owns the repo's single gradient-ascent loop.  Historically
-the joint-optimization loop existed three times — sequential
-(``DeepXplore``), vectorized (``BatchDeepXplore``) and heavy-ball
-(``MomentumDeepXplore``) — so every improvement had to be written three
-times and momentum could not be combined with batching, campaigns, or
-corpus fuzzing at all.  The split is now:
+This module owns the repo's single gradient-ascent loop:
 
 * :func:`run_ascent` — the loop body itself (lines 8-19 of the paper's
   Algorithm 1), a small vectorized driver with no knowledge of models
@@ -23,13 +18,11 @@ corpus fuzzing at all.  The split is now:
 * :class:`AscentEngine` — models + oracle + coverage + constraints
   around the loop: pre-disagreement check, per-seed target draws,
   retire-and-compact of finished seeds, tape absorption into coverage.
-  Processing a seed set in one call *is* the old batch engine.
+  One call processes a whole seed set in one vectorized ascent.
 * :class:`DeepXplore` — a batch-of-1 facade over the engine preserving
   Algorithm 1's per-seed sequencing (``cycle=``, ``desired_coverage=``,
-  ``max_seed_visits=``).  Bit-identical to the historical sequential
-  engine under fixed RNG (pinned by ``tests/core/test_engine.py``
-  against goldens captured from the pre-unification code).
-* :class:`BatchDeepXplore` — a thin alias kept for the historical name.
+  ``max_seed_visits=``), pinned by ``tests/core/test_engine.py``
+  against the golden matrix in ``tests/data/golden_engines.json``.
 
 Coverage semantics: difference-inducing inputs fold their tapes into
 the trackers, as the paper specifies — and so do *exhausted* seeds
@@ -38,10 +31,10 @@ trackers lie about what the models were observed doing).  Pass
 ``absorb_exhausted=False`` for the paper-exact accounting in which only
 kept tests count.
 
-Execution model (unchanged from the tape refactor): every iteration
-records exactly one :class:`~repro.nn.tape.ForwardPass` per model over
-the active batch, which serves the oracle check, both objective
-gradients, and coverage absorption.
+Execution model: every iteration records exactly one
+:class:`~repro.nn.tape.ForwardPass` per model over the active batch,
+which serves the oracle check, both objective gradients, and coverage
+absorption.
 """
 
 from __future__ import annotations
@@ -55,8 +48,8 @@ from repro.core.config import Hyperparams
 from repro.core.constraints import Constraint, Unconstrained
 from repro.core.objectives import CoverageObjective
 from repro.core.oracle import make_oracle
-# The rule library moved to repro.core.rules; re-exported here because
-# this module is the historical (and still primary) import site.
+# The rule library lives in repro.core.rules; re-exported here because
+# this module is the primary import site.
 from repro.core.rules import (ASCENT_RULES, DEFAULT_MOMENTUM_BETA,
                               AdamRule, AdaptiveStepRule, AscentContext,
                               AscentRule, DeepFoolRule, MomentumRule,
@@ -71,7 +64,7 @@ __all__ = ["AscentRule", "AscentContext", "VanillaRule", "MomentumRule",
            "NesterovRule", "AdamRule", "DeepFoolRule", "AdaptiveStepRule",
            "make_rule", "rule_from_identity", "ASCENT_RULES",
            "DEFAULT_MOMENTUM_BETA", "run_ascent", "AscentEngine",
-           "DeepXplore", "BatchDeepXplore", "GeneratedTest",
+           "DeepXplore", "GeneratedTest",
            "GenerationResult", "normalize_gradient"]
 
 
@@ -218,8 +211,6 @@ class AscentEngine:
     rule:
         The :class:`AscentRule` driving line 14; defaults to
         :class:`VanillaRule`.
-    update_coverage_with_tests:
-        When False, no tape is ever folded into the trackers.
     coverage_factory:
         Pluggable obj2: ``callable(trackers, rng)`` returning a coverage
         objective with ``pick()``/``gradient_from_tapes()``.  Default is
@@ -229,17 +220,11 @@ class AscentEngine:
         Fold the final tapes of seeds that hit ``max_iterations`` into
         coverage (default).  ``False`` restores the paper-exact
         accounting in which only difference-inducing inputs count.
-    use_workspace:
-        Reuse one preallocated :class:`~repro.nn.workspace.Workspace`
-        per model across ascent iterations (default).  The engine's
-        consume-before-next-forward discipline makes this safe; disable
-        it to hold tapes alive across iterations (debugging).
     """
 
     def __init__(self, models, hyperparams=None, constraint=None,
                  task="classification", trackers=None, rng=None, rule=None,
-                 update_coverage_with_tests=True, coverage_factory=None,
-                 absorb_exhausted=True, use_workspace=True):
+                 coverage_factory=None, absorb_exhausted=True):
         if len(models) < 2:
             raise ConfigError("differential testing needs >= 2 models")
         self.models = list(models)
@@ -270,96 +255,51 @@ class AscentEngine:
             raise ConfigError(
                 f"the {self.rule.name} rule does not support regression "
                 "tasks")
-        self.update_coverage_with_tests = bool(update_coverage_with_tests)
         self.coverage_factory = coverage_factory or (
             lambda trackers, rng: CoverageObjective(trackers, rng=rng))
         self.absorb_exhausted = bool(absorb_exhausted)
-        self.use_workspace = bool(use_workspace)
-        self._workspaces = ([Workspace() for _ in self.models]
-                            if self.use_workspace
-                            else [None] * len(self.models))
+        self._workspaces = [Workspace() for _ in self.models]
 
     # -- objective pieces, batched ----------------------------------------------
     def _run_models(self, x):
         """One recorded forward pass per model over the active batch.
 
-        With ``use_workspace`` each model draws its buffers from its own
-        reusable workspace, which invalidates the *previous* iteration's
-        tapes — the loop always consumes a tape's gradients and coverage
-        before recording the next forward, so no stale view is ever read.
+        Each model draws its buffers from its own reusable workspace,
+        which invalidates the *previous* iteration's tapes — the loop
+        always consumes a tape's gradients and coverage before recording
+        the next forward, so no stale view is ever read.
         """
         return [model.run(x, workspace=ws)
                 for model, ws in zip(self.models, self._workspaces)]
 
-    def _differential_gradient(self, tapes, rows, targets, seed_classes):
-        """Per-sample gradient of obj1 with per-sample target models.
+    def _objective_gradient(self, tapes, rows, targets, seed_classes,
+                            neurons):
+        """Per-sample gradient of obj1, plus ``lambda2`` times each
+        model's coverage neuron where ``neurons`` names one.
 
         ``rows`` maps active samples to rows of the tapes' batch (the
         batch may still contain just-retired samples); the returned
         gradient covers only the active rows.  One backward per model:
-        the per-sample seed matrix carries each sample's class column and
-        target sign, so no per-class sub-batching is needed.
+        the per-sample seed carries each sample's target sign (and, for
+        classifiers, its class column), and a model's coverage-neuron
+        seed rides the same sweep (:meth:`ForwardPass.gradient_joint`).
+        A ``None`` neuron leaves the plain obj1 sweep.
         """
         lam = self.hp.lambda1
         batch = tapes[0].batch_size
+        out_shape = tuple(self.models[0].output_shape)
         grad = None
-        if self.task == "regression":
-            out_ndim = len(self.models[0].output_shape)
-            for k, tape in enumerate(tapes):
-                sign = np.zeros((batch,) + (1,) * out_ndim,
-                                dtype=tape.dtype)
-                sign[rows] = np.where(
-                    targets == k, -lam, 1.0).reshape((-1,) + (1,) * out_ndim)
-                g = tape.gradient_of_output(
-                    np.broadcast_to(sign, (batch,)
-                                    + tuple(self.models[0].output_shape)))
-                grad = g if grad is None else grad + g
-            return grad[rows]
-        n_classes = self.models[0].output_shape[0]
         for k, tape in enumerate(tapes):
-            seed = np.zeros((batch, n_classes), dtype=tape.dtype)
-            seed[rows, seed_classes] = np.where(targets == k, -lam, 1.0)
-            g = tape.gradient_of_output(seed)
-            grad = g if grad is None else grad + g
-        return grad[rows]
-
-    def _coverage_gradient(self, tapes, rows, coverage):
-        coverage.pick()
-        return coverage.gradient_from_tapes(tapes)[rows]
-
-    def _joint_gradient(self, tapes, rows, targets, seed_classes, coverage):
-        """obj1 + lambda2*obj2 with ONE fused backward per model.
-
-        Each model's coverage-neuron seed (scaled by lambda2) is
-        injected into the same sweep that carries its differential
-        seed — see :meth:`ForwardPass.gradient_joint`.  The fused sweep
-        reorders float accumulation versus summing two sweeps, so this
-        path is float32-only; float64 keeps the bit-pinned two-sweep
-        golden path.
-        """
-        lam = self.hp.lambda1
-        lam2 = self.hp.lambda2
-        batch = tapes[0].batch_size
-        neurons = coverage.pick()
-        grad = None
-        if self.task == "regression":
-            out_ndim = len(self.models[0].output_shape)
-            out_shape = tuple(self.models[0].output_shape)
-            for k, tape in enumerate(tapes):
-                sign = np.zeros((batch,) + (1,) * out_ndim,
+            weights = np.where(targets == k, -lam, 1.0)
+            if self.task == "regression":
+                sign = np.zeros((batch,) + (1,) * len(out_shape),
                                 dtype=tape.dtype)
-                sign[rows] = np.where(
-                    targets == k, -lam, 1.0).reshape((-1,) + (1,) * out_ndim)
-                g = tape.gradient_joint(
-                    np.broadcast_to(sign, (batch,) + out_shape),
-                    neurons[k], lam2)
-                grad = g if grad is None else grad + g
-            return grad[rows]
-        n_classes = self.models[0].output_shape[0]
-        for k, tape in enumerate(tapes):
-            seed = np.zeros((batch, n_classes), dtype=tape.dtype)
-            seed[rows, seed_classes] = np.where(targets == k, -lam, 1.0)
-            g = tape.gradient_joint(seed, neurons[k], lam2)
+                sign[rows] = weights.reshape((-1,) + (1,) * len(out_shape))
+                seed = np.broadcast_to(sign, (batch,) + out_shape)
+            else:
+                seed = np.zeros((batch,) + out_shape, dtype=tape.dtype)
+                seed[rows, seed_classes] = weights
+            g = tape.gradient_joint(seed, neurons[k], self.hp.lambda2)
             grad = g if grad is None else grad + g
         return grad[rows]
 
@@ -401,8 +341,6 @@ class AscentEngine:
     def _absorb_tapes(self, tapes, rows):
         """Fold the given rows of the iteration's tapes into each
         model's coverage — no re-execution."""
-        if not self.update_coverage_with_tests:
-            return
         for tracker, tape in zip(self.trackers, tapes):
             tracker.update_from_tape(tape, rows=rows)
 
@@ -469,15 +407,19 @@ class AscentEngine:
                 # (DeepFool); skip the obj1/obj2 backwards entirely —
                 # coverage absorption is unaffected, it reads tapes.
                 return np.zeros_like(x_cur)
-            if self.hp.lambda2 > 0.0 and self.dtype == np.float32:
-                return self._joint_gradient(
-                    st["tapes"], st["rows"], st["targets"],
-                    st["seed_classes"], coverage)
-            grad = self._differential_gradient(
-                st["tapes"], st["rows"], st["targets"], st["seed_classes"])
-            if self.hp.lambda2 > 0.0:
-                grad = grad + self.hp.lambda2 * self._coverage_gradient(
-                    st["tapes"], st["rows"], coverage)
+            # float32 fuses the coverage seed into obj1's sweep.  The
+            # fused sweep accumulates in another float order, so float64
+            # keeps the bit-pinned two-sweep sum the goldens record.
+            fused = self.hp.lambda2 > 0.0 and self.dtype == np.float32
+            neurons = (coverage.pick() if fused
+                       else [None] * len(self.models))
+            grad = self._objective_gradient(
+                st["tapes"], st["rows"], st["targets"], st["seed_classes"],
+                neurons)
+            if self.hp.lambda2 > 0.0 and not fused:
+                coverage.pick()
+                grad = grad + self.hp.lambda2 * coverage.gradient_from_tapes(
+                    st["tapes"])[st["rows"]]
             return grad
 
         def constrain(grad, x_cur):
@@ -669,8 +611,3 @@ class DeepXplore(AscentEngine):
                 return True
         return False
 
-
-class BatchDeepXplore(AscentEngine):
-    """Thin alias of :class:`AscentEngine`, kept for the historical
-    name.  The vectorized whole-seed-set engine *is* the unified engine;
-    new code should say ``AscentEngine``."""

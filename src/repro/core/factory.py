@@ -13,34 +13,35 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import make_backend, unwrap_network
 from repro.core.campaign import Campaign
 from repro.core.engine import AscentEngine, DeepXplore, make_rule
 from repro.errors import ConfigError
+from repro.nn.config import network_from_payload, network_to_payload
 
 __all__ = ["make_engine", "resolve_models"]
 
 
-def resolve_models(models, dtype=None, backend="numpy"):
-    """Normalize model arguments for an engine: adapt through the
-    requested :mod:`~repro.backends` backend, optionally converting to
-    ``dtype``, then unwrap to the raw differentiable networks the
-    engines and trackers key on.
+def resolve_models(models, dtype=None):
+    """The models at compute precision ``dtype``.
 
-    Dtype conversion goes through the payload round-trip
-    (:func:`repro.nn.config.network_from_payload`), so the originals
-    are never mutated.  Inference-only backends (e.g. ``onnx``) cannot
-    drive gradient ascent and are refused here with the reason.
+    A model stored at another precision is rebuilt through the payload
+    round-trip (:func:`repro.nn.config.network_from_payload`), so the
+    originals are never mutated and trackers bound to them stay valid.
+    Models already at ``dtype`` — every model, when ``dtype`` is
+    ``None`` — come back as the same objects.
     """
-    kwargs = {} if dtype is None else {"dtype": np.dtype(dtype)}
-    return [unwrap_network(make_backend(backend, m, **kwargs))
+    if dtype is None:
+        return list(models)
+    dtype = np.dtype(dtype)
+    return [m if m.dtype == dtype
+            else network_from_payload(network_to_payload(m), dtype=dtype)
             for m in models]
 
 
 def make_engine(engine, models, hp, constraint, task, rng, workers=1,
                 shard_size=None, trackers=None, ascent="vanilla",
                 beta=None, overshoot=None, absorb_exhausted=True,
-                dtype=None, backend="numpy"):
+                dtype=None):
     """Build a generation engine from CLI-flag-shaped knobs.
 
     ``engine`` is ``"sequential"`` (Algorithm 1 as the paper runs it,
@@ -62,16 +63,15 @@ def make_engine(engine, models, hp, constraint, task, rng, workers=1,
     accounting (only difference-inducing inputs fold into coverage) on
     whichever engine is built.
 
-    ``backend`` names a registered :mod:`~repro.backends` adapter and
-    ``dtype`` requests a compute precision; both resolve through
+    ``dtype`` requests a compute precision, resolved through
     :func:`resolve_models`.  When ``dtype`` changes the models, any
     caller-built ``trackers`` would still be bound to the originals, so
     that combination is refused — build trackers over
     ``resolve_models(...)``'s output instead (or let the engine build
     its own).
     """
-    if dtype is not None or backend != "numpy":
-        resolved = resolve_models(models, dtype=dtype, backend=backend)
+    if dtype is not None:
+        resolved = resolve_models(models, dtype=dtype)
         converted = any(r is not m for r, m in zip(resolved, models))
         if converted and trackers is not None:
             raise ConfigError(

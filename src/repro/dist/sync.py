@@ -42,6 +42,7 @@ to run at any time, from any side, any number of times:
 from __future__ import annotations
 
 import io
+import zipfile
 
 import numpy as np
 
@@ -66,8 +67,15 @@ DEFAULT_BATCH = 64
 # the exact ``.npz`` bytes committed snapshots use on disk — no second
 # format to keep compatible, and both are self-describing (shape +
 # dtype ride along).  Encoders return wire :class:`Blob`\ s, which the
-# farm protocol ships as binary frames (or base64 inside JSON for
-# compatibility — the decoders accept either, see ``repro.farm.wire``).
+# farm protocol ships as binary frames (``repro.farm.wire``).  Decoders
+# read bytes from another host, so a payload that is not what it claims
+# to be is a FarmError, never a traceback in a server thread.
+
+#: What ``np.load`` and the ``.npz`` coverage reader raise on bytes that
+#: are not a well-formed payload.
+_BAD_PAYLOAD = (ValueError, TypeError, KeyError, EOFError,
+                zipfile.BadZipFile)
+
 
 def encode_array(x):
     buffer = io.BytesIO()
@@ -76,7 +84,14 @@ def encode_array(x):
 
 
 def decode_array(payload):
-    return np.load(io.BytesIO(as_bytes(payload)), allow_pickle=False)
+    try:
+        x = np.load(io.BytesIO(as_bytes(payload)), allow_pickle=False)
+    except _BAD_PAYLOAD as error:
+        raise FarmError(f"bad array payload: {error}") from None
+    if not isinstance(x, np.ndarray):
+        raise FarmError("bad array payload: an .npz archive, not an "
+                        ".npy array")
+    return x
 
 
 def encode_coverage(state):
@@ -84,7 +99,10 @@ def encode_coverage(state):
 
 
 def decode_coverage(payload):
-    return coverage_from_bytes(as_bytes(payload))
+    try:
+        return coverage_from_bytes(as_bytes(payload))
+    except _BAD_PAYLOAD as error:
+        raise FarmError(f"bad coverage payload: {error}") from None
 
 
 # -- sources ----------------------------------------------------------------

@@ -5,7 +5,6 @@ Each extension is exercised by an ablation benchmark under
 the core reproduction.
 """
 
-from repro.extensions.momentum import MomentumDeepXplore
 from repro.extensions.multi_neuron import MultiNeuronCoverageObjective
 from repro.extensions.seed_selection import (class_balanced_seeds,
                                              low_confidence_seeds,
@@ -13,7 +12,6 @@ from repro.extensions.seed_selection import (class_balanced_seeds,
 from repro.extensions.soft_constraints import SoftBoxConstraint
 
 __all__ = [
-    "MomentumDeepXplore",
     "MultiNeuronCoverageObjective",
     "class_balanced_seeds", "low_confidence_seeds", "random_seeds",
     "select_seeds",

@@ -11,7 +11,6 @@ Two addressing modes over the same JSON-lines protocol (see
   the other daemon's root directory is on a different machine.
 
 Both keep one pooled connection per client: requests reuse the channel
-(and its negotiated binary-framing mode — :mod:`repro.farm.wire`)
 instead of paying a TCP dial per call.  A failure on a *reused* socket
 — the peer restarted, or an idle connection timed out — reconnects
 once and retries transparently; a failure on a fresh connection still
@@ -76,7 +75,6 @@ class _ChannelClient:
     def __init__(self):
         self._sock = None
         self._rfile = None
-        self._binary = False
         self._channel_lock = threading.Lock()
         #: Wire accounting, cumulative over the client's lifetime.
         self.requests = 0
@@ -91,7 +89,6 @@ class _ChannelClient:
         """Drop the pooled connection (the next request redials)."""
         sock, self._sock = self._sock, None
         rfile, self._rfile = self._rfile, None
-        self._binary = False
         for handle in (rfile, sock):
             if handle is not None:
                 try:
@@ -102,12 +99,9 @@ class _ChannelClient:
     def _connect(self):
         self._sock = self._dial()
         self._rfile = self._sock.makefile("rb")
-        self._binary = False
 
     def _exchange(self, payload):
-        message = dict(payload)
-        message["bin"] = 1              # advertise binary framing
-        data = wire.dump_message(message, binary=self._binary)
+        data = wire.dump_message(payload)
         self._sock.sendall(data)
         response, received = wire.read_message(self._rfile)
         if response is None:
@@ -115,10 +109,6 @@ class _ChannelClient:
         self.requests += 1
         self.bytes_sent += len(data)
         self.bytes_received += received
-        if response.get("bin"):
-            # The server answers in frames; our next request on this
-            # channel may use them too.
-            self._binary = True
         return response
 
     def _request(self, payload):

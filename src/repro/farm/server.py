@@ -4,12 +4,11 @@ Persistent request channel: a client sends any number of JSON-object
 requests, one per line, on one connection; the server answers each with
 one message in order, and the channel stays open until the client
 closes it (one-shot clients that close after the first exchange keep
-working unchanged).  Array payloads may ride as length-prefixed binary
-frames after the JSON line when the client opts in — see
-:mod:`repro.farm.wire` for the framing and the per-connection
-negotiation.  Loopback only, ephemeral port; the bound endpoint is
-published atomically to ``<root>/daemon.json`` so clients discover it
-by farm root, not by port number::
+working unchanged).  Array payloads ride as binary frames after the
+JSON line — see :mod:`repro.farm.wire` for the framing.  Loopback
+only, ephemeral port; the bound endpoint is published atomically to
+``<root>/daemon.json`` so clients discover it by farm root, not by
+port number::
 
     {"host": "127.0.0.1", "port": 40123, "pid": 12345}
 
@@ -46,10 +45,6 @@ ENDPOINT_NAME = "daemon.json"
 
 _HOST = "127.0.0.1"
 
-#: JSON header line cap (binary frames are bounded separately by the
-#: wire layer; in JSON-fallback mode this caps the whole message).
-_MAX_LINE = wire.MAX_LINE
-
 
 def _error_response(error):
     response = {"ok": False, "error": str(error)}
@@ -73,9 +68,8 @@ class _Handler(socketserver.StreamRequestHandler):
         try:
             while True:
                 try:
-                    request, _ = wire.read_message(self.rfile, _MAX_LINE)
-                except (json.JSONDecodeError, UnicodeDecodeError,
-                        FarmError) as error:
+                    request, _ = wire.read_message(self.rfile)
+                except FarmError as error:
                     # The framing itself is broken; answer once and
                     # hang up — resync on a corrupt stream is hopeless.
                     self.wfile.write(wire.dump_message(_error_response(
@@ -83,17 +77,11 @@ class _Handler(socketserver.StreamRequestHandler):
                     return
                 if request is None:
                     return      # clean EOF: client closed the channel
-                binary = bool(request.pop("bin", False))
                 try:
                     response = self.server.dispatch(request)
                 except ReproError as error:
                     response = _error_response(error)
-                if binary:
-                    # Echo the capability flag: the client switches its
-                    # own requests to binary frames once it sees it.
-                    response["bin"] = 1
-                self.wfile.write(wire.dump_message(response,
-                                                   binary=binary))
+                self.wfile.write(wire.dump_message(response))
         except OSError:
             return              # client vanished mid-exchange
 

@@ -2,34 +2,21 @@
 
 Every message is one JSON object on one line.  Values that are raw
 bytes (``.npy`` arrays, ``.npz`` coverage snapshots, shard outcomes —
-anything wrapped in :class:`Blob`) travel in one of two encodings:
-
-* **JSON fallback** — base64 strings inline in the JSON line.  This is
-  byte-for-byte the PR 9 wire format, so any JSON-only client keeps
-  working unchanged.
-* **Binary frames** — the JSON line carries ``{"__frame__": i}``
-  placeholders plus a ``"_frames": [len, ...]`` header, and the raw
-  bytes follow the newline as length-prefixed frames, in order.  No
-  base64 inflation (~33% on array payloads) and no line-cap ceiling:
-  only the JSON *header* is bounded by :data:`MAX_LINE`; frames are
-  bounded individually by :data:`MAX_FRAME`.
-
-Negotiation is per-connection and needs no extra round-trip: every
-request from a frame-capable client carries ``"bin": 1``; the server
-answers such requests with framed responses (also flagged ``"bin": 1``)
-and plain-JSON otherwise.  A client starts each connection in JSON mode
-and switches its *own* requests to frames once it has seen the server
-flag — so both directions degrade to the compatibility format against
-an older peer.
+anything wrapped in :class:`Blob`) travel as binary frames: the JSON
+line carries ``{"__frame__": i}`` placeholders plus a
+``"_frames": [len, ...]`` header, and the raw bytes follow the newline
+back to back, in order.  Only the JSON *header* is bounded by
+:data:`MAX_LINE`; frames are bounded individually by
+:data:`MAX_FRAME`.  A message without bytes is one plain JSON line.
 
 :func:`dump_message`/:func:`read_message` are the only encode/decode
-points; :func:`as_bytes` lets payload consumers accept either encoding
-(a :class:`Blob` from a framed message, a base64 ``str`` from JSON).
+points; a malformed message raises :class:`~repro.errors.FarmError`.
+:func:`as_bytes` gives payload consumers the raw bytes of a resolved
+frame and refuses anything else.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 
 from repro.errors import FarmError
@@ -37,9 +24,8 @@ from repro.errors import FarmError
 __all__ = ["Blob", "as_bytes", "dump_message", "read_message",
            "MAX_LINE", "MAX_FRAME", "FRAMES_KEY"]
 
-#: JSON header line cap.  With binary framing the header holds only
-#: records and placeholders, so 16 MiB bounds even huge batches; in
-#: JSON-fallback mode this is the same whole-message cap PR 9 had.
+#: JSON header line cap.  The header holds only records and frame
+#: placeholders, so 16 MiB bounds even huge batches.
 MAX_LINE = 16 << 20
 
 #: Per-frame byte cap — a sanity bound against a corrupt or hostile
@@ -51,46 +37,49 @@ _FRAME_REF = "__frame__"
 
 
 class Blob(bytes):
-    """Bytes that may travel as a binary frame (base64 in JSON mode)."""
+    """Bytes that travel as a binary frame."""
 
     __slots__ = ()
 
 
 def as_bytes(value):
-    """Raw bytes of a wire payload value, whichever encoding it used."""
-    if isinstance(value, (bytes, bytearray, memoryview)):
+    """Raw bytes of a wire payload value (a resolved binary frame)."""
+    if isinstance(value, bytes):
         return bytes(value)
-    return base64.b64decode(str(value).encode("ascii"))
+    raise FarmError(f"bad wire payload: expected a binary frame, got "
+                    f"{type(value).__name__}")
 
 
-def _encode(value, frames, binary):
+def _encode(value, frames):
     if isinstance(value, (bytes, bytearray, memoryview)):
-        if binary:
-            frames.append(bytes(value))
-            return {_FRAME_REF: len(frames) - 1}
-        return base64.b64encode(bytes(value)).decode("ascii")
+        frames.append(bytes(value))
+        return {_FRAME_REF: len(frames) - 1}
     if isinstance(value, dict):
-        return {key: _encode(item, frames, binary)
-                for key, item in value.items()}
+        return {key: _encode(item, frames) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_encode(item, frames, binary) for item in value]
+        return [_encode(item, frames) for item in value]
     return value
 
 
 def _resolve(value, frames):
     if isinstance(value, dict):
         if set(value) == {_FRAME_REF}:
-            return Blob(frames[int(value[_FRAME_REF])])
+            index = value[_FRAME_REF]
+            if type(index) is not int or not 0 <= index < len(frames):
+                raise FarmError(f"bad wire frame reference {index!r}: "
+                                f"the message carries {len(frames)} "
+                                "frame(s)")
+            return Blob(frames[index])
         return {key: _resolve(item, frames) for key, item in value.items()}
     if isinstance(value, list):
         return [_resolve(item, frames) for item in value]
     return value
 
 
-def dump_message(message, binary=False):
+def dump_message(message):
     """Serialize one message dict to wire bytes (line + frames)."""
     frames = []
-    header = _encode(dict(message), frames, binary)
+    header = _encode(dict(message), frames)
     if frames:
         header[FRAMES_KEY] = [len(frame) for frame in frames]
     line = (json.dumps(header) + "\n").encode("utf-8")
@@ -105,23 +94,32 @@ def read_message(rfile, max_line=MAX_LINE):
     Returns ``(None, 0)`` on a clean EOF at a message boundary (the
     peer closed the channel).  A truncated message — EOF mid-frame —
     raises :class:`FarmError`: the peer died mid-answer, which is a
-    failed request, not a closed idle channel.
+    failed request, not a closed idle channel.  So does any malformed
+    header: one over ``max_line`` bytes, bad JSON, or a frame table or
+    frame reference that does not describe the frames that follow.
     """
-    line = rfile.readline(max_line)
+    line = rfile.readline(max_line + 1)
     if not line:
         return None, 0
-    message = json.loads(line.decode("utf-8"))
+    if len(line) > max_line:
+        raise FarmError(f"wire header exceeds the {max_line}-byte cap")
+    try:
+        message = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise FarmError(f"bad wire header: {error}") from None
     total = len(line)
     if not isinstance(message, dict):
         raise FarmError(f"bad wire message: expected an object, got "
                         f"{type(message).__name__}")
-    lengths = message.pop(FRAMES_KEY, None)
+    lengths = message.pop(FRAMES_KEY, [])
+    if not isinstance(lengths, list) or not all(
+            type(length) is int and 0 <= length <= MAX_FRAME
+            for length in lengths):
+        raise FarmError(f"bad wire frame table: {FRAMES_KEY!r} must list "
+                        f"frame lengths in [0, {MAX_FRAME}]")
     if lengths:
         frames = []
         for length in lengths:
-            length = int(length)
-            if not 0 <= length <= MAX_FRAME:
-                raise FarmError(f"bad wire frame length {length}")
             frame = rfile.read(length)
             if len(frame) != length:
                 raise FarmError(
@@ -129,5 +127,7 @@ def read_message(rfile, max_line=MAX_LINE):
                     f"got {len(frame)}")
             frames.append(frame)
             total += length
-        message = _resolve(message, frames)
+        # Resolve below the top level: the message itself stays a dict.
+        message = {key: _resolve(item, frames)
+                   for key, item in message.items()}
     return message, total

@@ -21,8 +21,7 @@ def _pin_float64_default():
 
     The gradchecks, pinned engine goldens, and cached zoo weights were
     all captured at float64; the library's float32 default is exercised
-    explicitly (tests/nn/test_dtypes.py, tests/backends) rather than
-    ambiently.
+    explicitly (tests/nn/test_dtypes.py) rather than ambiently.
     """
     previous = dtypes.set_default_dtype(np.float64)
     yield

@@ -1,9 +1,9 @@
-"""Batched generator: equivalence of outcomes with the sequential one."""
+"""Vectorized engine: equivalence of outcomes with the sequential one."""
 
 import numpy as np
 import pytest
 
-from repro.core import (BatchDeepXplore, DeepXplore, LightingConstraint,
+from repro.core import (AscentEngine, DeepXplore, LightingConstraint,
                         PAPER_HYPERPARAMS, SingleRectOcclusion,
                         constraint_for_dataset)
 from repro.errors import ConfigError
@@ -11,13 +11,13 @@ from repro.errors import ConfigError
 
 def test_requires_two_models(lenet1):
     with pytest.raises(ConfigError):
-        BatchDeepXplore([lenet1])
+        AscentEngine([lenet1])
 
 
 def test_finds_differences(mnist_trio, mnist_smoke):
     seeds, _ = mnist_smoke.sample_seeds(25, np.random.default_rng(3))
-    engine = BatchDeepXplore(mnist_trio, PAPER_HYPERPARAMS["mnist"],
-                             LightingConstraint(), rng=5)
+    engine = AscentEngine(mnist_trio, PAPER_HYPERPARAMS["mnist"],
+                          LightingConstraint(), rng=5)
     result = engine.run(seeds)
     assert result.difference_count > 0
     assert result.seeds_processed == 25
@@ -30,8 +30,8 @@ def test_finds_differences(mnist_trio, mnist_smoke):
 
 def test_inputs_stay_valid(mnist_trio, mnist_smoke):
     seeds, _ = mnist_smoke.sample_seeds(20, np.random.default_rng(4))
-    engine = BatchDeepXplore(mnist_trio, PAPER_HYPERPARAMS["mnist"],
-                             LightingConstraint(), rng=6)
+    engine = AscentEngine(mnist_trio, PAPER_HYPERPARAMS["mnist"],
+                          LightingConstraint(), rng=6)
     result = engine.run(seeds)
     for test in result.tests:
         assert test.x.min() >= 0.0 and test.x.max() <= 1.0
@@ -39,8 +39,8 @@ def test_inputs_stay_valid(mnist_trio, mnist_smoke):
 
 def test_pre_disagreed_recorded(mnist_trio, mnist_smoke):
     seeds, _ = mnist_smoke.sample_seeds(30, np.random.default_rng(5))
-    batch = BatchDeepXplore(mnist_trio, PAPER_HYPERPARAMS["mnist"],
-                            LightingConstraint(), rng=7)
+    batch = AscentEngine(mnist_trio, PAPER_HYPERPARAMS["mnist"],
+                         LightingConstraint(), rng=7)
     sequential = DeepXplore(mnist_trio, PAPER_HYPERPARAMS["mnist"],
                             LightingConstraint(), rng=7)
     rb = batch.run(seeds)
@@ -51,8 +51,8 @@ def test_pre_disagreed_recorded(mnist_trio, mnist_smoke):
 
 def test_comparable_yield_to_sequential(mnist_trio, mnist_smoke):
     seeds, _ = mnist_smoke.sample_seeds(25, np.random.default_rng(6))
-    batch = BatchDeepXplore(mnist_trio, PAPER_HYPERPARAMS["mnist"],
-                            LightingConstraint(), rng=8)
+    batch = AscentEngine(mnist_trio, PAPER_HYPERPARAMS["mnist"],
+                         LightingConstraint(), rng=8)
     sequential = DeepXplore(mnist_trio, PAPER_HYPERPARAMS["mnist"],
                             LightingConstraint(), rng=8)
     rb = batch.run(seeds)
@@ -63,8 +63,8 @@ def test_comparable_yield_to_sequential(mnist_trio, mnist_smoke):
 
 def test_max_tests(mnist_trio, mnist_smoke):
     seeds, _ = mnist_smoke.sample_seeds(30, np.random.default_rng(7))
-    engine = BatchDeepXplore(mnist_trio, PAPER_HYPERPARAMS["mnist"],
-                             LightingConstraint(), rng=9)
+    engine = AscentEngine(mnist_trio, PAPER_HYPERPARAMS["mnist"],
+                          LightingConstraint(), rng=9)
     result = engine.run(seeds, max_tests=3)
     assert result.difference_count >= 3  # may slightly overshoot per wave
     assert result.difference_count <= 3 + 30
@@ -72,17 +72,17 @@ def test_max_tests(mnist_trio, mnist_smoke):
 
 def test_regression_batch(driving_trio, driving_smoke):
     seeds, _ = driving_smoke.sample_seeds(20, np.random.default_rng(8))
-    engine = BatchDeepXplore(driving_trio, PAPER_HYPERPARAMS["driving"],
-                             constraint_for_dataset(driving_smoke),
-                             task="regression", rng=10)
+    engine = AscentEngine(driving_trio, PAPER_HYPERPARAMS["driving"],
+                          constraint_for_dataset(driving_smoke),
+                          task="regression", rng=10)
     result = engine.run(seeds)
     assert result.difference_count > 0
 
 
 def test_feature_batch(pdf_trio, pdf_smoke):
     seeds, _ = pdf_smoke.sample_seeds(20, np.random.default_rng(9))
-    engine = BatchDeepXplore(pdf_trio, PAPER_HYPERPARAMS["pdf"],
-                             constraint_for_dataset(pdf_smoke), rng=11)
+    engine = AscentEngine(pdf_trio, PAPER_HYPERPARAMS["pdf"],
+                          constraint_for_dataset(pdf_smoke), rng=11)
     result = engine.run(seeds)
     # Generated PDFs keep integer counts on mutable features.
     mask = pdf_smoke.metadata["mutable_mask"]
@@ -110,8 +110,8 @@ def test_occlusion_patches_are_per_seed(mnist_trio, mnist_smoke):
     changed only one 8x8 rectangle, and the rectangles differ across
     seeds (the old engine shared one position batch-wide)."""
     seeds, _ = mnist_smoke.sample_seeds(30, np.random.default_rng(13))
-    engine = BatchDeepXplore(mnist_trio, PAPER_HYPERPARAMS["mnist"],
-                             SingleRectOcclusion(8, 8), rng=14)
+    engine = AscentEngine(mnist_trio, PAPER_HYPERPARAMS["mnist"],
+                          SingleRectOcclusion(8, 8), rng=14)
     result = engine.run(seeds)
     boxes = _changed_bounding_boxes(result, seeds)
     assert len(boxes) >= 2
@@ -130,8 +130,8 @@ def test_batch_occlusion_matches_sequential_semantics(mnist_trio,
     seeds, _ = mnist_smoke.sample_seeds(15, np.random.default_rng(14))
     sequential = DeepXplore(mnist_trio, PAPER_HYPERPARAMS["mnist"],
                             SingleRectOcclusion(8, 8), rng=15)
-    batch = BatchDeepXplore(mnist_trio, PAPER_HYPERPARAMS["mnist"],
-                            SingleRectOcclusion(8, 8), rng=15)
+    batch = AscentEngine(mnist_trio, PAPER_HYPERPARAMS["mnist"],
+                         SingleRectOcclusion(8, 8), rng=15)
     rs = sequential.run(seeds)
     rb = batch.run(seeds)
     for result in (rs, rb):
@@ -144,8 +144,8 @@ def test_batch_occlusion_matches_sequential_semantics(mnist_trio,
 
 def test_coverage_tracked(mnist_trio, mnist_smoke):
     seeds, _ = mnist_smoke.sample_seeds(20, np.random.default_rng(10))
-    engine = BatchDeepXplore(mnist_trio, PAPER_HYPERPARAMS["mnist"],
-                             LightingConstraint(), rng=12)
+    engine = AscentEngine(mnist_trio, PAPER_HYPERPARAMS["mnist"],
+                          LightingConstraint(), rng=12)
     result = engine.run(seeds)
     if result.difference_count:
         assert engine.mean_coverage() > 0.0

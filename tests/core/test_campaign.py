@@ -12,7 +12,7 @@ import pytest
 from repro.core import (Campaign, GenerationResult, PAPER_HYPERPARAMS,
                         LightingConstraint, SingleRectOcclusion,
                         shard_corpus)
-from repro.core.generator import GeneratedTest
+from repro.core.engine import GeneratedTest
 from repro.coverage import NeuronCoverageTracker
 from repro.errors import ConfigError
 
@@ -73,11 +73,12 @@ def test_campaign_empty_corpus_is_clean_empty_result(
 
 def test_batch_engine_empty_corpus_is_clean_empty_result(mnist_trio,
                                                          mnist_smoke):
-    """Regression: BatchDeepXplore used to die in a size-0 reshape."""
-    from repro.core import BatchDeepXplore
+    """Regression: the vectorized engine used to die in a size-0
+    reshape."""
+    from repro.core import AscentEngine
     empty = np.empty((0,) + mnist_smoke.x_test.shape[1:])
-    result = BatchDeepXplore(mnist_trio, PAPER_HYPERPARAMS["mnist"],
-                             LightingConstraint()).run(empty)
+    result = AscentEngine(mnist_trio, PAPER_HYPERPARAMS["mnist"],
+                          LightingConstraint()).run(empty)
     assert result.difference_count == 0
     assert result.seeds_processed == 0
     assert result.seeds_exhausted == 0

@@ -1,5 +1,5 @@
 """The unified AscentEngine: rule contract, golden equivalence to the
-pre-unification engines, retire-and-compact, and the shim policy.
+pre-unification engines, and retire-and-compact.
 
 The golden matrix in ``tests/data/golden_engines.json`` was captured
 from the repo *before* the three engine classes were collapsed onto one
@@ -21,10 +21,10 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core import (AscentEngine, AscentRule, BatchDeepXplore, Campaign,
-                        DeepXplore, LightingConstraint, MomentumRule,
-                        PAPER_HYPERPARAMS, VanillaRule,
-                        constraint_for_dataset, make_rule, run_ascent)
+from repro.core import (AscentEngine, Campaign, DeepXplore,
+                        LightingConstraint, MomentumRule, PAPER_HYPERPARAMS,
+                        VanillaRule, constraint_for_dataset, make_rule,
+                        run_ascent)
 from repro.errors import ConfigError
 from repro.nn.instrumentation import PassCounter
 
@@ -91,19 +91,6 @@ class TestGoldenEquivalence:
         message = str(err.value)
         assert "deepfool-batch-mnist" in message
         assert "tests[0].iterations" in message
-
-    def test_batch_alias_is_the_engine(self, mnist_trio, mnist_smoke,
-                                       goldens):
-        """(b) with the historical name: BatchDeepXplore is a pure alias."""
-        seeds, _ = mnist_smoke.sample_seeds(10, np.random.default_rng(3))
-        engine = BatchDeepXplore(mnist_trio, PAPER_HYPERPARAMS["mnist"],
-                                 LightingConstraint(), rng=5,
-                                 absorb_exhausted=False)
-        with PassCounter() as passes:
-            result = engine.run(seeds)
-        golden = digest_result(result, engine.trackers)
-        golden["forwards"] = int(passes.total_forwards())
-        assert golden == goldens["vanilla-batch-mnist"]
 
 
 class TestFloat32Equivalence:
@@ -251,17 +238,12 @@ class TestRunAscentLoop:
         assert retired == [(1, 3.0), (2, 3.0), (3, 3.0)]
 
     def test_single_loop_body_in_the_repo(self):
-        """Grep-level acceptance: the historical engine modules contain
-        no ascent-iteration loop of their own anymore."""
+        """Grep-level acceptance: the engine module holds the one
+        ascent-iteration loop; the FGSM baseline iterates through it."""
         import repro.baselines.adversarial
-        import repro.core.batch
         import repro.core.engine
-        import repro.core.generator
-        import repro.extensions.momentum
-        for module in (repro.core.generator, repro.core.batch,
-                       repro.extensions.momentum,
-                       repro.baselines.adversarial):
-            assert "for iteration in range" not in inspect.getsource(module)
+        assert "for iteration in range" not in inspect.getsource(
+            repro.baselines.adversarial)
         assert inspect.getsource(repro.core.engine).count(
             "for iteration in range") == 1
 
@@ -334,50 +316,15 @@ class TestExhaustedSeedCoverage:
             assert engine.absorb_exhausted is False
 
 
-class TestShimPolicy:
-    """Old import paths construct; only the momentum shim deprecates."""
-
-    def test_legacy_import_paths(self):
-        from repro.core.batch import BatchDeepXplore as legacy_batch
-        from repro.core.generator import DeepXplore as legacy_seq
-        from repro.extensions.momentum import \
-            MomentumDeepXplore as legacy_mom
-        assert legacy_batch is BatchDeepXplore
-        assert legacy_seq is DeepXplore
-        assert issubclass(legacy_mom, DeepXplore)
+class TestFacades:
+    """The public engine classes construct quietly: no deprecation
+    path is left between a caller and the one engine."""
 
     def test_facades_construct_without_warnings(self, mnist_trio):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             DeepXplore(mnist_trio, PAPER_HYPERPARAMS["mnist"])
-            BatchDeepXplore(mnist_trio, PAPER_HYPERPARAMS["mnist"])
-
-    def test_momentum_shim_warns_and_composes_the_rule(self, mnist_trio):
-        from repro.extensions import MomentumDeepXplore
-        with pytest.warns(DeprecationWarning):
-            shim = MomentumDeepXplore(mnist_trio,
-                                      PAPER_HYPERPARAMS["mnist"], beta=0.7)
-        assert isinstance(shim.rule, MomentumRule)
-        assert shim.beta == 0.7
-        with pytest.raises(ConfigError):
-            MomentumDeepXplore(mnist_trio, beta=1.0)
-        with pytest.raises(TypeError):
-            MomentumDeepXplore(mnist_trio, rule=VanillaRule())
-
-    def test_shim_matches_rule_composition(self, mnist_trio, mnist_smoke):
-        from repro.extensions import MomentumDeepXplore
-        seeds, _ = mnist_smoke.sample_seeds(6, np.random.default_rng(8))
-        with pytest.warns(DeprecationWarning):
-            shim = MomentumDeepXplore(mnist_trio,
-                                      PAPER_HYPERPARAMS["mnist"],
-                                      LightingConstraint(), beta=0.8, rng=9)
-        composed = DeepXplore(mnist_trio, PAPER_HYPERPARAMS["mnist"],
-                              LightingConstraint(), rng=9,
-                              rule=MomentumRule(0.8))
-        ra, rb = shim.run(seeds), composed.run(seeds)
-        assert len(ra.tests) == len(rb.tests)
-        for ta, tb in zip(ra.tests, rb.tests):
-            np.testing.assert_array_equal(ta.x, tb.x)
+            AscentEngine(mnist_trio, PAPER_HYPERPARAMS["mnist"])
 
 
 class TestRuleComposability:

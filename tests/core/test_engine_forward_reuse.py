@@ -16,10 +16,10 @@ Two properties of the single-forward execution refactor are pinned here:
 import numpy as np
 import pytest
 
-from repro.core import (BatchDeepXplore, DeepXplore, DifferentialObjective,
+from repro.core import (AscentEngine, DeepXplore, DifferentialObjective,
                         CoverageObjective, Hyperparams, JointObjective,
                         Unconstrained, make_oracle)
-from repro.core.generator import normalize_gradient
+from repro.core.engine import normalize_gradient
 from repro.coverage import NeuronCoverageTracker
 from repro.nn import Dense, Network, PassCounter
 
@@ -114,7 +114,7 @@ def test_sequential_engine_one_forward_per_model_per_iteration():
 
 def test_batched_engine_one_forward_per_model_per_iteration():
     models = _make_models(seed=11)
-    engine = BatchDeepXplore(models, HP, rng=9)
+    engine = AscentEngine(models, HP, rng=9)
     seeds = np.random.default_rng(10).random((10, 4))
     with PassCounter() as counter:
         result = engine.run(seeds)
@@ -132,7 +132,7 @@ def test_batched_matches_sequential_seed_classes_and_yield():
     # with per-class sub-batching: same models, same seeds, same tests.
     models = _make_models(seed=21)
     seeds = np.random.default_rng(22).random((12, 4))
-    batched = BatchDeepXplore(models, HP, rng=5)
+    batched = AscentEngine(models, HP, rng=5)
     result = batched.run(seeds)
     assert result.difference_count > 0
     oracle = make_oracle(models, "classification")

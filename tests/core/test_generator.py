@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import (DeepXplore, Hyperparams, LightingConstraint,
                         PAPER_HYPERPARAMS, constraint_for_dataset)
-from repro.core.generator import normalize_gradient
+from repro.core.engine import normalize_gradient
 from repro.coverage import NeuronCoverageTracker
 from repro.errors import ConfigError
 

@@ -1,62 +1,55 @@
-"""Wire framing and pooled channels: JSON fallback, binary frames,
-per-connection negotiation, and reconnect-on-stale-socket."""
+"""Wire framing and pooled channels: binary frames, typed errors for
+malformed messages, and reconnect-on-stale-socket."""
 
 from __future__ import annotations
 
-import base64
 import io
 import json
 import socket
 import threading
 
+import numpy as np
 import pytest
 
 from repro.errors import FarmError
 from repro.farm import FarmClient, PeerClient
-from repro.farm.wire import Blob, as_bytes, dump_message, read_message
+from repro.farm.wire import (MAX_FRAME, Blob, as_bytes, dump_message,
+                             read_message)
 
 
-def _roundtrip(message, binary):
-    data = dump_message(message, binary=binary)
+def _roundtrip(message):
+    data = dump_message(message)
     got, n = read_message(io.BytesIO(data))
     assert n == len(data)
     return got
 
 
 # -- framing ------------------------------------------------------------------
-def test_json_mode_is_the_legacy_base64_format():
-    """JSON fallback must stay byte-compatible with the pre-framing
-    wire: blobs as inline base64, one JSON object, one line."""
-    data = dump_message({"cmd": "x", "data": Blob(b"\x00\x01raw")})
-    assert data.endswith(b"\n") and data.count(b"\n") == 1
-    line = json.loads(data.decode("utf-8"))
-    assert line["data"] == base64.b64encode(b"\x00\x01raw").decode("ascii")
-    assert "_frames" not in line
-
-
-def test_binary_and_json_modes_resolve_identically():
+def test_blobs_resolve_through_frames():
     message = {"a": Blob(b"12345"), "n": {"b": [Blob(b"xy"), 7]},
                "s": "text", "z": None}
-    via_json = _roundtrip(message, binary=False)
-    via_frames = _roundtrip(message, binary=True)
-    for got in (via_json, via_frames):
-        assert as_bytes(got["a"]) == b"12345"
-        assert as_bytes(got["n"]["b"][0]) == b"xy"
-        assert got["n"]["b"][1] == 7
-        assert got["s"] == "text" and got["z"] is None
+    got = _roundtrip(message)
+    assert as_bytes(got["a"]) == b"12345"
+    assert as_bytes(got["n"]["b"][0]) == b"xy"
+    assert got["n"]["b"][1] == 7
+    assert got["s"] == "text" and got["z"] is None
     # Framed blobs come back as real bytes, ready for np.load et al.
-    assert isinstance(via_frames["a"], bytes)
+    assert isinstance(got["a"], bytes)
 
 
-def test_binary_mode_skips_base64_inflation():
-    payload = {"data": Blob(bytes(range(256)) * 16)}   # 4 KiB
-    framed = dump_message(payload, binary=True)
-    inline = dump_message(payload, binary=False)
-    assert len(framed) < len(inline) * 0.8      # ~33% base64 overhead gone
+def test_frames_carry_raw_bytes_and_plain_messages_stay_one_line():
+    payload = bytes(range(256)) * 16    # 4 KiB, no encoding overhead
+    data = dump_message({"data": Blob(payload)})
+    line, _, rest = data.partition(b"\n")
+    assert json.loads(line) == {"data": {"__frame__": 0},
+                                "_frames": [len(payload)]}
+    assert rest == payload
+    # No blob, no frame table: ping/submit/status are one JSON line.
+    assert dump_message({"cmd": "ping"}) == b'{"cmd": "ping"}\n'
 
 
 def test_truncated_frame_is_an_error_not_eof():
-    data = dump_message({"d": Blob(b"abcdef")}, binary=True)
+    data = dump_message({"d": Blob(b"abcdef")})
     with pytest.raises(FarmError, match="truncated"):
         read_message(io.BytesIO(data[:-3]))
 
@@ -68,6 +61,33 @@ def test_clean_eof_is_a_closed_channel():
 def test_non_object_message_rejected():
     with pytest.raises(FarmError, match="expected an object"):
         read_message(io.BytesIO(b"[1, 2]\n"))
+
+
+#: Malformed headers, each with the message text its FarmError carries.
+MALFORMED_HEADERS = {
+    "frames-not-a-list": (b'{"_frames": 5}\n', "frame table"),
+    "frame-length-not-int": (b'{"_frames": ["x"]}\n', "frame table"),
+    "frame-length-bool": (b'{"_frames": [true]}\nx', "frame table"),
+    "frame-length-negative": (b'{"_frames": [-1]}\n', "frame table"),
+    "frame-length-over-cap": (
+        b'{"_frames": [%d]}\n' % (MAX_FRAME + 1), "frame table"),
+    "frame-ref-missing": (
+        b'{"_frames": [1], "a": {"__frame__": 7}}\nx', "frame reference"),
+    "frame-ref-negative": (
+        b'{"_frames": [1], "a": {"__frame__": -1}}\nx', "frame reference"),
+    "frame-ref-not-int": (
+        b'{"_frames": [1], "a": {"__frame__": "x"}}\nx', "frame reference"),
+    "bad-json": (b'{"cmd": \n', "bad wire header"),
+    "bad-utf8": (b'{"cmd": "\xff"}\n', "bad wire header"),
+    "oversized": (b'{"cmd": "' + b"x" * 64 + b'"}\n', "64-byte cap"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_HEADERS))
+def test_malformed_header_is_a_farm_error(name):
+    data, match = MALFORMED_HEADERS[name]
+    with pytest.raises(FarmError, match=match):
+        read_message(io.BytesIO(data), max_line=64)
 
 
 # -- pooled channels ----------------------------------------------------------
@@ -180,11 +200,10 @@ def test_farm_client_survives_daemon_restart(tmp_path, model_source):
         daemon.drain(timeout=30.0)
 
 
-def test_channel_negotiates_binary_after_first_reply(tmp_path,
-                                                     model_source):
-    """First request goes out JSON (compatibility); once the server
-    echoes the capability flag, later requests on the channel frame
-    their payloads."""
+
+# -- a live server answers malformed input ------------------------------------
+@pytest.fixture
+def live_server(tmp_path, model_source):
     from repro.farm import FarmDaemon, FarmServer
     daemon = FarmDaemon(tmp_path / "farm", workers=1,
                         model_source=model_source)
@@ -193,14 +212,84 @@ def test_channel_negotiates_binary_after_first_reply(tmp_path,
                               kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     try:
-        client = FarmClient(str(tmp_path / "farm"), timeout=5.0)
-        assert client._binary is False
-        client.ping()
-        assert client._binary is True   # server echoed "bin"
-        client.ping()                   # second exchange framed: no error
-        assert client.reconnects == 0
+        yield server
     finally:
         server.shutdown()
         thread.join()
         server.close()
         daemon.drain(timeout=30.0)
+
+
+def _ask(channel, data):
+    sock, rfile = channel
+    sock.sendall(data)
+    reply, _ = read_message(rfile)
+    return reply
+
+
+def _channel(server):
+    sock = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
+    return sock, sock.makefile("rb")
+
+
+def _npz_bytes():
+    buffer = io.BytesIO()
+    np.savez(buffer, a=np.zeros(3))
+    return buffer.getvalue()
+
+
+_ENTRY = {"hash": "0" * 64, "kind": "seed"}
+
+#: Requests whose payload is not what it claims to be.
+MALFORMED_PAYLOADS = {
+    "push-null": {"data": None},
+    "push-text": {"data": "not base64!"},
+    "push-int": {"data": 7},
+    "push-frame-ref-without-frames": {"data": {"__frame__": 0}},
+    "push-not-npy": {"data": Blob(b"not an npy array")},
+    "push-npz": {"data": Blob(_npz_bytes())},
+    "push-many-not-npy": {"cmd": "store-entries", "entries": [
+        {"entry": _ENTRY, "data": Blob(b"\x93NUMPY")}]},
+    "merge-coverage-not-npz": {"cmd": "store-merge-coverage",
+                               "coverage": {"m": Blob(b"junk")}},
+    "merge-coverage-npy": {"cmd": "store-merge-coverage",
+                           "coverage": {"m": Blob(b"\x93NUMPY\x01")}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_PAYLOADS))
+def test_server_answers_malformed_payload_then_serves(live_server, name):
+    request = {"cmd": "store-push", "store": "s", "entry": _ENTRY,
+               **MALFORMED_PAYLOADS[name]}
+    channel = _channel(live_server)
+    try:
+        reply = _ask(channel, dump_message(request))
+        assert reply["ok"] is False and reply["kind"] == "error"
+        assert "payload" in reply["error"]
+        # Same channel, next request: the handler thread survived.
+        assert _ask(channel, dump_message({"cmd": "ping"}))["ok"] is True
+    finally:
+        for handle in reversed(channel):
+            handle.close()
+
+
+@pytest.mark.parametrize("name", ["bad-json", "frame-length-not-int",
+                                  "frame-ref-missing", "frame-ref-not-int",
+                                  "frames-not-a-list"])
+def test_server_answers_malformed_header_then_serves(live_server, name):
+    data, match = MALFORMED_HEADERS[name]
+    channel = _channel(live_server)
+    try:
+        reply = _ask(channel, data)
+        assert reply["ok"] is False and match in reply["error"]
+        # A broken stream cannot resync: the server hangs up cleanly.
+        assert read_message(channel[1]) == (None, 0)
+    finally:
+        for handle in reversed(channel):
+            handle.close()
+    channel = _channel(live_server)
+    try:
+        assert _ask(channel, dump_message({"cmd": "ping"}))["ok"] is True
+    finally:
+        for handle in reversed(channel):
+            handle.close()

@@ -93,18 +93,3 @@ def test_workspace_and_plain_paths_agree_bitwise():
     np.testing.assert_array_equal(plain.neuron_activations(),
                                   pooled.neuron_activations())
 
-
-def test_engine_accepts_use_workspace_off():
-    with dtypes.default_dtype(np.float64):
-        models = [_net("m0", 0), _net("m1", 1)]
-    hp = Hyperparams(lambda1=1.0, lambda2=0.1, step=0.05, max_iterations=4)
-    seeds = np.random.default_rng(3).random((4, 1, 8, 8))
-    on = AscentEngine(models, hp, Unconstrained(), task="classification",
-                      rng=0).run(seeds)
-    with dtypes.default_dtype(np.float64):
-        models2 = [_net("m0", 0), _net("m1", 1)]
-    off = AscentEngine(models2, hp, Unconstrained(), task="classification",
-                       rng=0, use_workspace=False).run(seeds)
-    assert len(on.tests) == len(off.tests)
-    for a, b in zip(on.tests, off.tests):
-        np.testing.assert_array_equal(a.x, b.x)

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from repro.analysis import (average_l1_diversity, class_pair_overlap,
                             detect_polluted, pairwise_l1_diversity,
                             retrain_with_augmentation, ssim)
-from repro.core.generator import GeneratedTest
+from repro.core.engine import GeneratedTest
 from repro.datasets import pollute_labels
 from repro.errors import ConfigError, ShapeError
 from repro.nn import accuracy

@@ -12,7 +12,7 @@ from repro.experiments import (EXPERIMENTS, ExperimentResult,
                                run_model_zoo, run_pdf_samples,
                                seeds_for_scale)
 from repro.experiments.difference_counts import attribute_test
-from repro.core.generator import GeneratedTest
+from repro.core.engine import GeneratedTest
 
 
 def test_experiment_registry_complete():

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from repro.core import (AscentEngine, DeepXplore, LightingConstraint,
-                        MomentumRule, PAPER_HYPERPARAMS)
+                        MomentumRule, PAPER_HYPERPARAMS, make_rule)
 from repro.coverage import NeuronCoverageTracker
 from repro.errors import ConfigError, ConstraintError
-from repro.extensions import (MomentumDeepXplore,
-                              MultiNeuronCoverageObjective,
+from repro.extensions import (MultiNeuronCoverageObjective,
                               SoftBoxConstraint, class_balanced_seeds,
                               low_confidence_seeds, select_seeds)
 from repro.nn import Dense, Network
@@ -137,15 +136,11 @@ class TestSeedSelection:
 
 
 class TestMomentum:
-    def test_beta_validation(self, mnist_trio):
+    def test_beta_validation(self):
         with pytest.raises(ConfigError):
             MomentumRule(beta=1.0)
         with pytest.raises(ConfigError):
-            MomentumDeepXplore(mnist_trio, beta=1.0)
-
-    def test_shim_deprecated(self, mnist_trio):
-        with pytest.warns(DeprecationWarning):
-            MomentumDeepXplore(mnist_trio, beta=0.8)
+            make_rule("momentum", beta=1.0)
 
     def test_finds_differences(self, mnist_trio, mnist_smoke):
         seeds, _ = mnist_smoke.sample_seeds(15, np.random.default_rng(6))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import minimize_suite
-from repro.core import (BatchDeepXplore, DeepXplore, Hyperparams,
+from repro.core import (AscentEngine, DeepXplore, Hyperparams,
                         LightingConstraint, Unconstrained)
 from repro.coverage import NeuronCoverageTracker, coverage_of_inputs
 from repro.nn import Dense, Network, Trainer
@@ -55,7 +55,7 @@ def test_batch_and_sequential_agree_on_pre_disagreements(seed):
     models, x = _model_pair(seed)
     hp = Hyperparams(step=0.05, max_iterations=10)
     seq = DeepXplore(models, hp, Unconstrained(), rng=seed).run(x[:15])
-    bat = BatchDeepXplore(models, hp, Unconstrained(), rng=seed).run(x[:15])
+    bat = AscentEngine(models, hp, Unconstrained(), rng=seed).run(x[:15])
     assert seq.seeds_disagreed == bat.seeds_disagreed
 
 

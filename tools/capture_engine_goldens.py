@@ -17,8 +17,8 @@ changed nothing.  Re-run this script only when the pinned behaviour is
     PYTHONPATH=src python tools/capture_engine_goldens.py
 
 All capture runs disable the engine's exhausted-tape folding
-(``absorb_exhausted=False`` where supported) because the pre-refactor
-engines never folded exhausted seeds' tapes into coverage.
+(``absorb_exhausted=False``) because the pre-refactor engines never
+folded exhausted seeds' tapes into coverage.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import os
 
 import numpy as np
 
-from repro.core import PAPER_HYPERPARAMS, LightingConstraint, \
-    constraint_for_dataset
+from repro.core import AscentEngine, DeepXplore, LightingConstraint, \
+    PAPER_HYPERPARAMS, constraint_for_dataset, make_rule
 from repro.datasets import load_dataset
 from repro.models import get_trio
 from repro.nn.instrumentation import PassCounter
@@ -102,33 +102,12 @@ def assert_matches_golden(name, actual, golden):
 
 
 def _make_engine(models, hp, constraint, task, rng, driver, rule_spec):
-    """Build the engine under capture.
-
-    Against the seed tree this resolves to the legacy classes; against
-    the unified tree it resolves to the AscentEngine facades — which is
-    exactly the point: the same script validates both.
-    """
+    """Build the engine under capture: the batch-of-1 facade for the
+    sequential driver, the vectorized engine otherwise."""
     kind, beta = rule_spec
-    try:
-        from repro.core.engine import AscentEngine, make_rule
-        kwargs = {"rule": make_rule(kind, beta=beta),
-                  "absorb_exhausted": False}
-        if driver == "sequential":
-            from repro.core import DeepXplore
-            return DeepXplore(models, hp, constraint, task=task, rng=rng,
-                              **kwargs)
-        return AscentEngine(models, hp, constraint, task=task, rng=rng,
-                            **kwargs)
-    except ImportError:
-        if kind == "momentum":
-            from repro.extensions import MomentumDeepXplore
-            return MomentumDeepXplore(models, hp, constraint, task=task,
-                                      rng=rng, beta=beta)
-        if driver == "sequential":
-            from repro.core import DeepXplore
-            return DeepXplore(models, hp, constraint, task=task, rng=rng)
-        from repro.core import BatchDeepXplore
-        return BatchDeepXplore(models, hp, constraint, task=task, rng=rng)
+    cls = DeepXplore if driver == "sequential" else AscentEngine
+    return cls(models, hp, constraint, task=task, rng=rng,
+               rule=make_rule(kind, beta=beta), absorb_exhausted=False)
 
 
 def _constraint_for(dataset_name, dataset):

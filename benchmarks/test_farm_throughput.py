@@ -1,13 +1,14 @@
 """Farm throughput: jobs/second through the daemon, cold vs warm.
 
-Boots an in-process :class:`~repro.farm.FarmDaemon` (one worker thread,
-the deterministic warm path) and pushes generate jobs through it.  The
-first job is *cold*: the worker thread's thread-local model cache is
-empty, so the job pays model-payload deserialization.  The following
-jobs are *warm*: same thread, cached models, pure campaign work.  Both
-phases land in ``BENCH_fuzz.json`` with ``jobs_per_sec`` and
-``seeds_per_sec`` so the farm's dispatch overhead has a perf trajectory
-alongside the raw fuzz loop's.
+Boots an in-process :class:`~repro.farm.FarmDaemon` (one worker thread)
+and pushes generate jobs through it.  The *cold* job is a fresh
+daemon's first: it also pays the daemon's first-job costs (loading the
+trio from its model source, first-touch allocations).  The *warm* jobs
+are the ones that follow on the same daemon.  Every job runs on the
+daemon's loaded trio; none rebuilds a model.  Both phases land in
+``BENCH_fuzz.json`` with ``jobs_per_sec`` and ``seeds_per_sec`` so the
+farm's dispatch overhead has a perf trajectory alongside the raw fuzz
+loop's.
 """
 
 import time
@@ -78,6 +79,6 @@ def test_farm_throughput(benchmark, tmp_path):
     print(f"warm: {WARM_JOBS} jobs ({warm_seeds} seeds) in {warm_s:.2f}s "
           f"({WARM_JOBS / max(warm_s, 1e-9):.2f} jobs/s, "
           f"{warm_seeds / max(warm_s, 1e-9):.1f} seeds/s)")
-    # The warm path must not be slower per job than the cold one — the
-    # whole point of the thread-resident model cache.
+    # A daemon's later jobs do the same work as its first, minus the
+    # first-job costs, so they must not be much slower per job.
     assert warm_s / WARM_JOBS <= cold_s * 1.5

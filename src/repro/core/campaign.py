@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
-import threading
 import time
 from dataclasses import dataclass
 
@@ -113,28 +112,23 @@ def shard_corpus(seeds, shard_size=DEFAULT_SHARD_SIZE, seed=0,
 
 
 # -- worker side ----------------------------------------------------------------
-# Pool workers unpack the campaign's *static* spec once per worker
-# lifetime (initializer) and rebuild each model payload at most once —
-# later waves over the same models hit the per-worker digest cache
-# instead of re-deserializing weights.  Per-shard tasks carry only the
-# dynamic state (the driver's tracker snapshots plus the shard itself).
-# The in-process path (workers=1) calls the very same two functions, so
-# a serial campaign exercises the identical code a parallel one does.
-# All worker state is thread-local: the farm daemon runs many campaigns
-# concurrently on worker threads, and their caches must not collide.
+# A shard runs on models its caller already holds: the campaign's own
+# (in-process) or the copies a pool worker process rebuilt once at
+# startup.  Per-shard tasks carry only the dynamic state (the driver's
+# tracker snapshots plus the shard itself).
 
-_LOCAL = threading.local()
-
-#: Per-worker model-cache bound (~4 trios).  The cache is keyed by
-#: payload content digest, so an in-place weight change simply misses.
-_MODEL_CACHE_CAP = 12
+#: A pool worker's models and spec, set once per process by
+#: :func:`_init_worker`.  A worker process runs one task at a time, so a
+#: plain module dict is all the state it needs.
+_WORKER = {}
 
 
 def payload_digest(payload):
     """Content digest of a model payload (architecture JSON + weights).
 
     Computed from the payload's actual bytes — not object identity — so
-    a cached rebuild is reused exactly when the model is bit-identical.
+    a pool accepts a campaign exactly when its models are bit-identical
+    to the ones the pool's workers rebuilt.
     """
     import json
     digest = hashlib.sha256()
@@ -148,47 +142,32 @@ def payload_digest(payload):
     return digest.hexdigest()
 
 
-def _cached_models(entries):
-    """Resolve ``[{"digest", "payload"}]`` via the per-worker cache."""
-    cache = getattr(_LOCAL, "model_cache", None)
-    if cache is None:
-        cache = _LOCAL.model_cache = {}
-    models = []
-    for entry in entries:
-        key = entry["digest"]
-        if key in cache:
-            model = cache.pop(key)          # re-insert: LRU move-to-end
-        else:
-            model = network_from_payload(entry["payload"])
-        cache[key] = model
-        models.append(model)
-    while len(cache) > _MODEL_CACHE_CAP:
-        cache.pop(next(iter(cache)))
-    return models
+def _init_worker(spec, payloads):
+    """Pool-worker setup: keep the spec, rebuild the models once."""
+    _WORKER["spec"] = spec
+    _WORKER["models"] = [network_from_payload(p) for p in payloads]
 
 
-def _init_worker(static_spec):
-    """Per-worker setup: resolve models through the cache, keep the spec."""
-    _LOCAL.static = static_spec
-    _LOCAL.models = _cached_models(static_spec["models"])
+def _pool_task(task):
+    tracker_states, shard = task
+    return _run_shard(_WORKER["models"], _WORKER["spec"], tracker_states,
+                      shard)
 
 
-def _run_shard(task):
+def _run_shard(models, spec, tracker_states, shard):
     """Run one shard through the ascent engine; returns a picklable dict.
 
-    ``task`` is ``(tracker_states, shard)`` — the per-wave dynamic
-    state.  Worker trackers start from the driver's coverage state, so
-    the coverage objective steers ascent toward neurons *genuinely*
-    still uncovered — a campaign resumed over persisted coverage
-    (``generate --resume``, fuzz waves) must not chase neurons earlier
-    runs already lit up.  The merge back into the driver is an OR, so
-    seeding every shard with the same prior loses nothing and
-    double-counts nothing.  Generated tests are rewritten to carry
-    their *global* seed index before leaving the worker.
+    ``spec`` is the campaign's static configuration
+    (:meth:`Campaign._spec`).  Worker trackers start from the driver's
+    coverage state (``tracker_states``), so the coverage objective
+    steers ascent toward neurons *genuinely* still uncovered — a
+    campaign resumed over persisted coverage (``generate --resume``,
+    fuzz waves) must not chase neurons earlier runs already lit up.
+    The merge back into the driver is an OR, so seeding every shard
+    with the same prior loses nothing and double-counts nothing.
+    Generated tests are rewritten to carry their *global* seed index
+    before leaving the worker.
     """
-    tracker_states, shard = task
-    spec = _LOCAL.static
-    models = _LOCAL.models
     trackers = [NeuronCoverageTracker.from_state(m, s)
                 for m, s in zip(models, tracker_states)]
     engine = AscentEngine(
@@ -204,35 +183,52 @@ def _run_shard(task):
             "coverage": [t.state_dict() for t in trackers]}
 
 
-class CampaignPool:
-    """A reusable worker pool pinned to one campaign's static spec.
+def _pool_identity(campaign, payloads):
+    """What a pool's workers hold: model contents plus static config."""
+    parts = [payload_digest(payload) for payload in payloads]
+    parts.append(campaign.rule.identity())
+    parts.append(type(campaign.constraint).__name__)
+    parts.append(str(campaign.task))
+    parts.append(str(campaign.absorb_exhausted))
+    parts.append(repr(campaign.hp))
+    return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
 
-    Created via :meth:`Campaign.make_pool` and passed to any number of
-    :meth:`Campaign.run` calls whose static identity (models, hyper-
-    params, constraint kind, rule, task) matches.  Worker processes
-    live for the pool's lifetime, so each worker deserializes each
-    model payload exactly once — a multi-wave fuzz session stops paying
-    the rebuild cost per wave, and a farm daemon amortizes it across
-    jobs.  Throughput-only: a pooled run is bit-identical to a fresh
-    per-wave pool (and to ``workers=1``).
+
+class CampaignPool:
+    """A worker-process shard runner pinned to one campaign's identity.
+
+    Built via :meth:`Campaign.make_pool` and passed as ``shard_runner``
+    to any number of :meth:`Campaign.run` calls whose identity (models,
+    hyperparams, constraint kind, rule, task) matches.  Each worker
+    process rebuilds the models from their payloads once, when it
+    starts, and keeps them for the pool's lifetime.  Throughput-only: a
+    pooled run is bit-identical to a fresh per-run pool (and to
+    ``workers=1``).
     """
 
-    def __init__(self, static_spec, workers, mp_start_method=None):
+    def __init__(self, campaign, workers, mp_start_method=None):
         if workers < 2:
             raise ConfigError(
                 f"CampaignPool needs workers >= 2, got {workers} "
                 "(workers=1 runs in-process and needs no pool)")
         self.workers = int(workers)
-        self.spec_digest = _static_spec_digest(static_spec)
+        payloads = [network_to_payload(m) for m in campaign.models]
+        self.identity = _pool_identity(campaign, payloads)
         ctx = multiprocessing.get_context(mp_start_method)
         self._pool = ctx.Pool(self.workers, initializer=_init_worker,
-                              initargs=(static_spec,))
+                              initargs=(campaign._spec(), payloads))
         self._closed = False
 
-    def run_shards(self, tracker_states, shards):
+    def __call__(self, campaign, tracker_states, shards):
         if self._closed:
             raise ConfigError("CampaignPool is closed")
-        return self._pool.map(_run_shard,
+        payloads = [network_to_payload(m) for m in campaign.models]
+        if _pool_identity(campaign, payloads) != self.identity:
+            raise ConfigError(
+                "CampaignPool was built for a different campaign "
+                "identity (models/rule/constraint/hyperparams); "
+                "make a fresh pool with Campaign.make_pool()")
+        return self._pool.map(_pool_task,
                               [(tracker_states, shard) for shard in shards])
 
     def close(self):
@@ -249,17 +245,6 @@ class CampaignPool:
         return False
 
 
-def _static_spec_digest(static_spec):
-    """Cheap identity for pool-vs-campaign compatibility checks."""
-    parts = [entry["digest"] for entry in static_spec["models"]]
-    parts.append(static_spec["rule"].identity())
-    parts.append(type(static_spec["constraint"]).__name__)
-    parts.append(str(static_spec["task"]))
-    parts.append(str(bool(static_spec["absorb_exhausted"])))
-    parts.append(repr(static_spec["hp"]))
-    return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
-
-
 # -- driver side ----------------------------------------------------------------
 class Campaign:
     """Sharded, optionally multi-process DeepXplore campaign runner.
@@ -274,8 +259,9 @@ class Campaign:
         coverage (so the coverage objective targets genuinely uncovered
         neurons) and shard results merge back into them.
     workers:
-        Worker processes.  ``1`` runs shards in-process (still through
-        the worker code path); ``N > 1`` fans out over a process pool.
+        Worker processes.  ``1`` runs shards in-process on ``models``
+        (through the same ``_run_shard`` pool workers call); ``N > 1``
+        fans out over a process pool.
     shard_size:
         Seeds per shard.  Part of the campaign's deterministic identity —
         changing it changes the random streams; changing ``workers``
@@ -328,21 +314,10 @@ class Campaign:
         self.trackers = list(trackers)
         self.mp_start_method = mp_start_method
 
-    def _static_spec(self):
-        """The wave-invariant worker spec (shipped once per worker).
-
-        Model payloads travel with their content digests so workers can
-        satisfy rebuild requests from their local cache; everything
-        else here is plain campaign configuration.  Per-wave dynamic
-        state (tracker snapshots, shards) ships per task instead.
-        """
-        entries = []
-        for model in self.models:
-            payload = network_to_payload(model)
-            entries.append({"digest": payload_digest(payload),
-                            "payload": payload})
+    def _spec(self):
+        """The static shard configuration: everything a shard needs
+        besides the models and the per-wave dynamic state."""
         return {
-            "models": entries,
             "hp": self.hp,
             "constraint": self.constraint,
             "task": self.task,
@@ -353,31 +328,21 @@ class Campaign:
     def make_pool(self):
         """Build a :class:`CampaignPool` reusable across this campaign's
         waves (and any later campaign with the same static identity)."""
-        return CampaignPool(self._static_spec(), self.workers,
+        return CampaignPool(self, self.workers,
                             mp_start_method=self.mp_start_method)
 
     def execute_shard(self, tracker_states, shard):
-        """Run exactly one shard in-process through the worker code path.
+        """Run exactly one shard in-process on this campaign's models.
 
         The escape hatch the distribution layer (``repro.dist``) builds
-        on: this is the same ``_init_worker``/``_run_shard`` pair pool
-        workers execute, so a shard's outcome is bit-identical whether
-        it ran here, in a local pool worker, or on another host that
-        rebuilt the campaign from the same models and seed.  The static
-        spec (payload digests are not free) is computed once per
-        campaign and reused across calls.
+        on: this is the same ``_run_shard`` pool workers execute, so a
+        shard's outcome is bit-identical whether it ran here, in a local
+        pool worker, or on another host that rebuilt the campaign from
+        the same models and seed.
         """
-        spec = getattr(self, "_spec_cache", None)
-        if spec is None:
-            spec = self._spec_cache = self._static_spec()
-        try:
-            _init_worker(spec)
-            return _run_shard((tracker_states, shard))
-        finally:
-            _LOCAL.static = None
-            _LOCAL.models = None
+        return _run_shard(self.models, self._spec(), tracker_states, shard)
 
-    def run(self, seeds, seed_scales=None, pool=None, shard_runner=None):
+    def run(self, seeds, seed_scales=None, shard_runner=None):
         """Shard ``seeds``, fan out, merge; returns a GenerationResult.
 
         ``result.elapsed`` is the campaign's wall-clock (not the sum of
@@ -385,18 +350,16 @@ class Campaign:
         its shard's start.  ``seed_scales`` (one float per seed, for
         rules that honour per-seed step scaling) shards contiguously
         alongside the seeds, so scaling is worker-count invariant.
-        ``pool`` reuses a :class:`CampaignPool` (built by
-        :meth:`make_pool` on a campaign with the same static identity)
-        instead of spinning one up per call — throughput only, never
-        results.
 
-        ``shard_runner`` overrides shard *placement* entirely: a
-        callable ``(campaign, tracker_states, shards) -> outcomes``
-        returning one ``_run_shard``-shaped dict per shard, in any
-        order.  This is how the distribution layer fans shards across
-        hosts (``repro.dist.shards.LedgerShardRunner``, peer RPC) —
-        like ``pool``, it may only change where shards run, never what
-        they compute, because the merge below is order-independent.
+        ``shard_runner`` overrides shard *placement*: a callable
+        ``(campaign, tracker_states, shards) -> outcomes`` returning one
+        ``_run_shard``-shaped dict per shard, in any order.  A
+        :class:`CampaignPool` (from :meth:`make_pool`) is one, reusing
+        its worker processes across calls; the distribution layer fans
+        shards across hosts with others
+        (``repro.dist.shards.LedgerShardRunner``, peer RPC).  A runner
+        may only change where shards run, never what they compute,
+        because the merge below is order-independent.
         """
         if seed_scales is not None and not self.rule.accepts_seed_scales:
             raise ConfigError(
@@ -408,33 +371,13 @@ class Campaign:
         tracker_states = [t.state_dict() for t in self.trackers]
         if shard_runner is not None:
             outcomes = shard_runner(self, tracker_states, shards)
-        elif pool is not None:
-            if pool.spec_digest != _static_spec_digest(self._static_spec()):
-                raise ConfigError(
-                    "CampaignPool was built for a different campaign "
-                    "identity (models/rule/constraint/hyperparams); "
-                    "make a fresh pool with Campaign.make_pool()")
-            outcomes = pool.run_shards(tracker_states, shards)
         elif self.workers == 1 or len(shards) <= 1:
-            spec = self._static_spec()
-            try:
-                _init_worker(spec)
-                outcomes = [_run_shard((tracker_states, shard))
-                            for shard in shards]
-            finally:
-                # Drop the payload copies (weights) from the thread's
-                # state; the rebuilt models stay in the bounded digest
-                # cache so the next wave skips re-deserializing them.
-                _LOCAL.static = None
-                _LOCAL.models = None
+            outcomes = [self.execute_shard(tracker_states, shard)
+                        for shard in shards]
         else:
-            ctx = multiprocessing.get_context(self.mp_start_method)
-            with ctx.Pool(min(self.workers, len(shards)),
-                          initializer=_init_worker,
-                          initargs=(self._static_spec(),)) as mp_pool:
-                outcomes = mp_pool.map(
-                    _run_shard, [(tracker_states, shard)
-                                 for shard in shards])
+            with CampaignPool(self, min(self.workers, len(shards)),
+                              mp_start_method=self.mp_start_method) as pool:
+                outcomes = pool(self, tracker_states, shards)
         merged = GenerationResult()
         for outcome in sorted(outcomes, key=lambda o: o["shard_index"]):
             merged.merge(outcome["result"])

@@ -275,10 +275,10 @@ class FuzzSession:
             return report
         children = spawn_seed_sequences(self.seed, rounds)
         tracked_total = sum(t.tracked_count for t in self.trackers)
-        # One persistent worker pool for every wave of this call: worker
-        # processes deserialize each model payload exactly once per run,
-        # not once per wave (throughput only — a pooled wave is
-        # bit-identical to a per-wave pool).
+        # With workers > 1 and no runner given, one worker pool serves
+        # every wave of this call instead of a fresh pool per wave
+        # (throughput only — a pooled wave is bit-identical to a
+        # per-wave pool).
         pool = None
         try:
             for round_index in range(self.completed_rounds, rounds):
@@ -293,9 +293,8 @@ class FuzzSession:
                     shard_size=self.shard_size, seed=children[round_index],
                     rule=self.rule, absorb_exhausted=self.absorb_exhausted,
                     mp_start_method=self.mp_start_method)
-                if pool is None and self.workers > 1 \
-                        and shard_runner is None:
-                    pool = campaign.make_pool()
+                if shard_runner is None and self.workers > 1:
+                    shard_runner = pool = campaign.make_pool()
                 scales = None
                 if self.rule.accepts_seed_scales:
                     # Close the feedback loop: each scheduled seed's step
@@ -306,7 +305,7 @@ class FuzzSession:
                     scales = self.rule.scales_from_energy(
                         [self.scheduler.stats(h)["energy"] for h in wave])
                 result = campaign.run(self.store.load_inputs(wave),
-                                      seed_scales=scales, pool=pool,
+                                      seed_scales=scales,
                                       shard_runner=shard_runner)
                 newly = sum(t.covered_count()
                             for t in self.trackers) - covered_before

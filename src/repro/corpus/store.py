@@ -96,18 +96,14 @@ def input_hash(x):
     return digest.hexdigest()
 
 
-# The write discipline now lives in repro.utils.atomicio (the farm's
-# journal and endpoint files use the same one); these aliases keep this
-# module's historical names working.
-_atomic_write_bytes = atomic_write_bytes
-_atomic_write_json = atomic_write_json
+def coverage_to_bytes(state):
+    """Serialize one tracker ``state_dict`` to portable ``.npz`` bytes.
 
-
-def _coverage_to_npz_bytes(state):
-    """Serialize one tracker ``state_dict`` to ``.npz`` bytes.
-
-    Boolean masks go in as arrays; the scalar config rides along as a
-    JSON string in a 0-d unicode array, so nothing needs pickling.
+    The exact byte format committed snapshots use on disk, exposed so
+    the distribution layer (``repro.dist``) can ship coverage over the
+    wire without inventing a second encoding.  Boolean masks go in as
+    arrays; the scalar config rides along as a JSON string in a 0-d
+    unicode array, so nothing needs pickling.
     """
     config = json.dumps({
         "network": state["network"],
@@ -130,16 +126,6 @@ def _coverage_from_npz(path):
         state["tracked"] = np.asarray(data["tracked"], dtype=bool)
         state["covered"] = np.asarray(data["covered"], dtype=bool)
     return state
-
-
-def coverage_to_bytes(state):
-    """Serialize one tracker ``state_dict`` to portable ``.npz`` bytes.
-
-    The exact byte format committed snapshots use on disk, exposed so
-    the distribution layer (``repro.dist``) can ship coverage over the
-    wire without inventing a second encoding.
-    """
-    return _coverage_to_npz_bytes(state)
 
 
 def coverage_from_bytes(payload):
@@ -332,7 +318,7 @@ class CorpusStore:
         fault_point(f"corpus.add-{kind}")
         buffer = io.BytesIO()
         np.save(buffer, x)
-        _atomic_write_bytes(self.input_path(entry_hash), buffer.getvalue())
+        atomic_write_bytes(self.input_path(entry_hash), buffer.getvalue())
         record = {"hash": entry_hash, "kind": str(kind)}
         record.update(json.loads(json.dumps(meta)))
         with open(self.meta_path, "a", encoding="utf-8") as handle:
@@ -376,15 +362,15 @@ class CorpusStore:
             for name, state in coverage_states.items():
                 safe = _SAFE_NAME.sub("_", name)
                 rel_path = os.path.join("coverage", f"{safe}.g{gen}.npz")
-                _atomic_write_bytes(os.path.join(self.path, rel_path),
-                                    _coverage_to_npz_bytes(state))
+                atomic_write_bytes(os.path.join(self.path, rel_path),
+                                   coverage_to_bytes(state))
                 coverage_refs[name] = rel_path
         checkpoint = {"version": STORE_VERSION, "coverage_gen": gen,
                       "coverage": coverage_refs, "fuzz": fuzz_state}
         # The narrowest crash window the commit protocol defends: new
         # snapshots on disk, checkpoint not yet flipped to them.
         fault_point("corpus.commit.mid")
-        _atomic_write_json(self.checkpoint_path, checkpoint)
+        atomic_write_json(self.checkpoint_path, checkpoint)
         self._checkpoint = checkpoint
         self._gc_coverage()
         self._write_manifest()
@@ -414,7 +400,7 @@ class CorpusStore:
         kinds = {}
         for entry in self._entries.values():
             kinds[entry["kind"]] = kinds.get(entry["kind"], 0) + 1
-        _atomic_write_json(self.manifest_path, {
+        atomic_write_json(self.manifest_path, {
             "version": STORE_VERSION,
             "config": self._config,
             "entries": len(self._entries),
@@ -548,7 +534,7 @@ class CorpusStore:
                          if h in keep_hashes}
         lines = "".join(json.dumps(dict(e), sort_keys=True) + "\n"
                         for e in self._entries.values())
-        _atomic_write_bytes(self.meta_path, lines.encode("utf-8"))
+        atomic_write_bytes(self.meta_path, lines.encode("utf-8"))
         for entry_hash in dropped:
             path = self.input_path(entry_hash)
             if os.path.exists(path):

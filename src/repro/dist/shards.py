@@ -437,11 +437,9 @@ class LedgerShardRunner:
         self.lease = float(lease)
         self.poll = float(poll)
         self.clock = clock
-        #: Locality hint for claims: the entry hashes this host's store
-        #: holds.  Accepts a set of hashes, a :class:`CorpusStore`, a
-        #: store path (re-read each wave, tolerantly — a store that is
-        #: not there yet just means no affinity), a zero-arg callable
-        #: returning any of those, or None (plain sorted claims).
+        #: Locality hint for claims: this host's :class:`CorpusStore`
+        #: (claims prefer shards whose seeds it already holds), or None
+        #: for plain sorted claims.
         self.have = have
         os.makedirs(self.campaign_dir, exist_ok=True)
 
@@ -451,23 +449,9 @@ class LedgerShardRunner:
                            clock=self.clock)
 
     def _affinity(self):
-        have = self.have
-        if callable(have):
-            have = have()
-        if have is None:
+        if self.have is None:
             return frozenset()
-        if isinstance(have, (str, os.PathLike)):
-            try:
-                from repro.corpus.store import CorpusStore
-                have = CorpusStore(str(have), create=False)
-            except Exception:
-                return frozenset()
-        if hasattr(have, "entries"):
-            try:
-                return frozenset(e["hash"] for e in have.entries())
-            except Exception:
-                return frozenset()
-        return frozenset(str(h) for h in have)
+        return frozenset(e["hash"] for e in self.have.entries())
 
     def __call__(self, campaign, tracker_states, shards):
         if not shards:

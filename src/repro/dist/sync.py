@@ -170,15 +170,6 @@ def _as_source(source):
     return LocalSource(source)
 
 
-def _manifest_with_have(source, have):
-    """Ask the source for a delta manifest; plain manifest for sources
-    (duck-typed test doubles, older code) that predate the filter."""
-    try:
-        return source.manifest(have=have)
-    except TypeError:
-        return source.manifest()
-
-
 # -- the protocol -----------------------------------------------------------
 def pull(dest, source, batch=DEFAULT_BATCH):
     """Pull everything ``source`` has that ``dest`` lacks; returns added.
@@ -197,7 +188,7 @@ def pull(dest, source, batch=DEFAULT_BATCH):
     source = _as_source(source)
     batch = max(1, int(batch))
     have = {entry["hash"] for entry in dest.entries()}
-    manifest = _manifest_with_have(source, have)
+    manifest = source.manifest(have=have)
     if manifest.get("config") is not None:
         # Adopt when fresh, validate otherwise — syncing stores built
         # against different model trios is a ConfigError, not a merge.

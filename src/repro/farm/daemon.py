@@ -9,11 +9,12 @@ One :class:`FarmDaemon` owns a *farm root* directory::
       stores/<name>/        # one corpus store per tenant
 
 and runs a fixed pool of worker *threads* that pull jobs from the
-queue.  Threads, not processes, on purpose: each worker's thread-local
-model cache (``repro.core.campaign``) then persists across jobs, so a
-warm farm stops paying model-payload deserialization per job — and a
-job may still fan out its own campaign worker *processes* when its
-spec asks for ``workers > 1``.
+queue.  The daemon loads each dataset's model trio once, and every
+thread runs its jobs' campaign shards on those same objects: a
+:class:`~repro.nn.network.Network` leaves no state on itself when it
+runs, and each ascent engine keeps its own scratch buffers, so threads
+can share a trio.  A job may still fan out its own campaign worker
+*processes* when its spec asks for ``workers > 1``.
 
 Crash story (the tentpole contract): every durable structure already
 survives ``kill -9`` — the queue journal is atomic, running jobs
@@ -317,14 +318,9 @@ class FarmDaemon:
                 if job.spec["kind"] == "compact-distill":
                     return self._run_compact_distill(
                         job, models, dataset, store_path), True
-                if job.spec["kind"] == "federate":
-                    return self._run_fuzz(job, models, dataset,
-                                          store_path,
-                                          shard_runner=self._federate_runner(
-                                              job))
                 return self._run_fuzz(job, models, dataset, store_path)
 
-    def _federate_runner(self, job):
+    def _federate_runner(self, job, store):
         """Ledger runner for a federate job's shared campaign dir."""
         # Imported lazily: repro.dist imports the farm client for its
         # RPC transports, so a top-level import here would be a cycle.
@@ -338,10 +334,9 @@ class FarmDaemon:
                                  # Locality-aware claiming: prefer
                                  # shards whose seeds this tenant store
                                  # already holds.
-                                 have=self.store_path(job.spec["store"]))
+                                 have=store)
 
-    def _run_fuzz(self, job, models, dataset, store_path,
-                  shard_runner=None):
+    def _run_fuzz(self, job, models, dataset, store_path):
         """Advance the store to the job's target rounds, wave by wave.
 
         Waves run one at a time so the drain flag is honoured at wave
@@ -360,6 +355,8 @@ class FarmDaemon:
             rule=make_rule(spec["ascent"], beta=spec["beta"],
                            overshoot=spec["overshoot"]),
             dataset=dataset, initial_seed_count=spec["seeds"])
+        shard_runner = (self._federate_runner(job, session.store)
+                        if spec["kind"] == "federate" else None)
         new_tests = 0
         while session.completed_rounds < spec["rounds"]:
             if self._draining:

@@ -50,8 +50,8 @@ def record_deserialization(name):
     """Notify payload counters that one model payload was rebuilt.
 
     Called by :func:`repro.nn.config.network_from_payload` — the
-    weights-and-all reconstruction campaign/farm workers pay when their
-    per-worker cache misses.
+    weights-and-all reconstruction each campaign pool worker pays once,
+    when it starts, and every dtype conversion pays per model.
     """
     for counter in _ACTIVE_PAYLOAD:
         counter.deserializations[name] += 1
@@ -106,13 +106,13 @@ class PassCounter:
 class PayloadCounter:
     """Counts model-payload deserializations per network name.
 
-    The per-worker model caches (``repro.core.campaign``) exist so a
-    long-lived worker rebuilds each model from its pickled payload
-    exactly once; this counter is how tests pin that contract:
+    In-process campaign shards run on the caller's models and rebuild
+    nothing; a pool worker process rebuilds each model from its pickled
+    payload once, when it starts.  This counter is how tests pin that:
 
     >>> with PayloadCounter() as counter:
-    ...     session.run(rounds)
-    >>> counter.total()            # == len(models), not waves * models
+    ...     session.run(rounds)    # workers=1
+    >>> counter.total()            # == 0
     """
 
     def __init__(self):

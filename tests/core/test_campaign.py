@@ -168,7 +168,6 @@ def test_shard_workers_start_from_driver_coverage(mnist_trio, mnist_smoke):
     waves) still pointed its coverage objective at neurons earlier runs
     had already covered.  Shards must inherit the driver's coverage —
     the OR-merge back makes that lossless."""
-    from repro.core import campaign as campaign_mod
     seeds, _ = mnist_smoke.sample_seeds(6, np.random.default_rng(11))
     trackers = [NeuronCoverageTracker(m, threshold=0.0) for m in mnist_trio]
     trackers[0].update(seeds[:2])
@@ -176,13 +175,8 @@ def test_shard_workers_start_from_driver_coverage(mnist_trio, mnist_smoke):
     assert prior.any()
     campaign = _campaign(mnist_trio, workers=1, trackers=trackers)
     shard = shard_corpus(seeds, shard_size=6, seed=17)[0]
-    tracker_states = [t.state_dict() for t in trackers]
-    try:
-        campaign_mod._init_worker(campaign._static_spec())
-        outcome = campaign_mod._run_shard((tracker_states, shard))
-    finally:
-        campaign_mod._LOCAL.static = None
-        campaign_mod._LOCAL.models = None
+    outcome = campaign.execute_shard([t.state_dict() for t in trackers],
+                                     shard)
     covered = np.asarray(outcome["coverage"][0]["covered"], dtype=bool)
     assert (covered & prior).sum() == prior.sum()
 

@@ -1,15 +1,16 @@
-"""Per-worker model-payload caching: one deserialization per lifetime.
+"""Model payloads: where a campaign's shards get their models.
 
-The regression this file pins (ISSUE 8): campaign workers used to
-rebuild every model from its pickled payload once per wave — a
-multi-wave fuzz session paid ``waves x models`` deserializations
-instead of ``models``.  The fix routes every rebuild through the
-per-worker digest-keyed cache installed by ``_init_worker``, and
-:class:`repro.nn.instrumentation.PayloadCounter` is how we count the
-rebuilds that actually happen.
+In-process shards (``workers=1``, :meth:`Campaign.execute_shard`) run on
+the campaign's own model objects, so they rebuild nothing.  Pool worker
+processes rebuild each model from its pickled payload once, when they
+start, and keep it for the pool's lifetime.
+:class:`repro.nn.instrumentation.PayloadCounter` counts the rebuilds
+that actually happen.
 """
 
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,24 +24,27 @@ from repro.nn.config import network_to_payload
 from repro.nn.instrumentation import PayloadCounter
 
 
-@pytest.fixture
-def fresh_cache():
-    """Empty this thread's model cache so rebuild counts start at zero."""
-    campaign_mod._LOCAL.model_cache = {}
-    yield
-    campaign_mod._LOCAL.model_cache = {}
-
-
-def _campaign(models, workers=1):
+def _campaign(models, workers=1, **kwargs):
+    kwargs.setdefault("seed", 17)
     return Campaign(models, PAPER_HYPERPARAMS["mnist"],
                     LightingConstraint(), workers=workers, shard_size=4,
-                    seed=17)
+                    **kwargs)
 
 
-def test_session_waves_deserialize_each_model_once(tmp_path, mnist_trio,
-                                                   mnist_smoke, fresh_cache):
-    """Three waves, workers=1: exactly one rebuild per model, not per
-    wave — the cache carries models across the session's campaigns."""
+def _assert_same_outcome(a, b, campaign_a, campaign_b):
+    """Tests and merged coverage agree byte for byte."""
+    assert [t.seed_index for t in a.tests] == [t.seed_index for t in b.tests]
+    for ta, tb in zip(a.tests, b.tests):
+        np.testing.assert_array_equal(ta.x, tb.x)
+        np.testing.assert_array_equal(ta.predictions, tb.predictions)
+        assert ta.iterations == tb.iterations
+    for tracker_a, tracker_b in zip(campaign_a.trackers, campaign_b.trackers):
+        np.testing.assert_array_equal(tracker_a.covered, tracker_b.covered)
+
+
+def test_session_waves_rebuild_no_model(tmp_path, mnist_trio, mnist_smoke):
+    """Three waves, workers=1: every wave runs on the session's own
+    models, so no payload is ever rebuilt."""
     session = FuzzSession(tmp_path / "c", mnist_trio,
                           PAPER_HYPERPARAMS["mnist"], LightingConstraint(),
                           wave_size=8, workers=1, shard_size=4, seed=7,
@@ -48,46 +52,47 @@ def test_session_waves_deserialize_each_model_once(tmp_path, mnist_trio,
     with PayloadCounter() as counter:
         report = session.run(3)
     assert report.waves_run == 3
-    assert counter.total() == len(mnist_trio)
-    for model in mnist_trio:
-        assert counter.deserializations[model.name] == 1
+    assert counter.total() == 0
 
 
-def test_second_campaign_run_hits_the_cache(mnist_trio, mnist_smoke,
-                                            fresh_cache):
+def test_campaign_runs_rebuild_no_model(mnist_trio, mnist_smoke):
     seeds, _ = mnist_smoke.sample_seeds(8, np.random.default_rng(3))
     campaign = _campaign(mnist_trio)
     with PayloadCounter() as counter:
         campaign.run(seeds)
-        first = counter.total()
         campaign.run(seeds)
-        second = counter.total() - first
-    assert first == len(mnist_trio)
-    assert second == 0
+        campaign.execute_shard([t.state_dict() for t in campaign.trackers],
+                               shard_corpus(seeds, 4, seed=17)[0])
+    assert counter.total() == 0
 
 
-def test_weight_change_misses_the_cache(mnist_trio, mnist_smoke,
-                                        fresh_cache):
-    """The cache keys on payload *content*: an in-place weight change
-    must rebuild, never serve the stale model."""
-    seeds, _ = mnist_smoke.sample_seeds(4, np.random.default_rng(5))
-    campaign = _campaign(mnist_trio)
-    with PayloadCounter() as counter:
-        campaign.run(seeds)
-        assert counter.total() == len(mnist_trio)
-        state = mnist_trio[0].state_dict()
-        key = sorted(state)[0]
-        original = state[key].copy()
-        state[key] += 1e-3
-        mnist_trio[0].load_state_dict(state)
-        try:
-            campaign.run(seeds)
-        finally:
-            state[key] = original
-            mnist_trio[0].load_state_dict(state)
-    # Exactly one extra rebuild: the perturbed model, nothing else.
-    assert counter.total() == len(mnist_trio) + 1
-    assert counter.deserializations[mnist_trio[0].name] == 2
+def test_threads_sharing_models_match_serial(mnist_trio, mnist_smoke):
+    """Farm worker threads run campaigns on one shared trio.  More
+    threads than cores, switching as often as the interpreter allows,
+    all on the same model objects: each must equal its serial run."""
+    seeds, _ = mnist_smoke.sample_seeds(8, np.random.default_rng(12))
+    campaigns = [_campaign(mnist_trio, seed=i) for i in range(4)]
+    results = [None] * len(campaigns)
+
+    def run(index):
+        results[index] = campaigns[index].run(seeds)
+
+    threads = [threading.Thread(target=run, args=(i,))
+               for i in range(len(campaigns))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for index, result in enumerate(results):
+        serial = _campaign(mnist_trio, seed=index)
+        _assert_same_outcome(result, serial.run(seeds), campaigns[index],
+                             serial)
 
 
 def test_payload_digest_tracks_content(mnist_trio):
@@ -102,36 +107,41 @@ def test_payload_digest_tracks_content(mnist_trio):
 
 
 def test_pool_reuse_is_bit_identical(mnist_trio, mnist_smoke):
-    """A persistent CampaignPool is throughput-only: three runs through
-    one pool equal three runs through fresh per-run pools."""
+    """A persistent CampaignPool is throughput-only: two runs through
+    one pool equal two runs through fresh per-run pools."""
     seeds, _ = mnist_smoke.sample_seeds(12, np.random.default_rng(9))
     pooled = _campaign(mnist_trio, workers=2)
     fresh = _campaign(mnist_trio, workers=2)
     with pooled.make_pool() as pool:
-        pooled_results = [pooled.run(seeds, pool=pool) for _ in range(2)]
+        pooled_results = [pooled.run(seeds, shard_runner=pool)
+                          for _ in range(2)]
     fresh_results = [fresh.run(seeds) for _ in range(2)]
     for rp, rf in zip(pooled_results, fresh_results):
-        assert [t.seed_index for t in rp.tests] == \
-            [t.seed_index for t in rf.tests]
-        for a, b in zip(rp.tests, rf.tests):
-            np.testing.assert_array_equal(a.x, b.x)
-    for tp, tf in zip(pooled.trackers, fresh.trackers):
-        np.testing.assert_array_equal(tp.covered, tf.covered)
+        _assert_same_outcome(rp, rf, pooled, fresh)
 
 
 def test_pool_rejects_mismatched_campaign(mnist_trio, mnist_smoke):
     seeds, _ = mnist_smoke.sample_seeds(4, np.random.default_rng(2))
     campaign = _campaign(mnist_trio, workers=2)
-    other = Campaign(mnist_trio, PAPER_HYPERPARAMS["mnist"],
-                     LightingConstraint(), workers=2, shard_size=4,
-                     seed=17, absorb_exhausted=False)
+    other = _campaign(mnist_trio, workers=2, absorb_exhausted=False)
     with campaign.make_pool() as pool:
         with pytest.raises(ConfigError):
-            other.run(seeds, pool=pool)
+            other.run(seeds, shard_runner=pool)
     with pytest.raises(ConfigError):
-        campaign.run(seeds, pool=pool)   # closed pool
-    with pytest.raises(ConfigError):     # workers=1 needs no pool
-        campaign_mod.CampaignPool(campaign._static_spec(), workers=1)
+        campaign.run(seeds, shard_runner=pool)   # closed pool
+    with pytest.raises(ConfigError):              # workers=1 needs no pool
+        campaign_mod.CampaignPool(campaign, workers=1)
+
+
+def test_spawn_pool_matches_in_process(mnist_trio, mnist_smoke):
+    """A pool under the ``spawn`` start method — whose workers share no
+    memory with the driver and rebuild everything from the pickled
+    payloads and spec — equals ``workers=1`` byte for byte."""
+    seeds, _ = mnist_smoke.sample_seeds(12, np.random.default_rng(6))
+    spawned = _campaign(mnist_trio, workers=2, mp_start_method="spawn")
+    serial = _campaign(mnist_trio)
+    _assert_same_outcome(spawned.run(seeds), serial.run(seeds),
+                         spawned, serial)
 
 
 def _probe(_):
@@ -152,13 +162,11 @@ def test_pooled_workers_deserialize_once_per_lifetime(mnist_trio,
     fork, so each child inherits — and increments — its own copy, which
     the probe reads back from inside the worker."""
     seeds, _ = mnist_smoke.sample_seeds(12, np.random.default_rng(4))
-    campaign = Campaign(mnist_trio, PAPER_HYPERPARAMS["mnist"],
-                        LightingConstraint(), workers=2, shard_size=4,
-                        seed=17, mp_start_method="fork")
+    campaign = _campaign(mnist_trio, workers=2, mp_start_method="fork")
     with PayloadCounter() as counter:
         with campaign.make_pool() as pool:
             for _ in range(3):
-                campaign.run(seeds, pool=pool)
+                campaign.run(seeds, shard_runner=pool)
             probes = pool._pool.map(_probe, range(8), chunksize=1)
     # Nothing was rebuilt in the parent (workers did all the work)...
     assert counter.total() == 0
@@ -167,5 +175,5 @@ def test_pooled_workers_deserialize_once_per_lifetime(mnist_trio,
     assert len(per_worker) >= 1
     for pid, rebuilds in per_worker.items():
         assert rebuilds == len(mnist_trio), (
-            f"worker {pid} rebuilt payloads {rebuilds} times; the "
-            f"per-worker cache should cap this at {len(mnist_trio)}")
+            f"worker {pid} rebuilt payloads {rebuilds} times; a pool "
+            f"worker should rebuild each model once, at startup")

@@ -258,20 +258,16 @@ def test_ensure_backfills_hashes_for_later_claimers(tmp_path):
 
 
 def test_runner_affinity_resolves_store_paths(tmp_path, make_store):
-    """LedgerShardRunner's ``have`` accepts a store path, re-read
-    tolerantly: a store that does not exist yet just means no
-    affinity."""
-    runner = LedgerShardRunner(tmp_path / "c",
-                               have=tmp_path / "nonexistent")
-    assert runner._affinity() == frozenset()
+    """LedgerShardRunner's ``have`` is the host's open store (or None):
+    each wave's affinity is the entry hashes that store holds by then,
+    read without re-opening it."""
+    assert LedgerShardRunner(tmp_path / "c")._affinity() == frozenset()
     store = make_store(tmp_path / "store", 3)
-    runner = LedgerShardRunner(tmp_path / "c", have=tmp_path / "store")
+    runner = LedgerShardRunner(tmp_path / "c", have=store)
     assert runner._affinity() == {e["hash"] for e in store.entries()}
-    # Sets and callables pass through too.
-    assert LedgerShardRunner(tmp_path / "c",
-                             have={"x"})._affinity() == {"x"}
-    assert LedgerShardRunner(
-        tmp_path / "c", have=lambda: {"y"})._affinity() == {"y"}
+    added, _ = store.add_entry(np.full((4, 4), 0.5), "seed")
+    assert added in runner._affinity()
+    assert len(runner._affinity()) == 4
 
 
 # -- the permutation/partition property --------------------------------------

@@ -345,22 +345,7 @@ def _cmd_generate(args):
     else:
         result = engine.run(seeds)
     if store is not None:
-        seed_hashes = [store.add_entry(x, "seed", origin=int(i))[0]
-                       for i, x in enumerate(seeds)]
-        added = 0
-        for test in result.tests:
-            _, was_new = store.add_entry(
-                test.x, "test", origin=seed_hashes[test.seed_index],
-                iterations=int(test.iterations),
-                predictions=np.asarray(test.predictions).tolist(),
-                seed_class=test.seed_class)
-            added += int(was_new)
-        # OR-merge into the persisted snapshots: without --resume the
-        # trackers started empty, and committing them raw would shrink
-        # the corpus's accumulated coverage.
-        store.commit(coverage_states=store.merge_coverage(
-            {m.name: t.state_dict() for m, t in zip(models, trackers)}),
-            fuzz_state=store.fuzz_state())
+        added = store.absorb(seeds, result, models, trackers)
         print(f"corpus               : {store.path} "
               f"(+{added} tests, {len(store)} entries)")
     if args.engine == "campaign":

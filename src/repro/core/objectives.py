@@ -9,14 +9,15 @@ inactivated neuron ``n`` (one per model, re-picked every iteration) above
 the activation threshold.  Every term is differentiable, so the whole
 objective's input-gradient is the sum of per-term input-gradients.
 
-Each objective exposes two equivalent APIs:
+Each objective exposes two equivalent gradient APIs:
 
-* ``gradient(x)`` / ``value(x)`` — self-contained; runs the models.
-* ``gradient_from_tapes(tapes)`` / ``value_from_tapes(tapes)`` — derives
-  the same quantities from :class:`~repro.nn.tape.ForwardPass` tapes the
-  caller already recorded (one per model, in model order).  The
-  generation engines use this path so that one forward pass per model
-  per iteration feeds every term *and* the oracle check.
+* ``gradient(x)`` — self-contained; runs the models (``value(x)`` is
+  the matching objective value).
+* ``gradient_from_tapes(tapes)`` — derives the same gradient from
+  :class:`~repro.nn.tape.ForwardPass` tapes the caller already recorded
+  (one per model, in model order).  The generation engines use this
+  path so that one forward pass per model per iteration feeds every
+  term *and* the oracle check.
 """
 
 from __future__ import annotations
@@ -42,13 +43,6 @@ class DifferentialObjective:
         self.target_index = int(target_index)
         self.seed_class = int(seed_class)
         self.lambda1 = float(lambda1)
-
-    def value_from_tapes(self, tapes):
-        total = 0.0
-        for k, tape in enumerate(tapes):
-            score = float(tape.outputs()[:, self.seed_class].sum())
-            total += -self.lambda1 * score if k == self.target_index else score
-        return total
 
     def gradient_from_tapes(self, tapes):
         grad = np.zeros_like(tapes[0].x)
@@ -84,13 +78,6 @@ class RegressionDifferentialObjective:
         self.models = list(models)
         self.target_index = int(target_index)
         self.lambda1 = float(lambda1)
-
-    def value_from_tapes(self, tapes):
-        total = 0.0
-        for k, tape in enumerate(tapes):
-            angle = float(tape.outputs().sum())
-            total += -self.lambda1 * angle if k == self.target_index else angle
-        return total
 
     def gradient_from_tapes(self, tapes):
         grad = np.zeros_like(tapes[0].x)
@@ -130,14 +117,6 @@ class CoverageObjective:
         self._targets = [t.pick_uncovered(self.rng) for t in self.trackers]
         return list(self._targets)
 
-    def value_from_tapes(self, tapes):
-        total = 0.0
-        for tape, neuron in zip(tapes, self._targets):
-            if neuron is None:
-                continue
-            total += float(tape.neuron_value(neuron).sum())
-        return total
-
     def gradient_from_tapes(self, tapes):
         grad = np.zeros_like(tapes[0].x)
         for tape, neuron in zip(tapes, self._targets):
@@ -170,16 +149,6 @@ class JointObjective:
         self.differential = differential
         self.coverage = coverage
         self.lambda2 = float(lambda2)
-
-    def step_gradient_from_tapes(self, tapes):
-        """Gradient for one ascent iteration, derived from the
-        iteration's recorded tapes (re-picks coverage neurons)."""
-        grad = self.differential.gradient_from_tapes(tapes)
-        if self.lambda2 > 0.0 and self.coverage is not None:
-            self.coverage.pick()
-            grad = grad + self.lambda2 * self.coverage.gradient_from_tapes(
-                tapes)
-        return grad
 
     def step_gradient(self, x):
         """Gradient for one ascent iteration (re-picks coverage neurons)."""

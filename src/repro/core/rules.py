@@ -263,7 +263,7 @@ class MomentumRule(AscentRule):
         # repr round-trips the float exactly — two distinct betas can
         # never alias to one identity string (%g would collide past six
         # significant digits and let a mismatched resume through).
-        return f"momentum(beta={self.beta!r})"
+        return f"{self.name}(beta={self.beta!r})"
 
     def state_dict(self):
         return {"velocity": self._array_state(self._velocity)}
@@ -273,44 +273,22 @@ class MomentumRule(AscentRule):
                                                 like=self._velocity)
 
 
-class NesterovRule(AscentRule):
+class NesterovRule(MomentumRule):
     """Nesterov look-ahead momentum.
 
-    Same velocity recursion as heavy-ball (``v = beta*v + grad``) but
-    the step follows the *look-ahead* direction ``grad + beta*v`` —
-    the gradient correction is applied after the momentum extrapolation,
-    which reacts one iteration earlier when the ascent overshoots a
-    narrow difference region.  ``beta = 0`` reduces exactly to
-    :class:`VanillaRule`.
+    Same velocity recursion (and state) as heavy-ball
+    (``v = beta*v + grad``) but the step follows the *look-ahead*
+    direction ``grad + beta*v`` — the gradient correction is applied
+    after the momentum extrapolation, which reacts one iteration
+    earlier when the ascent overshoots a narrow difference region.
+    ``beta = 0`` reduces exactly to :class:`VanillaRule`.
     """
 
     name = "nesterov"
 
-    def __init__(self, beta=DEFAULT_MOMENTUM_BETA):
-        if not 0.0 <= beta < 1.0:
-            raise ConfigError(f"beta must be in [0, 1), got {beta}")
-        self.beta = float(beta)
-        self._velocity = None
-
-    def reset(self, x):
-        self._velocity = np.zeros_like(x)
-
     def update(self, grad):
         self._velocity = self.beta * self._velocity + grad
         return grad + self.beta * self._velocity
-
-    def compact(self, keep):
-        self._velocity = self._velocity[keep]
-
-    def identity(self):
-        return f"nesterov(beta={self.beta!r})"
-
-    def state_dict(self):
-        return {"velocity": self._array_state(self._velocity)}
-
-    def load_state_dict(self, state):
-        self._velocity = self._array_from_state(state["velocity"],
-                                                like=self._velocity)
 
 
 class AdamRule(AscentRule):
@@ -404,11 +382,9 @@ class DeepFoolRule(AscentRule):
     each iteration re-linearizes at the new iterate, so ascent reaches
     a difference in a handful of steps where fixed-step rules need
     dozens.  Coverage is untouched: tapes still fold into the trackers
-    exactly as for every other rule.  Classification only.
-
-    ``candidates`` bounds the boundary search to the ``candidates``
-    highest-output non-seed classes (one backward per candidate per
-    iteration); ``None`` searches every class boundary.
+    exactly as for every other rule.  Classification only.  Every
+    non-seed class boundary is searched (one backward per candidate
+    class per iteration).
     """
 
     name = "deepfool"
@@ -417,20 +393,13 @@ class DeepFoolRule(AscentRule):
     needs_context = True
     supports_regression = False
 
-    def __init__(self, overshoot=DEFAULT_DEEPFOOL_OVERSHOOT,
-                 candidates=None):
+    def __init__(self, overshoot=DEFAULT_DEEPFOOL_OVERSHOOT):
         if overshoot < 0.0:
             raise ConfigError(f"overshoot must be >= 0, got {overshoot}")
-        if candidates is not None and int(candidates) < 1:
-            raise ConfigError(f"candidates must be >= 1, got {candidates}")
         self.overshoot = float(overshoot)
-        self.candidates = None if candidates is None else int(candidates)
 
     def identity(self):
-        if self.candidates is None:
-            return f"deepfool(overshoot={self.overshoot!r})"
-        return (f"deepfool(overshoot={self.overshoot!r},"
-                f"candidates={self.candidates})")
+        return f"deepfool(overshoot={self.overshoot!r})"
 
     def update(self, grad):
         ctx = self._require_context()
@@ -460,14 +429,12 @@ class DeepFoolRule(AscentRule):
         f_seed = outs[samples, classes]
 
         # Candidate classes per sample: non-seed classes by descending
-        # output, optionally truncated to the closest few.
+        # output.
         order = np.argsort(-outs, axis=1, kind="stable")
         cand = np.empty((n, n_classes - 1), dtype=int)
         for i in samples:   # drop the seed class from each row's order
             row = order[i]
             cand[i] = row[row != classes[i]]
-        if self.candidates is not None:
-            cand = cand[:, :self.candidates]
 
         best_dist = np.full(n, np.inf)
         best_step = np.zeros_like(x)
@@ -693,8 +660,7 @@ def rule_from_identity(identity):
             continue
         key = key.strip()
         try:
-            kwargs[key] = (int(value) if key == "candidates"
-                           else float(value))
+            kwargs[key] = float(value)
         except ValueError:
             raise ConfigError(
                 f"malformed rule identity {identity!r}: bad value for "

@@ -170,12 +170,7 @@ class FuzzSession:
                              pool_count=int(initial_seed_count))
                 self._draw_initial_pool(dataset, seed_strategy,
                                         initial_seed_count, initial_seeds)
-        # Register store entries the scheduler has not seen (initial
-        # seeds just added, a merged-in store, or a partially persisted
-        # wave): seeds are fuzzable, tests are archived regression value.
-        for entry in self.store.entries():
-            self.scheduler.add(entry["hash"],
-                               schedulable=(entry["kind"] == "seed"))
+        self._register_entries()
         if len(self.scheduler) == 0:
             raise ConfigError(
                 "corpus is empty and no dataset/initial_seeds were given "
@@ -210,6 +205,14 @@ class FuzzSession:
                 f"cannot resume fuzz session: corpus was built with "
                 f"{stored!r}, this session asks for {identity!r} — these "
                 f"parameters are the run's deterministic identity")
+
+    def _register_entries(self):
+        """Register store entries the scheduler has not seen (initial
+        seeds just added, a merged-in store, or a partially persisted
+        wave): seeds are fuzzable, tests are archived regression value."""
+        for entry in self.store.entries():
+            self.scheduler.add(entry["hash"],
+                               schedulable=(entry["kind"] == "seed"))
 
     # -- initial pool -------------------------------------------------------
     def _draw_initial_pool(self, dataset, seed_strategy, initial_seed_count,
@@ -313,12 +316,8 @@ class FuzzSession:
                 yielded, new_tests = set(), 0
                 for test in result.tests:
                     yielded.add(wave[test.seed_index])
-                    entry_hash, added = self.store.add_entry(
-                        test.x, "test",
-                        origin=wave[test.seed_index], round=round_index,
-                        iterations=int(test.iterations),
-                        predictions=np.asarray(test.predictions).tolist(),
-                        seed_class=test.seed_class)
+                    entry_hash, added = self.store.add_test(
+                        test, wave[test.seed_index], round=round_index)
                     self.scheduler.add(entry_hash, schedulable=False)
                     new_tests += int(added)
                 self.scheduler.record_wave(wave, yielded, novelty)
@@ -359,14 +358,13 @@ class FuzzSession:
         """Shrink the stored test set to a coverage-preserving subset.
 
         Delegates to :meth:`CorpusStore.distill` (greedy set-cover via
-        ``analysis/minimize.py``), then drops the pruned entries from
-        the scheduler and commits.  Returns ``(kept, dropped)``.
+        ``analysis/minimize.py``), which also prunes the committed
+        scheduler; the session then reloads its scheduler from the
+        store.  Returns ``(kept, dropped)``.
         """
         kept, dropped = self.store.distill(
             self.models, threshold=self.hp.threshold)
-        remaining = {entry["hash"] for entry in self.store.entries()}
-        self.scheduler = SeedScheduler.from_state({"entries": [
-            record for record in self.scheduler.state_dict()["entries"]
-            if record["hash"] in remaining]})
-        self._commit(self.completed_rounds)
+        self.scheduler = SeedScheduler.from_state(
+            self.store.fuzz_state()["scheduler"])
+        self._register_entries()
         return kept, dropped

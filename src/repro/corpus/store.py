@@ -20,7 +20,11 @@ Invariants:
 * **Content addressing** — an entry's identity is the SHA-256 of its
   input array (shape + dtype + bytes).  Adding an input twice is a
   no-op, which makes every absorb idempotent: replaying a partially
-  persisted wave converges to the same store.
+  persisted wave converges to the same store.  Every entry lands
+  through :meth:`CorpusStore.add_entry`; :meth:`~CorpusStore.add_test`
+  builds a generated test's record, and
+  :meth:`~CorpusStore.add_record` re-hashes an entry copied from
+  another store (merge, pull, push) before writing it.
 * **Atomic writes** — every file lands via write-to-temp +
   ``os.replace``; ``meta.jsonl`` is append-only with a flush+fsync per
   record, and a truncated trailing line (a crash mid-append) is ignored
@@ -328,6 +332,58 @@ class CorpusStore:
         self._entries[entry_hash] = CorpusEntry(record)
         return entry_hash, True
 
+    def add_test(self, test, origin, **meta):
+        """Persist one generated test; returns ``(hash, added)``.
+
+        The one writer of a test entry's record: the ``origin`` it was
+        ascended from, its ``iterations``, its per-model
+        ``predictions`` and its ``seed_class``, plus ``meta`` (a fuzz
+        wave adds its ``round``).
+        """
+        return self.add_entry(
+            test.x, "test", origin=origin, **meta,
+            iterations=int(test.iterations),
+            predictions=np.asarray(test.predictions).tolist(),
+            seed_class=test.seed_class)
+
+    def add_record(self, record, x):
+        """Land an entry copied from another store; returns ``added``.
+
+        ``record`` is the entry's record as its source store wrote it
+        and ``x`` its input.  The input is re-hashed *before* anything
+        is written, so a corrupt source file or wire payload is refused
+        instead of landing under a hash its bytes do not have.
+        """
+        if not isinstance(record, dict) or "hash" not in record \
+                or "kind" not in record:
+            raise ConfigError("an entry record needs a hash and a kind")
+        claimed, got = str(record["hash"]), input_hash(x)
+        if got != claimed:
+            raise ConfigError(
+                f"entry {claimed[:12]}… hashed to {got[:12]}… — corrupt "
+                f"source or wire payload")
+        meta = {k: v for k, v in record.items() if k not in ("hash", "kind")}
+        return self.add_entry(x, record["kind"], **meta)[1]
+
+    def absorb(self, seeds, result, models, trackers):
+        """Persist one generation pass in one commit; returns new tests.
+
+        Seeds land with their batch index as ``origin``, tests with
+        their seed's hash, and the trackers' coverage OR-merges into
+        the committed snapshots.  The merge must be an OR: trackers
+        that started empty (``generate`` without ``--resume``, a farm
+        ``generate`` job) committed raw would shrink the corpus's
+        accumulated coverage.
+        """
+        seed_hashes = [self.add_entry(x, "seed", origin=int(i))[0]
+                       for i, x in enumerate(seeds)]
+        added = sum(int(self.add_test(test, seed_hashes[test.seed_index])[1])
+                    for test in result.tests)
+        self.commit(coverage_states=self.merge_coverage(
+            {m.name: t.state_dict() for m, t in zip(models, trackers)}),
+            fuzz_state=self.fuzz_state())
+        return added
+
     # -- coverage + checkpoint commits --------------------------------------
     def coverage_states(self):
         """The committed per-model coverage snapshots, ``{name: state}``."""
@@ -474,7 +530,10 @@ class CorpusStore:
         The source is read through :meth:`snapshot`, so merging from a
         store that another process is actively fuzzing is safe: this
         folds in a crash-consistent prefix of the source, and a later
-        merge picks up the rest (idempotent by content address).
+        merge picks up the rest (idempotent by content address).  Each
+        copied input lands through :meth:`add_record`, so a source file
+        whose bytes no longer match its name raises before it is
+        written.
         """
         if not isinstance(other, CorpusStore):
             other = CorpusStore(other, create=False)
@@ -490,45 +549,41 @@ class CorpusStore:
         merged_coverage = self.merge_coverage(snap["coverage"])
         added = 0
         for entry in snap["entries"]:
-            if entry["hash"] in self._entries:
-                # Content address already present — skip the .npy read
-                # and re-hash entirely (overlapping corpora are the
-                # common case after sharded fuzzing).
-                continue
-            meta = {k: v for k, v in entry.items()
-                    if k not in ("hash", "kind")}
-            _, was_new = self.add_entry(other.load_input(entry["hash"]),
-                                        entry["kind"], **meta)
-            added += int(was_new)
+            # A content address already present skips the .npy read and
+            # re-hash entirely (overlapping corpora are the common case
+            # after sharded fuzzing).
+            if entry["hash"] not in self._entries:
+                added += int(self.add_record(
+                    entry, other.load_input(entry["hash"])))
         self.commit(coverage_states=merged_coverage,
                     fuzz_state=self.fuzz_state())
         return added
 
     # -- distillation -------------------------------------------------------
-    def distill(self, networks, threshold=0.0, scaled=True, keep_seeds=True):
+    def distill(self, networks, threshold=0.0):
         """Shrink the corpus to a coverage-preserving subset.
 
         Greedy set-cover (:func:`repro.analysis.minimize.minimize_suite`)
         over the stored *test* entries: the kept subset standalone-covers
         every neuron the full test set covers on ``networks``.  Seed
-        entries are kept by default (they are the fuzzable frontier, not
-        redundant artifacts).  The committed *merged* coverage is left
-        untouched — it also remembers ascent-path activations that no
-        stored input reproduces, and forgetting it would make later
-        sessions re-chase covered neurons.
+        entries are kept (they are the fuzzable frontier, not redundant
+        artifacts).  The committed *merged* coverage is left untouched —
+        it also remembers ascent-path activations that no stored input
+        reproduces, and forgetting it would make later sessions re-chase
+        covered neurons.  The committed fuzz scheduler is pruned of the
+        dropped entries in the same commit, so a resumed session never
+        schedules an entry that no longer exists.
 
         Returns ``(kept, dropped)`` entry counts (over test entries).
         """
-        tests = self.entries(kind="test") if keep_seeds else self.entries()
+        tests = self.entries(kind="test")
         if not tests:
             return 0, 0
         hashes = [entry["hash"] for entry in tests]
-        inputs = self.load_inputs(hashes)
-        chosen, _ = minimize_suite(networks, inputs, threshold=threshold,
-                                   scaled=scaled)
+        chosen, _ = minimize_suite(networks, self.load_inputs(hashes),
+                                   threshold=threshold)
         keep_hashes = {hashes[i] for i in chosen}
-        if keep_seeds:
-            keep_hashes |= {e["hash"] for e in self.entries(kind="seed")}
+        keep_hashes |= {e["hash"] for e in self.entries(kind="seed")}
         dropped = [h for h in self._entries if h not in keep_hashes]
         self._entries = {h: e for h, e in self._entries.items()
                          if h in keep_hashes}
@@ -539,7 +594,12 @@ class CorpusStore:
             path = self.input_path(entry_hash)
             if os.path.exists(path):
                 os.unlink(path)
-        self._write_manifest()
+        state = self.fuzz_state()
+        if state and state.get("scheduler"):
+            state["scheduler"]["entries"] = [
+                record for record in state["scheduler"]["entries"]
+                if record["hash"] in self._entries]
+        self.commit(fuzz_state=state)
         return len(keep_hashes & set(hashes)), len(dropped)
 
     def describe(self):

@@ -11,12 +11,13 @@ store; :func:`push` is the write-side inverse, feeding a remote
 daemon's store through the same verbs.
 
 Transfers are batched: :data:`DEFAULT_BATCH` entries per round-trip
-(the ``store-entries`` verb), so a sync costs O(entries/batch) wire
-exchanges instead of O(entries), and the manifest's ``have`` filter
-means only the delta ever crosses the wire.  Batching is a pure
-transport optimisation — the resulting store is bit-identical to a
-per-entry (``batch=1``) sync, which the Hypothesis property in
-tests/dist/test_sync.py pins under injected mid-batch crashes.
+(the ``store-entries`` and ``store-push`` verbs), so a sync costs
+O(entries/batch) wire exchanges instead of O(entries), and the
+manifest's ``have`` filter means only the delta ever crosses the wire.
+Batching is a pure transport optimisation — the resulting store is
+bit-identical to a per-entry (``batch=1``) sync, which the Hypothesis
+property in tests/dist/test_sync.py pins under injected mid-batch
+crashes.
 
 The whole protocol is a semilattice join, which is what makes it safe
 to run at any time, from any side, any number of times:
@@ -24,9 +25,9 @@ to run at any time, from any side, any number of times:
 * **idempotent** — entries are content-addressed (SHA-256), so a
   re-transferred entry dedups to a no-op; coverage merges with
   :func:`repro.coverage.merge_state_dicts` (OR), so replaying a
-  snapshot changes nothing.  A merge that changes nothing skips the
-  commit entirely — idle mirror syncs leave the checkpoint generation
-  (and the ``.npz`` snapshots) untouched.
+  snapshot changes nothing.  A sync that lands no entry and changes
+  no coverage skips the commit entirely — idle mirror syncs leave the
+  checkpoint generation (and the ``.npz`` snapshots) untouched.
 * **commutative** — A⊔B = B⊔A for both entries (set union, insertion
   order only affects iteration order, never content addressing) and
   coverage masks.
@@ -91,6 +92,9 @@ def decode_array(payload):
     if not isinstance(x, np.ndarray):
         raise FarmError("bad array payload: an .npz archive, not an "
                         ".npy array")
+    if x.dtype.kind not in "biuf":
+        raise FarmError(f"bad array payload: {x.dtype} is not a numeric "
+                        "dtype")
     return x
 
 
@@ -165,8 +169,6 @@ class RemoteSource:
 def _as_source(source):
     if isinstance(source, (LocalSource, RemoteSource)):
         return source
-    if hasattr(source, "manifest") and hasattr(source, "fetch"):
-        return source
     return LocalSource(source)
 
 
@@ -174,14 +176,17 @@ def _as_source(source):
 def pull(dest, source, batch=DEFAULT_BATCH):
     """Pull everything ``source`` has that ``dest`` lacks; returns added.
 
-    Order is the crash-safety contract: durable entry writes first
-    (content-addressed, idempotent, ``batch`` per round-trip), then one
-    atomic coverage commit — skipped when the OR-merge changes nothing,
-    so a no-op mirror sync leaves the checkpoint generation alone.  A
-    crash mid-pull leaves entries without their coverage — harmless,
-    the store's invariants hold — and re-pulling converges because the
-    already-present prefix dedups away (it is excluded server-side by
-    the manifest's ``have`` filter, and re-checked here).
+    Order is the crash-safety contract: bind the config, OR-merge the
+    coverage in memory, land the entries (content-addressed,
+    idempotent, ``batch`` per round-trip, each re-hashed before it is
+    written), then commit once.  The commit carries the merged coverage
+    only when the join changed it, so the generation moves only then,
+    and it is skipped when nothing landed either — a no-op mirror sync
+    leaves the checkpoint alone.  A crash mid-pull leaves entries
+    without their coverage — harmless, the store's invariants hold —
+    and re-pulling converges because the already-present prefix dedups
+    away (it is excluded server-side by the manifest's ``have``
+    filter, and re-checked here).
     """
     if not isinstance(dest, CorpusStore):
         dest = CorpusStore(dest)
@@ -197,37 +202,26 @@ def pull(dest, source, batch=DEFAULT_BATCH):
     merged = dest.merge_coverage(manifest.get("coverage") or {})
     pending = [entry for entry in manifest.get("entries", [])
                if entry["hash"] not in dest]
-    fetch_many = getattr(source, "fetch_many", None)
     added = 0
     for start in range(0, len(pending), batch):
         chunk = pending[start:start + batch]
         # One wire round-trip per batch.  Countdown N dies with N-1
-        # batches durably absorbed and no coverage commit — the
-        # partial-sync state the convergence property replays.
+        # batches durably absorbed and no commit — the partial-sync
+        # state the convergence property replays.
         fault_point("dist.pull.batch")
-        if fetch_many is not None:
-            arrays = fetch_many([entry["hash"] for entry in chunk])
-        else:
-            arrays = [source.fetch(entry["hash"]) for entry in chunk]
+        arrays = source.fetch_many([entry["hash"] for entry in chunk])
         for entry, x in zip(chunk, arrays):
             # Countdown N dies with N-1 entries absorbed — same replay
             # story at entry granularity.
             fault_point("dist.pull.entry")
-            meta = {k: v for k, v in entry.items()
-                    if k not in ("hash", "kind")}
-            got, was_new = dest.add_entry(x, entry["kind"], **meta)
-            if got != entry["hash"]:
-                raise FarmError(
-                    f"entry {entry['hash'][:12]}… from "
-                    f"{source.describe()} hashed to {got[:12]}… after "
-                    f"transfer — corrupt source or wire")
-            added += int(was_new)
-    # Entries are durable; the coverage join is the commit point —
-    # unless the join is a no-op, in which case there is nothing to
-    # commit and the generation must not move.
+            added += int(dest.add_record(entry, x))
+    # Entries are durable; one commit publishes them (the manifest's
+    # entry count) together with any coverage the join added.
     fault_point("dist.sync.mid")
-    if not coverage_states_equal(existing, merged):
-        dest.commit(coverage_states=merged, fuzz_state=dest.fuzz_state())
+    changed = not coverage_states_equal(existing, merged)
+    if added or changed:
+        dest.commit(coverage_states=merged if changed else None,
+                    fuzz_state=dest.fuzz_state())
     return added
 
 
@@ -235,8 +229,8 @@ def push(source, host, port, store, timeout=10.0, batch=DEFAULT_BATCH):
     """Push a local store into a remote daemon's store; returns pushed.
 
     The write-side mirror of :func:`pull`, for hosts that cannot be
-    dialed back (NAT, firewalled workers): batched ``store-entries``
-    pushes for everything the remote manifest lacks, then one
+    dialed back (NAT, firewalled workers): batched ``store-push``
+    requests for everything the remote manifest lacks, then one
     ``store-merge-coverage`` to join coverage (itself a no-op on the
     remote when nothing new is covered).  Same laws, same fault points,
     same convergence-by-replay story.
@@ -261,7 +255,7 @@ def push(source, host, port, store, timeout=10.0, batch=DEFAULT_BATCH):
                 "entry": dict(entry),
                 "data": encode_array(source.load_input(entry["hash"]))})
         fault_point("dist.pull.batch")
-        client.store_push_many(store, records, config=snap["config"])
+        client.store_push(store, records, config=snap["config"])
         pushed += len(records)
     fault_point("dist.sync.mid")
     client.store_merge_coverage(

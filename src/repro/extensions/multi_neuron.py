@@ -49,13 +49,6 @@ class MultiNeuronCoverageObjective:
             self._targets.append([int(c) for c in chosen])
         return [list(t) for t in self._targets]
 
-    def value_from_tapes(self, tapes):
-        total = 0.0
-        for tape, neurons in zip(tapes, self._targets):
-            for neuron in neurons:
-                total += float(tape.neuron_value(neuron).sum())
-        return total
-
     def gradient_from_tapes(self, tapes):
         grad = np.zeros_like(tapes[0].x)
         for tape, neurons in zip(tapes, self._targets):

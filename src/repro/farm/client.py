@@ -268,15 +268,10 @@ class PeerClient(_ChannelClient):
         return self._request({"cmd": "store-entries", "store": store,
                               "hashes": [str(h) for h in hashes]})
 
-    def store_push(self, store, entry, data, config=None):
-        return self._request({"cmd": "store-push", "store": store,
-                              "entry": entry, "data": data,
-                              "config": config})
-
-    def store_push_many(self, store, records, config=None):
+    def store_push(self, store, records, config=None):
         """Push a batch of ``{"entry", "data"}`` records in one
-        round-trip (the write half of the ``store-entries`` verb)."""
-        return self._request({"cmd": "store-entries", "store": store,
+        round-trip."""
+        return self._request({"cmd": "store-push", "store": store,
                               "entries": list(records),
                               "config": config})
 

@@ -32,11 +32,10 @@ Beyond the job queue, a daemon is also a *federation peer* (see
 ``repro.dist`` and docs/DISTRIBUTED.md): it answers gossip (``peers``)
 and store-sync verbs (``store-manifest`` / ``store-entry`` /
 ``store-entries`` / ``store-push`` / ``store-merge-coverage``),
-executes single campaign
-shards for remote drivers (``run-shard``), runs ledger-federated fuzz
-jobs (kind ``federate``), and — when started with ``compact_every`` —
-keeps its tenant stores bounded by scheduling ``compact-distill`` jobs
-in the background.
+executes single campaign shards for remote drivers (``run-shard``),
+runs ledger-federated fuzz jobs (kind ``federate``), and — when
+started with ``compact_every`` — keeps its tenant stores bounded by
+scheduling ``compact-distill`` jobs in the background.
 """
 
 from __future__ import annotations
@@ -402,19 +401,7 @@ class FarmDaemon:
             rule=make_rule(spec["ascent"], beta=spec["beta"],
                            overshoot=spec["overshoot"]))
         result = campaign.run(seeds)
-        seed_hashes = [store.add_entry(x, "seed", origin=int(i))[0]
-                       for i, x in enumerate(seeds)]
-        new_tests = 0
-        for test in result.tests:
-            _, added = store.add_entry(
-                test.x, "test", origin=seed_hashes[test.seed_index],
-                iterations=int(test.iterations),
-                predictions=np.asarray(test.predictions).tolist(),
-                seed_class=test.seed_class)
-            new_tests += int(added)
-        store.commit(coverage_states=store.merge_coverage(
-            {m.name: t.state_dict() for m, t in zip(models, trackers)}),
-            fuzz_state=store.fuzz_state())
+        new_tests = store.absorb(seeds, result, models, trackers)
         return {"seeds_processed": int(result.seeds_processed),
                 "differences": int(result.difference_count),
                 "new_tests": new_tests,
@@ -444,11 +431,9 @@ class FarmDaemon:
     def _run_compact_distill(self, job, models, dataset, store_path):
         """Shrink a store to a coverage-preserving regression suite.
 
-        The store-level half of :meth:`FuzzSession.distill` without
-        requiring the session's deterministic identity: distill the
-        test entries, then prune any committed fuzz scheduler of the
-        dropped hashes and commit, so a later resumed session never
-        schedules an entry that no longer exists.
+        :meth:`CorpusStore.distill` without requiring the session's
+        deterministic identity; it prunes any committed fuzz scheduler
+        of the dropped hashes itself.
         """
         spec = job.spec
         hp = PAPER_HYPERPARAMS[spec["dataset"]]
@@ -456,13 +441,6 @@ class FarmDaemon:
         threshold = (store.config or {}).get("threshold", hp.threshold)
         store.bind_config(corpus_fingerprint(models, hp, dataset.task))
         kept, dropped = store.distill(models, threshold=float(threshold))
-        state = store.fuzz_state()
-        if state and state.get("scheduler"):
-            remaining = {entry["hash"] for entry in store.entries()}
-            state["scheduler"]["entries"] = [
-                record for record in state["scheduler"]["entries"]
-                if record["hash"] in remaining]
-            store.commit(fuzz_state=state)
         return {"kept_tests": int(kept), "dropped": int(dropped),
                 "entries": len(store)}
 
@@ -698,58 +676,33 @@ class FarmDaemon:
                 "lost by retrying)")
         return guard
 
-    @staticmethod
-    def _absorb_pushed(store, entry, data):
-        """Add one pushed entry record; returns whether it was new."""
+    def store_push(self, name, records, config=None):
+        """Accept a batch of pushed entries (write verb; idempotent).
+
+        ``records`` are ``{"entry", "data"}`` objects, absorbed in
+        request order under one guard acquisition through
+        :meth:`CorpusStore.add_record`, which re-hashes each input before
+        writing it.  A batch that lands entries commits (coverage
+        unchanged) so the manifest's entry count, which gossip reports,
+        stays true.
+        """
         from repro.dist.sync import decode_array
-        if not isinstance(entry, dict) or "hash" not in entry \
-                or "kind" not in entry:
-            raise FarmError("store-push needs an entry record with "
-                            "hash and kind")
-        x = decode_array(data)
-        meta = {k: v for k, v in entry.items()
-                if k not in ("hash", "kind")}
-        got, added = store.add_entry(x, entry["kind"], **meta)
-        if got != entry["hash"]:
-            raise FarmError(
-                f"pushed entry {entry['hash'][:12]}… hashed to "
-                f"{got[:12]}… on arrival — corrupt wire payload")
-        return added
-
-    def store_push(self, name, entry, data, config=None):
-        """Accept one pushed entry (write verb; idempotent by hash)."""
+        if not isinstance(records, list) \
+                or not all(isinstance(r, dict) for r in records):
+            raise FarmError("store-push needs a list of {entry, data} "
+                            "records")
         name, store_path = self._sync_store(name, create=True)
         guard = self._guarded_store(name)
         try:
             store = CorpusStore(store_path)
             if config is not None:
                 store.bind_config(config)
-            added = self._absorb_pushed(store, entry, data)
-            return {"hash": str(entry["hash"]), "added": bool(added),
-                    "entries": len(store)}
-        finally:
-            guard.release()
-
-    def store_push_many(self, name, records, config=None):
-        """Accept a batch of pushed entries (the write half of
-        ``store-entries``): one guard acquisition, one round-trip,
-        entry-by-entry idempotent absorption in request order."""
-        if not isinstance(records, list):
-            raise FarmError("store-entries push needs a list of "
-                            "{entry, data} records")
-        name, store_path = self._sync_store(name, create=True)
-        guard = self._guarded_store(name)
-        try:
-            store = CorpusStore(store_path)
-            if config is not None:
-                store.bind_config(config)
-            added = 0
-            for record in records:
-                if not isinstance(record, dict):
-                    raise FarmError("store-entries push records must be "
-                                    "{entry, data} objects")
-                added += int(self._absorb_pushed(
-                    store, record.get("entry"), record.get("data")))
+            added = sum(
+                int(store.add_record(record.get("entry"),
+                                     decode_array(record.get("data"))))
+                for record in records)
+            if added:
+                store.commit(fuzz_state=store.fuzz_state())
             return {"added": added, "received": len(records),
                     "entries": len(store)}
         finally:

@@ -168,12 +168,6 @@ class JobQueue:
             return job
         return None
 
-    def next_wakeup(self):
-        """Earliest ``not_before`` among gated queued jobs (or None)."""
-        gates = [j.not_before for j in self._jobs.values()
-                 if j.status == "queued" and j.not_before > self.clock()]
-        return min(gates) if gates else None
-
     def mark_done(self, job_id, result=None):
         job = self.get(job_id)
         job.status = "done"

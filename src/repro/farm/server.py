@@ -17,9 +17,9 @@ rejection), ``status`` (all jobs or one ``job_id``), ``counts``, and
 ``drain`` (graceful shutdown) — plus the federation verbs from
 docs/DISTRIBUTED.md: ``peers`` (gossip), ``store-manifest`` /
 ``store-entry`` / ``store-entries`` (corpus pull, with an optional
-``have`` delta filter and batched fetch), ``store-push`` /
-``store-entries`` in push mode / ``store-merge-coverage`` (corpus
-push), and ``run-shard`` (remote campaign shard execution).  Errors
+``have`` delta filter and batched fetch), ``store-push`` (batched) /
+``store-merge-coverage`` (corpus push), and ``run-shard`` (remote
+campaign shard execution).  Errors
 travel as ``{"ok": false, "error": ..., "kind": ...}`` with ``kind``
 naming the error class so the client re-raises the right exception —
 saturation keeps its ``retry_after`` hint across the wire.
@@ -142,20 +142,12 @@ class FarmServer(socketserver.ThreadingTCPServer):
                                           request.get("hash"))
             return {"ok": True, **reply}
         if cmd == "store-entries":
-            # One verb, two directions: "hashes" fetches a batch,
-            # "entries" pushes one (docs/DISTRIBUTED.md, wire protocol).
-            if request.get("entries") is not None:
-                reply = self.farm.store_push_many(
-                    request.get("store"), request.get("entries"),
-                    config=request.get("config"))
-            else:
-                reply = self.farm.store_entries(
-                    request.get("store"), request.get("hashes") or [])
+            reply = self.farm.store_entries(request.get("store"),
+                                            request.get("hashes") or [])
             return {"ok": True, **reply}
         if cmd == "store-push":
             reply = self.farm.store_push(request.get("store"),
-                                         request.get("entry"),
-                                         request.get("data"),
+                                         request.get("entries"),
                                          config=request.get("config"))
             return {"ok": True, **reply}
         if cmd == "store-merge-coverage":

@@ -27,8 +27,7 @@ from repro.nn import Trainer, accuracy, dtypes, steering_accuracy
 from repro.utils.rng import as_rng
 
 __all__ = ["ModelSpec", "MODEL_ZOO", "TRIOS", "TRAINING_DTYPE", "get_model",
-           "get_trio", "get_model_payload", "get_trio_payloads",
-           "train_model", "model_accuracy", "zoo_names"]
+           "get_trio", "train_model", "model_accuracy", "zoo_names"]
 
 #: Bump to invalidate every cached model after architecture changes.
 _CACHE_VERSION = 1
@@ -217,26 +216,3 @@ def get_trio(dataset_name, scale="small", seed=0, use_cache=True,
                       dataset=dataset, verbose=verbose)
             for name in TRIOS[dataset_name]]
 
-
-def get_model_payload(name, scale="small", seed=0, use_cache=True,
-                      dataset=None):
-    """One zoo model as a picklable architecture+weights payload.
-
-    This is what campaign workers receive: the payload rebuilds the
-    trained network in a worker process without importing the builder or
-    touching the weight cache (see
-    :func:`repro.nn.config.network_from_payload`).
-    """
-    from repro.nn.config import network_to_payload
-    model = get_model(name, scale=scale, seed=seed, use_cache=use_cache,
-                      dataset=dataset)
-    return network_to_payload(model)
-
-
-def get_trio_payloads(dataset_name, scale="small", seed=0, use_cache=True,
-                      dataset=None):
-    """The Table 1 trio for one dataset as worker-shippable payloads."""
-    from repro.nn.config import network_to_payload
-    return [network_to_payload(m)
-            for m in get_trio(dataset_name, scale=scale, seed=seed,
-                              use_cache=use_cache, dataset=dataset)]

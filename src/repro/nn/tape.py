@@ -82,10 +82,6 @@ class ForwardPass:
             return self.x
         return self._layer_outputs[-1]
 
-    def layer_output(self, layer_index):
-        """The recorded raw output of one layer."""
-        return self._layer_outputs[layer_index]
-
     def neuron_activations(self, scaled=False):
         """Per-neuron outputs, shape ``(batch, total_neurons)``.
 

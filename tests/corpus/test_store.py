@@ -191,6 +191,25 @@ def test_merge_incompatible_coverage_fails_before_entries(tmp_path, lenet1,
     assert dest.coverage_states()[lenet1.name]["threshold"] == 0.2
 
 
+def test_merge_rejects_a_corrupt_source_entry(tmp_path, rng):
+    """A source input rewritten under its own name is refused before it
+    is written: the destination never holds a hash the source's
+    manifest does not name."""
+    src = CorpusStore(tmp_path / "src")
+    for i in range(3):
+        src.add_entry(rng.random((3,)), "seed", origin=i)
+    named = {entry["hash"] for entry in src.entries()}
+    victim = src.entries()[1]["hash"]
+    np.save(src.input_path(victim), rng.random((3,)))
+    dest = CorpusStore(tmp_path / "dest")
+    with pytest.raises(ConfigError, match="corrupt"):
+        dest.merge(tmp_path / "src")
+    held = {entry["hash"] for entry in CorpusStore(tmp_path / "dest")
+            .entries()}
+    assert held <= named and victim not in held
+    assert {n[:-4] for n in os.listdir(dest.inputs_dir)} == held
+
+
 def test_merge_skips_disk_reads_for_known_entries(tmp_path, rng):
     shared = rng.random((3,))
     src = CorpusStore(tmp_path / "src")

@@ -14,7 +14,7 @@ from repro.corpus.store import coverage_from_bytes, coverage_to_bytes
 from repro.dist import (LocalSource, RemoteSource, decode_array,
                         decode_coverage, encode_array, encode_coverage,
                         pull, push)
-from repro.errors import ConfigError, FarmError
+from repro.errors import ConfigError, FarmError, ReproError
 from repro.farm import PeerClient
 from repro.utils.faults import InjectedFault, inject, reset_faults
 
@@ -112,6 +112,43 @@ def test_noop_pull_skips_coverage_commit(tmp_path, make_store):
     gen = CorpusStore(tmp_path / "dest").snapshot()["generation"]
     assert pull(CorpusStore(tmp_path / "dest"), tmp_path / "src") == 0
     assert CorpusStore(tmp_path / "dest").snapshot()["generation"] == gen
+
+
+def test_pull_rejects_a_corrupt_source_entry(tmp_path, make_store):
+    """A source input whose bytes no longer match its name is refused
+    before it is written: the destination holds only hashes the source
+    names, and nothing is committed."""
+    src = make_store(tmp_path / "src", 3, covered_idx=(0, 2))
+    named = [entry["hash"] for entry in src.entries()]
+    np.save(src.input_path(named[1]), np.ones((4, 4)))
+    dest = CorpusStore(tmp_path / "dest")
+    with pytest.raises(ReproError, match="corrupt"):
+        pull(dest, tmp_path / "src")
+    dest = CorpusStore(tmp_path / "dest")
+    assert {entry["hash"] for entry in dest.entries()} == {named[0]}
+    assert dest.snapshot()["generation"] == 0
+    assert dest.coverage_states() == {}
+
+
+def test_gossip_counts_entries_landed_without_new_coverage(tmp_path,
+                                                           make_store,
+                                                           live_peer):
+    """A pull or push that lands entries but no new coverage still
+    commits (coverage generation unchanged), so the manifest count that
+    gossip reports matches the store."""
+    daemon, _server, port = live_peer
+    shared = daemon.store_path("shared")
+    make_store(shared, 2, seed=1, covered_idx=(0,))
+    gen = daemon.gossip()["stores"]["shared"]["coverage_gen"]
+    # Same rng seed: each source extends the store by a suffix and
+    # covers nothing the store has not covered.
+    make_store(tmp_path / "more", 4, seed=1, covered_idx=(0,))
+    assert pull(shared, tmp_path / "more") == 2
+    make_store(tmp_path / "most", 6, seed=1, covered_idx=(0,))
+    assert push(tmp_path / "most", "127.0.0.1", port, "shared") == 2
+    gossip = daemon.gossip()["stores"]["shared"]
+    assert gossip["entries"] == len(CorpusStore(shared)) == 6
+    assert gossip["coverage_gen"] == gen
 
 
 def test_pull_commits_when_coverage_is_new(tmp_path, make_store):
@@ -261,9 +298,10 @@ def test_busy_store_fails_fast(tmp_path, make_store, live_peer,
     try:
         client = PeerClient("127.0.0.1", port)
         with pytest.raises(FarmError, match="busy"):
-            client.store_push("busy", {"hash": "x", "kind": "seed"},
-                              encode_array(np.zeros((4, 4))),
-                              config=synth_config)
+            client.store_push(
+                "busy", [{"entry": {"hash": "x", "kind": "seed"},
+                          "data": encode_array(np.zeros((4, 4)))}],
+                config=synth_config)
     finally:
         guard.release()
 
@@ -274,7 +312,9 @@ def test_push_detects_corrupt_wire(tmp_path, make_store, live_peer,
     make_store(daemon.store_path("shared"), 1)
     client = PeerClient("127.0.0.1", port)
     with pytest.raises(FarmError, match="corrupt"):
-        client.store_push("shared",
-                          {"hash": "0" * 64, "kind": "seed"},
-                          encode_array(np.ones((4, 4))),
-                          config=synth_config)
+        client.store_push(
+            "shared", [{"entry": {"hash": "0" * 64, "kind": "seed"},
+                        "data": encode_array(np.ones((4, 4)))}],
+            config=synth_config)
+    # Refused before the write: the remote store gained no entry.
+    assert len(CorpusStore(daemon.store_path("shared"))) == 1

@@ -98,7 +98,7 @@ def test_retry_backoff_doubles_and_gates_claims(tmp_path, clock):
     queue.mark_failed(job.job_id, RuntimeError("boom"))
     assert job.status == "queued" and job.error == "boom"
     assert queue.claim() is None                  # gated: now + 2*2**0
-    assert queue.next_wakeup() == clock() + 2.0
+    assert job.not_before == clock() + 2.0
     clock.advance(2.0)
     job = queue.claim()
     assert job.attempts == 2

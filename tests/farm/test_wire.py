@@ -240,16 +240,27 @@ def _npz_bytes():
 
 _ENTRY = {"hash": "0" * 64, "kind": "seed"}
 
+def _npy_bytes(x):
+    buffer = io.BytesIO()
+    np.save(buffer, x)
+    return buffer.getvalue()
+
+
+def _push(*datas):
+    """A ``store-push`` body whose records carry ``datas``."""
+    return {"entries": [{"entry": _ENTRY, "data": data} for data in datas]}
+
+
 #: Requests whose payload is not what it claims to be.
 MALFORMED_PAYLOADS = {
-    "push-null": {"data": None},
-    "push-text": {"data": "not base64!"},
-    "push-int": {"data": 7},
-    "push-frame-ref-without-frames": {"data": {"__frame__": 0}},
-    "push-not-npy": {"data": Blob(b"not an npy array")},
-    "push-npz": {"data": Blob(_npz_bytes())},
-    "push-many-not-npy": {"cmd": "store-entries", "entries": [
-        {"entry": _ENTRY, "data": Blob(b"\x93NUMPY")}]},
+    "push-null": _push(None),
+    "push-text": _push("not base64!"),
+    "push-int": _push(7),
+    "push-frame-ref-without-frames": _push({"__frame__": 0}),
+    "push-not-npy": _push(Blob(b"not an npy array")),
+    "push-npz": _push(Blob(_npz_bytes())),
+    "push-text-array": _push(Blob(_npy_bytes(np.array(["a", "b"])))),
+    "push-many-not-npy": _push(Blob(b"\x93NUMPY"), Blob(b"\x93NUMPY")),
     "merge-coverage-not-npz": {"cmd": "store-merge-coverage",
                                "coverage": {"m": Blob(b"junk")}},
     "merge-coverage-npy": {"cmd": "store-merge-coverage",
@@ -259,7 +270,7 @@ MALFORMED_PAYLOADS = {
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_PAYLOADS))
 def test_server_answers_malformed_payload_then_serves(live_server, name):
-    request = {"cmd": "store-push", "store": "s", "entry": _ENTRY,
+    request = {"cmd": "store-push", "store": "s",
                **MALFORMED_PAYLOADS[name]}
     channel = _channel(live_server)
     try:

@@ -183,6 +183,25 @@ class TestCliCommands:
         assert "error:" in capsys.readouterr().err
         assert len(CorpusStore(corpus).entries(kind="test")) == tests_before
 
+    def test_corpus_distill_prunes_the_committed_scheduler(self, tmp_path,
+                                                           capsys):
+        """Every distill path prunes the committed fuzz scheduler: a
+        resumed session must never schedule an entry that is gone."""
+        from repro.corpus import CorpusStore
+        corpus = str(tmp_path / "corpus")
+        assert main(["--scale", "smoke", "fuzz", "mnist", "--corpus",
+                     corpus, "--rounds", "3", "--wave-size", "8",
+                     "--initial-seeds", "16"]) == 0
+        before = len(CorpusStore(corpus))
+        assert main(["--scale", "smoke", "corpus", "distill", corpus,
+                     "mnist"]) == 0
+        capsys.readouterr()
+        store = CorpusStore(corpus)
+        assert len(store) < before               # distill dropped tests
+        scheduled = {record["hash"] for record
+                     in store.fuzz_state()["scheduler"]["entries"]}
+        assert scheduled == {entry["hash"] for entry in store.entries()}
+
     def test_generate_corpus_coverage_is_monotone(self, tmp_path, capsys):
         """Regression: a second generate WITHOUT --resume starts its
         trackers empty; committing them raw used to overwrite (shrink)

@@ -10,6 +10,10 @@ subsystem's resume contract (docs/CORPUS.md) at CLI-smoke scale; the
 full matrix (workers ∈ {1, 2}, forward-pass accounting) lives in
 ``tests/corpus/test_session_resume.py``.
 
+A last phase, ``distill_then_resume``, runs ``repro corpus distill`` on
+the resumed corpus, requires the committed fuzz scheduler to name
+exactly the entries the store still holds, and resumes one more round.
+
 Exit code 0 on success, non-zero (with a diff summary) on any mismatch.
 
 Usage:  PYTHONPATH=src python tools/fuzz_resume_smoke.py
@@ -94,6 +98,32 @@ def compare(ref_dir, crash_dir):
     return failures
 
 
+def distill_then_resume(corpus_dir, models, dataset, constraint):
+    """Distill through the CLI, check the scheduler, fuzz one more round."""
+    from repro.cli import main as repro_main
+    if repro_main(["--scale", "smoke", "corpus", "distill", corpus_dir,
+                   "mnist"]) != 0:
+        return ["`repro corpus distill` failed"]
+    store = CorpusStore(corpus_dir, create=False)
+    scheduled = {record["hash"]
+                 for record in store.fuzz_state()["scheduler"]["entries"]}
+    held = {entry["hash"] for entry in store.entries()}
+    failures = []
+    if scheduled != held:
+        failures.append(
+            f"after distill the committed scheduler names "
+            f"{len(scheduled - held)} record(s) the store no longer holds "
+            f"and misses {len(held - scheduled)} entr(ies) it does")
+    report = make_session(corpus_dir, models, dataset,
+                          constraint).run(ROUNDS + 1)
+    print(f"  distilled to {len(held)} entries; resumed "
+          f"{report.waves_run} more wave(s)")
+    if report.completed_rounds != ROUNDS + 1:
+        failures.append(f"resume after distill stopped at round "
+                        f"{report.completed_rounds}, not {ROUNDS + 1}")
+    return failures
+
+
 def main():
     print("fuzz-resume smoke: tiny corpus, "
           f"{ROUNDS} rounds, kill + resume, determinism assert")
@@ -108,13 +138,21 @@ def main():
               f"{report.new_tests} new test(s)")
         run_killed_then_resumed(crash_dir, models, dataset, constraint)
         failures = compare(ref_dir, crash_dir)
+        if failures:
+            print("FAIL: interrupted+resumed corpus diverged from the "
+                  "uninterrupted run:")
+        else:
+            print("OK: kill + resume is bit-identical to the "
+                  "uninterrupted run")
+            failures = distill_then_resume(crash_dir, models, dataset,
+                                           constraint)
+            if failures:
+                print("FAIL: distill_then_resume:")
+    for failure in failures:
+        print(f"  - {failure}")
     if failures:
-        print("FAIL: interrupted+resumed corpus diverged from the "
-              "uninterrupted run:")
-        for failure in failures:
-            print(f"  - {failure}")
         return 1
-    print("OK: kill + resume is bit-identical to the uninterrupted run")
+    print("OK: distill prunes the committed scheduler and fuzzing resumes")
     return 0
 
 

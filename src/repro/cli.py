@@ -404,11 +404,13 @@ def _cmd_corpus(args):
         print(CorpusStore(args.corpus_dir, create=False).describe())
         return 0
     if args.corpus_command == "merge":
-        # Sources must already exist (create=False) and agree on their
-        # config fingerprints — both checked up front, so a typo'd path
-        # or a mixed-trio merge fails before the destination is touched
-        # rather than leaving it half-merged.  Only the destination may
-        # be created.
+        # A merge is a pull of each source (repro.dist.sync.pull, the
+        # one copier between stores).  Sources must already exist
+        # (create=False) and agree on their config fingerprints — both
+        # checked up front, so a typo'd path or a mixed-trio merge fails
+        # before the destination is touched rather than leaving it
+        # half-merged.  Only the destination may be created.
+        from repro.dist import pull
         sources = [CorpusStore(source, create=False)
                    for source in args.sources]
         dest = CorpusStore(args.dest)
@@ -420,7 +422,7 @@ def _cmd_corpus(args):
             for config, path in sorted(configs.items()):
                 print(f"  {path}: {config}", file=sys.stderr)
             return 1
-        added = sum(dest.merge(source) for source in sources)
+        added = sum(pull(dest, source) for source in sources)
         print(f"merged {len(args.sources)} corpora into {dest.path} "
               f"(+{added} entries, {len(dest)} total)")
         return 0

@@ -24,7 +24,9 @@ Invariants:
   through :meth:`CorpusStore.add_entry`; :meth:`~CorpusStore.add_test`
   builds a generated test's record, and
   :meth:`~CorpusStore.add_record` re-hashes an entry copied from
-  another store (merge, pull, push) before writing it.
+  another store before writing it.  :func:`repro.dist.sync.pull` is
+  the one copier (``repro corpus merge`` and the farm's
+  ``compact-merge`` job call it).
 * **Atomic writes** — every file lands via write-to-temp +
   ``os.replace``; ``meta.jsonl`` is append-only with a flush+fsync per
   record, and a truncated trailing line (a crash mid-append) is ignored
@@ -48,6 +50,7 @@ import io
 import json
 import os
 import re
+import zipfile
 
 import numpy as np
 
@@ -298,7 +301,22 @@ class CorpusStore:
         return os.path.join(self.inputs_dir, f"{entry_hash}.npy")
 
     def load_input(self, entry_hash):
-        return np.load(self.input_path(entry_hash), allow_pickle=False)
+        """One stored input; a file that is not a numeric ``.npy`` array
+        is a :class:`ConfigError` naming it."""
+        path = self.input_path(entry_hash)
+        try:
+            x = np.load(path, allow_pickle=False)
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as error:
+            raise ConfigError(f"unreadable corpus input {path}: "
+                              f"{error}") from None
+        if not isinstance(x, np.ndarray):
+            x.close()
+            raise ConfigError(f"corpus input {path} is an .npz archive, "
+                              "not an .npy array")
+        if x.dtype.kind not in "biuf":
+            raise ConfigError(f"corpus input {path} holds a {x.dtype} "
+                              "array, not a numeric one")
+        return x
 
     def load_inputs(self, hashes):
         """Stack the inputs for ``hashes`` into one batch array."""
@@ -516,48 +534,6 @@ class CorpusStore:
             f"could not take a consistent snapshot of {self.path} after "
             f"{_SNAPSHOT_RETRIES} attempts: a writer kept committing over "
             f"the read ({last_error})")
-
-    # -- store-level merge --------------------------------------------------
-    def merge(self, other):
-        """Fold another store (or store directory) into this one.
-
-        Entries dedup by content hash (other's insertion order is
-        preserved for new entries); coverage snapshots OR-merge under
-        the PR-2 laws.  The other store's fuzz-session state is *not*
-        imported — scheduling state only makes sense against the store
-        that produced it.  Returns the number of entries added.
-
-        The source is read through :meth:`snapshot`, so merging from a
-        store that another process is actively fuzzing is safe: this
-        folds in a crash-consistent prefix of the source, and a later
-        merge picks up the rest (idempotent by content address).  Each
-        copied input lands through :meth:`add_record`, so a source file
-        whose bytes no longer match its name raises before it is
-        written.
-        """
-        if not isinstance(other, CorpusStore):
-            other = CorpusStore(other, create=False)
-        snap = other.snapshot()
-        if snap["config"] is not None:
-            # Adopts the config when this store has none (fresh merge
-            # destination); otherwise a mismatch is a ConfigError.
-            self.bind_config(snap["config"])
-        # Validate + compute the merged coverage BEFORE copying any
-        # entry: merge_coverage is pure and raises CoverageError on a
-        # criterion/architecture mismatch, so an incompatible source
-        # fails without polluting this store.
-        merged_coverage = self.merge_coverage(snap["coverage"])
-        added = 0
-        for entry in snap["entries"]:
-            # A content address already present skips the .npy read and
-            # re-hash entirely (overlapping corpora are the common case
-            # after sharded fuzzing).
-            if entry["hash"] not in self._entries:
-                added += int(self.add_record(
-                    entry, other.load_input(entry["hash"])))
-        self.commit(coverage_states=merged_coverage,
-                    fuzz_state=self.fuzz_state())
-        return added
 
     # -- distillation -------------------------------------------------------
     def distill(self, networks, threshold=0.0):

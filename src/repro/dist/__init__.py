@@ -3,8 +3,8 @@
 Three layers, each useful alone (docs/DISTRIBUTED.md is the manual):
 
 * :mod:`repro.dist.sync` — corpus synchronisation between stores, over
-  a shared filesystem or the farm's TCP verbs.  A semilattice join:
-  idempotent, commutative, crash-safe.
+  a shared filesystem or the farm's TCP verbs.  A pull-only
+  semilattice join: idempotent, commutative, crash-safe.
 * :mod:`repro.dist.shards` — the work-stealing shard ledger.  Hosts
   claim ``(campaign seed, shard)`` units by lock-protected CAS and
   publish results as atomic files; any host can run any shard and the
@@ -26,7 +26,7 @@ from repro.dist.shards import (LedgerShardRunner, ShardLedger,
                                shard_digest, shard_hashes, shard_id)
 from repro.dist.sync import (DEFAULT_BATCH, LocalSource, RemoteSource,
                              decode_array, decode_coverage, encode_array,
-                             encode_coverage, pull, push)
+                             encode_coverage, pull)
 
 __all__ = [
     "MAX_GOSSIP_PEERS", "PEERS_NAME", "FederatedSession", "PeerList",
@@ -35,5 +35,5 @@ __all__ = [
     "encode_outcome", "round_key", "shard_digest", "shard_hashes",
     "shard_id",
     "DEFAULT_BATCH", "LocalSource", "RemoteSource", "decode_array",
-    "decode_coverage", "encode_array", "encode_coverage", "pull", "push",
+    "decode_coverage", "encode_array", "encode_coverage", "pull",
 ]

@@ -1,19 +1,21 @@
-"""Corpus synchronisation between hosts: pull/push with semilattice merge.
+"""Corpus synchronisation between stores: a pull-only semilattice join.
 
 One protocol, two transports.  A *source* exposes a crash-consistent
 manifest (config + entry records + coverage states, optionally
 delta-filtered by the hashes the caller already holds) and batched
 input fetch — over either a shared filesystem (:class:`LocalSource`,
 built on :meth:`CorpusStore.snapshot`) or the farm daemon's TCP
-plumbing (:class:`RemoteSource`, the ``store-*`` RPC verbs from
-``repro.farm.server``).  :func:`pull` drains a source into a local
-store; :func:`push` is the write-side inverse, feeding a remote
-daemon's store through the same verbs.
+plumbing (:class:`RemoteSource`, the read-only ``store-*`` RPC verbs
+from ``repro.farm.server``).  :func:`pull` drains a source into a
+local store, and it is the only code that copies entries between
+stores: ``repro corpus merge`` and the farm's ``compact-merge`` job
+are pulls too.  Nothing writes into another host's store; a host that
+wants a peer's work pulls it.
 
 Transfers are batched: :data:`DEFAULT_BATCH` entries per round-trip
-(the ``store-entries`` and ``store-push`` verbs), so a sync costs
-O(entries/batch) wire exchanges instead of O(entries), and the
-manifest's ``have`` filter means only the delta ever crosses the wire.
+(the ``store-entries`` verb), so a sync costs O(entries/batch) wire
+exchanges instead of O(entries), and the manifest's ``have`` filter
+means only the delta ever crosses the wire.
 Batching is a pure transport optimisation — the resulting store is
 bit-identical to a per-entry (``batch=1``) sync, which the Hypothesis
 property in tests/dist/test_sync.py pins under injected mid-batch
@@ -53,9 +55,9 @@ from repro.errors import FarmError
 from repro.farm.wire import Blob, as_bytes
 from repro.utils.faults import fault_point
 
-__all__ = ["LocalSource", "RemoteSource", "pull", "push",
-           "encode_array", "decode_array", "encode_coverage",
-           "decode_coverage", "DEFAULT_BATCH"]
+__all__ = ["LocalSource", "RemoteSource", "pull", "encode_array",
+           "decode_array", "encode_coverage", "decode_coverage",
+           "DEFAULT_BATCH"]
 
 #: Entries per sync round-trip.  Large enough that round-trip latency
 #: amortises away, small enough that one batch's arrays stay a modest
@@ -224,43 +226,3 @@ def pull(dest, source, batch=DEFAULT_BATCH):
                     fuzz_state=dest.fuzz_state())
     return added
 
-
-def push(source, host, port, store, timeout=10.0, batch=DEFAULT_BATCH):
-    """Push a local store into a remote daemon's store; returns pushed.
-
-    The write-side mirror of :func:`pull`, for hosts that cannot be
-    dialed back (NAT, firewalled workers): batched ``store-push``
-    requests for everything the remote manifest lacks, then one
-    ``store-merge-coverage`` to join coverage (itself a no-op on the
-    remote when nothing new is covered).  Same laws, same fault points,
-    same convergence-by-replay story.
-    """
-    from repro.farm.client import PeerClient
-    if not isinstance(source, CorpusStore):
-        source = CorpusStore(source, create=False)
-    client = PeerClient(host, port, timeout=timeout)
-    batch = max(1, int(batch))
-    snap = source.snapshot()
-    remote = client.store_manifest(store)
-    have = {entry["hash"] for entry in remote.get("entries", [])}
-    missing = [entry for entry in snap["entries"]
-               if entry["hash"] not in have]
-    pushed = 0
-    for start in range(0, len(missing), batch):
-        chunk = missing[start:start + batch]
-        records = []
-        for entry in chunk:
-            fault_point("dist.pull.entry")
-            records.append({
-                "entry": dict(entry),
-                "data": encode_array(source.load_input(entry["hash"]))})
-        fault_point("dist.pull.batch")
-        client.store_push(store, records, config=snap["config"])
-        pushed += len(records)
-    fault_point("dist.sync.mid")
-    client.store_merge_coverage(
-        store,
-        {name: encode_coverage(state)
-         for name, state in snap["coverage"].items()},
-        config=snap["config"])
-    return pushed

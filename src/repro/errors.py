@@ -20,10 +20,6 @@ class ConfigError(ReproError):
     """An invalid configuration value was supplied."""
 
 
-class NotFittedError(ReproError):
-    """A model was used before it was trained or loaded."""
-
-
 class ConstraintError(ReproError):
     """A domain constraint was misconfigured or violated."""
 

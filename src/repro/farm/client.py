@@ -214,7 +214,7 @@ class PeerClient(_ChannelClient):
     """Host:port-addressed client for the federation verbs.
 
     The transport behind :class:`~repro.dist.sync.RemoteSource`,
-    ``repro.dist.sync.push``, daemon gossip, and
+    daemon gossip, and
     :class:`~repro.dist.coordinator.PeerShardRunner`.  Same pooled
     channel and typed errors as :class:`FarmClient`; only the
     addressing differs.
@@ -267,18 +267,6 @@ class PeerClient(_ChannelClient):
         """Fetch a batch of content-addressed inputs in one round-trip."""
         return self._request({"cmd": "store-entries", "store": store,
                               "hashes": [str(h) for h in hashes]})
-
-    def store_push(self, store, records, config=None):
-        """Push a batch of ``{"entry", "data"}`` records in one
-        round-trip."""
-        return self._request({"cmd": "store-push", "store": store,
-                              "entries": list(records),
-                              "config": config})
-
-    def store_merge_coverage(self, store, coverage, config=None):
-        return self._request({"cmd": "store-merge-coverage",
-                              "store": store, "coverage": coverage,
-                              "config": config})
 
     def run_shard(self, request):
         return self._request({"cmd": "run-shard", **request})

@@ -30,18 +30,24 @@ failure, no attempt burned) with its progress in the store checkpoint.
 
 Beyond the job queue, a daemon is also a *federation peer* (see
 ``repro.dist`` and docs/DISTRIBUTED.md): it answers gossip (``peers``)
-and store-sync verbs (``store-manifest`` / ``store-entry`` /
-``store-entries`` / ``store-push`` / ``store-merge-coverage``),
-executes single campaign shards for remote drivers (``run-shard``),
-runs ledger-federated fuzz jobs (kind ``federate``), and — when
-started with ``compact_every`` — keeps its tenant stores bounded by
-scheduling ``compact-distill`` jobs in the background.
+and the read-only store verbs a puller uses (``store-manifest`` /
+``store-entry`` / ``store-entries``), executes single campaign shards
+for remote drivers (``run-shard``), runs ledger-federated fuzz jobs
+(kind ``federate``), and — when started with ``compact_every`` —
+keeps its tenant stores bounded by scheduling ``compact-distill`` jobs
+in the background.
+
+No verb writes into a tenant store, so each store has one writer: the
+job the queue handed it to (the queue never runs two jobs on one
+store).  The read verbs go through :meth:`CorpusStore.snapshot`, which
+is safe against that writer.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import socket
 import threading
 import time
@@ -53,7 +59,7 @@ from repro.core import (Campaign, PAPER_HYPERPARAMS, constraint_for_dataset,
 from repro.corpus import CorpusStore, FuzzSession, corpus_fingerprint
 from repro.coverage import NeuronCoverageTracker
 from repro.errors import FarmError, ReproError
-from repro.farm.jobs import normalize_spec
+from repro.farm.jobs import check_store_name, normalize_spec
 from repro.farm.locks import StoreLock, StoreLockedError, lock_holder
 from repro.farm.queue import JobQueue
 from repro.utils.faults import fault_point
@@ -67,6 +73,9 @@ _POLL_INTERVAL = 0.1
 #: Housekeeper cadence when no compaction schedule is set: how often
 #: peer gossip (and the auto-discovery it feeds) refreshes.
 _GOSSIP_INTERVAL = 5.0
+
+#: A content address as the store writes it (``input_hash``).
+_ENTRY_HASH = re.compile(r"[0-9a-f]{64}")
 
 
 def _default_model_source(dataset_name, scale, seed):
@@ -128,12 +137,6 @@ class FarmDaemon:
         if self.compact_every is not None and self.compact_every <= 0:
             raise FarmError(
                 f"compact_every must be > 0, got {self.compact_every}")
-        #: Per-store thread mutexes.  Jobs hold their store's guard for
-        #: their whole run; sync verbs try-acquire it and fail fast with
-        #: a retryable error instead of blocking a server thread behind
-        #: a minutes-long job.  (StoreLock can't arbitrate this: it is
-        #: pid-keyed, and all daemon threads share one pid.)
-        self._store_guards = {}
         #: Latest gossip heard from each configured peer (the ``peers``
         #: verb returns it alongside our own).
         self._peer_state = {}
@@ -159,11 +162,6 @@ class FarmDaemon:
                 if os.path.isdir(self.store_path(name)))
         except FileNotFoundError:
             return []
-
-    def _store_guard(self, name):
-        with self._lock:
-            return self._store_guards.setdefault(str(name),
-                                                 threading.Lock())
 
     def _models_for(self, dataset_name):
         """Model trio + dataset for a job, cached for the daemon's life."""
@@ -293,31 +291,27 @@ class FarmDaemon:
     def _execute(self, job):
         """Run one claimed job; returns ``(result_dict, finished)``."""
         fault_point("farm.job.start")
-        guard = self._store_guard(job.store)
-        # The guard (thread mutex) keeps this daemon's sync verbs off
-        # the store while the job runs; the StoreLock (pid-keyed file)
-        # keeps other *processes* off it.  Both are released on any
-        # exit, so a failed job never wedges the store.
-        with guard:
-            store_path = self.store_path(job.store)
-            if job.spec["kind"] == "compact-merge":
-                # Pure store-to-store work: no models, no dataset.
-                with StoreLock(store_path,
-                               owner=f"farm-job:{job.job_id}"):
-                    return self._run_compact_merge(job, store_path), True
-            if job.spec["dataset"] not in PAPER_HYPERPARAMS:
-                raise FarmError(
-                    f"unknown dataset {job.spec['dataset']!r}; want one "
-                    f"of {sorted(PAPER_HYPERPARAMS)}")
-            models, dataset = self._models_for(job.spec["dataset"])
+        # The queue keeps this daemon's other jobs off the store; the
+        # StoreLock (pid-keyed file, released on any exit) keeps other
+        # *processes* off it.
+        store_path = self.store_path(job.store)
+        if job.spec["kind"] == "compact-merge":
+            # Pure store-to-store work: no models, no dataset.
             with StoreLock(store_path, owner=f"farm-job:{job.job_id}"):
-                if job.spec["kind"] == "generate":
-                    return self._run_generate(job, models, dataset,
-                                              store_path), True
-                if job.spec["kind"] == "compact-distill":
-                    return self._run_compact_distill(
-                        job, models, dataset, store_path), True
-                return self._run_fuzz(job, models, dataset, store_path)
+                return self._run_compact_merge(job, store_path), True
+        if job.spec["dataset"] not in PAPER_HYPERPARAMS:
+            raise FarmError(
+                f"unknown dataset {job.spec['dataset']!r}; want one of "
+                f"{sorted(PAPER_HYPERPARAMS)}")
+        models, dataset = self._models_for(job.spec["dataset"])
+        with StoreLock(store_path, owner=f"farm-job:{job.job_id}"):
+            if job.spec["kind"] == "generate":
+                return self._run_generate(job, models, dataset,
+                                          store_path), True
+            if job.spec["kind"] == "compact-distill":
+                return self._run_compact_distill(
+                    job, models, dataset, store_path), True
+            return self._run_fuzz(job, models, dataset, store_path)
 
     def _federate_runner(self, job, store):
         """Ledger runner for a federate job's shared campaign dir."""
@@ -409,13 +403,15 @@ class FarmDaemon:
 
     # -- background compaction ----------------------------------------------
     def _run_compact_merge(self, job, store_path):
-        """Fold the spec's source stores into the (archive) destination.
+        """Pull the spec's source stores into the (archive) destination.
 
-        Sources are read through :meth:`CorpusStore.snapshot`, so they
-        may be mid-fuzz under another job or another daemon — the merge
-        takes a crash-consistent prefix and a later sweep picks up the
-        rest.  Only the destination is locked.
+        :func:`repro.dist.sync.pull` reads each source through
+        :meth:`CorpusStore.snapshot`, so sources may be mid-fuzz under
+        another job or another daemon — the pull takes a
+        crash-consistent prefix and a later sweep picks up the rest.
+        Only the destination is locked.
         """
+        from repro.dist.sync import pull
         dest = CorpusStore(store_path)
         added, merged = 0, 0
         for name in job.spec["sources"]:
@@ -423,7 +419,7 @@ class FarmDaemon:
             if not os.path.isdir(source_path):
                 raise FarmError(
                     f"compact-merge source store {name!r} does not exist")
-            added += dest.merge(source_path)
+            added += pull(dest, source_path)
             merged += 1
         return {"merged_sources": merged, "new_entries": added,
                 "entries": len(dest)}
@@ -602,18 +598,18 @@ class FarmDaemon:
         with self._lock:
             return dict(self._peer_state)
 
-    def _sync_store(self, name, create=False):
-        """Open a tenant store for a sync verb, with fail-fast guards.
+    def _sync_store(self, name):
+        """Check a store verb's store name; returns ``(name, path)``.
 
-        Rejects (as retryable :class:`FarmError`s) stores a running job
-        owns or a live foreign process has locked; the caller then
-        holds the per-store guard for the duration of its mutation.
+        The name must be a path-safe store name (the rule job specs
+        use) naming an existing tenant store.  A store a live foreign
+        process has locked is a retryable :class:`StoreLockedError`.
         """
-        if name is None or not str(name):
+        if name is None:
             raise FarmError("store verb needs a store name")
-        name = str(name)
+        name = check_store_name(name)
         store_path = self.store_path(name)
-        if not create and not os.path.isdir(store_path):
+        if not os.path.isdir(store_path):
             raise FarmError(f"no store named {name!r} on this farm")
         holder = lock_holder(store_path)
         if holder is not None:
@@ -630,6 +626,13 @@ class FarmDaemon:
         """
         from repro.dist.sync import encode_coverage
         name, store_path = self._sync_store(name)
+        # Only a set filter, so any strings will do: a warm re-pull
+        # sends every hash the puller holds, too many to regex each.
+        if have is not None and not (
+                isinstance(have, list)
+                and all(isinstance(h, str) for h in have)):
+            raise FarmError("store-manifest have must be a list of "
+                            "entry hashes")
         snap = CorpusStore(store_path, create=False).snapshot(
             exclude_hashes=have)
         return {"config": snap["config"],
@@ -651,13 +654,19 @@ class FarmDaemon:
         instead of one.  Order matches the request; an unknown hash
         fails the whole batch (sync always asks for hashes it just saw
         in a manifest, so a miss means the caller's view is stale).
+        Each hash becomes a file name, so anything but a SHA-256 hex
+        digest is refused before any input is read.
         """
         from repro.dist.sync import encode_array
         name, store_path = self._sync_store(name)
+        if not isinstance(hashes, list) or not all(
+                isinstance(h, str) and _ENTRY_HASH.fullmatch(h)
+                for h in hashes):
+            raise FarmError("store-entries hashes must be a list of "
+                            "64-digit lowercase hex entry hashes")
         store = CorpusStore(store_path, create=False)
         entries = []
         for entry_hash in hashes:
-            entry_hash = str(entry_hash)
             if not os.path.exists(store.input_path(entry_hash)):
                 raise FarmError(f"store {name!r} has no entry "
                                 f"{entry_hash[:12]}…")
@@ -665,77 +674,6 @@ class FarmDaemon:
                             "data": encode_array(
                                 store.load_input(entry_hash))})
         return {"entries": entries}
-
-    def _guarded_store(self, name):
-        """Acquire (non-blocking) the guard + store for a write verb."""
-        guard = self._store_guard(name)
-        if not guard.acquire(blocking=False):
-            raise FarmError(
-                f"store {name!r} is busy under a running job; retry "
-                "after it finishes (sync is idempotent — nothing is "
-                "lost by retrying)")
-        return guard
-
-    def store_push(self, name, records, config=None):
-        """Accept a batch of pushed entries (write verb; idempotent).
-
-        ``records`` are ``{"entry", "data"}`` objects, absorbed in
-        request order under one guard acquisition through
-        :meth:`CorpusStore.add_record`, which re-hashes each input before
-        writing it.  A batch that lands entries commits (coverage
-        unchanged) so the manifest's entry count, which gossip reports,
-        stays true.
-        """
-        from repro.dist.sync import decode_array
-        if not isinstance(records, list) \
-                or not all(isinstance(r, dict) for r in records):
-            raise FarmError("store-push needs a list of {entry, data} "
-                            "records")
-        name, store_path = self._sync_store(name, create=True)
-        guard = self._guarded_store(name)
-        try:
-            store = CorpusStore(store_path)
-            if config is not None:
-                store.bind_config(config)
-            added = sum(
-                int(store.add_record(record.get("entry"),
-                                     decode_array(record.get("data"))))
-                for record in records)
-            if added:
-                store.commit(fuzz_state=store.fuzz_state())
-            return {"added": added, "received": len(records),
-                    "entries": len(store)}
-        finally:
-            guard.release()
-
-    def store_merge_coverage(self, name, coverage, config=None):
-        """OR-merge pushed coverage states and commit (write verb).
-
-        A merge that changes nothing (pushed coverage ⊆ committed) is
-        acknowledged without committing, so idle mirror syncs stop
-        bumping the checkpoint generation and rewriting snapshots.
-        """
-        from repro.corpus.store import coverage_states_equal
-        from repro.dist.sync import decode_coverage
-        name, store_path = self._sync_store(name, create=True)
-        guard = self._guarded_store(name)
-        try:
-            store = CorpusStore(store_path)
-            if config is not None:
-                store.bind_config(config)
-            states = {model: decode_coverage(payload)
-                      for model, payload in (coverage or {}).items()}
-            existing = store.coverage_states()
-            merged = store.merge_coverage(states)
-            committed = not coverage_states_equal(existing, merged)
-            if committed:
-                store.commit(coverage_states=merged,
-                             fuzz_state=store.fuzz_state())
-            return {"generation": int(
-                store._checkpoint.get("coverage_gen", 0)),
-                "models": sorted(merged), "committed": committed}
-        finally:
-            guard.release()
 
     def run_shard(self, request):
         """Execute one campaign shard for a remote driver (RPC verb).

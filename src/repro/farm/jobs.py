@@ -30,9 +30,10 @@ status`` without ever holding a live object.  Two kinds:
     solo run.
 
 ``compact-merge``
-    Background compaction, step 1: fold the ``sources`` tenant stores
-    into this job's (archive) store via the snapshot-safe
-    :meth:`CorpusStore.merge` — sources may be mid-fuzz.
+    Background compaction, step 1: pull the ``sources`` tenant stores
+    into this job's (archive) store with :func:`repro.dist.sync.pull`,
+    which reads each source through a snapshot — sources may be
+    mid-fuzz.
 
 ``compact-distill``
     Background compaction, step 2: shrink the store to a
@@ -53,7 +54,8 @@ from dataclasses import asdict, dataclass, field
 
 from repro.errors import FarmError
 
-__all__ = ["Job", "JOB_KINDS", "JOB_STATUSES", "normalize_spec"]
+__all__ = ["Job", "JOB_KINDS", "JOB_STATUSES", "check_store_name",
+           "normalize_spec"]
 
 JOB_KINDS = ("fuzz", "generate", "federate", "compact-merge",
              "compact-distill")
@@ -62,7 +64,7 @@ JOB_STATUSES = ("queued", "running", "done", "failed")
 
 #: Store names become directories under ``<root>/stores/``; keep them
 #: path-safe and unsurprising.
-_STORE_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
+_STORE_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 #: Spec fields a submitter may set, with their defaults.  ``None``
 #: means required.
@@ -86,6 +88,16 @@ _SPEC_FIELDS = {
 }
 
 
+def check_store_name(name, what="store"):
+    """``name`` as a string, or a :class:`FarmError` when it is not a
+    path-safe store name (job specs and the store verbs both check)."""
+    name = str(name)
+    if not _STORE_NAME.fullmatch(name):
+        raise FarmError(f"bad {what} name {name!r}; use letters, digits, "
+                        "dot, dash, underscore")
+    return name
+
+
 def normalize_spec(spec):
     """Validate + default a submitted job spec; returns a clean dict.
 
@@ -102,10 +114,7 @@ def normalize_spec(spec):
     clean.update({k: v for k, v in spec.items() if v is not None})
     if clean["store"] is None:
         raise FarmError("job spec needs a store name")
-    if not _STORE_NAME.match(str(clean["store"])):
-        raise FarmError(
-            f"bad store name {clean['store']!r}; use letters, digits, "
-            "dot, dash, underscore")
+    check_store_name(clean["store"])
     if clean["kind"] not in JOB_KINDS:
         raise FarmError(
             f"unknown job kind {clean['kind']!r}; want one of {JOB_KINDS}")
@@ -138,10 +147,7 @@ def normalize_spec(spec):
                 "compact-merge jobs need a non-empty list of source "
                 "store names")
         for name in sources:
-            if not _STORE_NAME.match(str(name)):
-                raise FarmError(
-                    f"bad source store name {name!r}; use letters, "
-                    "digits, dot, dash, underscore")
+            check_store_name(name, "source store")
             if str(name) == str(clean["store"]):
                 raise FarmError(
                     f"compact-merge source {name!r} is the destination "

@@ -17,12 +17,12 @@ rejection), ``status`` (all jobs or one ``job_id``), ``counts``, and
 ``drain`` (graceful shutdown) — plus the federation verbs from
 docs/DISTRIBUTED.md: ``peers`` (gossip), ``store-manifest`` /
 ``store-entry`` / ``store-entries`` (corpus pull, with an optional
-``have`` delta filter and batched fetch), ``store-push`` (batched) /
-``store-merge-coverage`` (corpus push), and ``run-shard`` (remote
-campaign shard execution).  Errors
-travel as ``{"ok": false, "error": ..., "kind": ...}`` with ``kind``
-naming the error class so the client re-raises the right exception —
-saturation keeps its ``retry_after`` hint across the wire.
+``have`` delta filter and batched fetch; these only read, and a
+malformed store name, hash list or ``have`` filter is a typed
+rejection), and ``run-shard`` (remote campaign shard execution).
+Errors travel as ``{"ok": false, "error": ..., "kind": ...}`` with
+``kind`` naming the error class so the client re-raises the right
+exception — saturation keeps its ``retry_after`` hint across the wire.
 """
 
 from __future__ import annotations
@@ -143,17 +143,7 @@ class FarmServer(socketserver.ThreadingTCPServer):
             return {"ok": True, **reply}
         if cmd == "store-entries":
             reply = self.farm.store_entries(request.get("store"),
-                                            request.get("hashes") or [])
-            return {"ok": True, **reply}
-        if cmd == "store-push":
-            reply = self.farm.store_push(request.get("store"),
-                                         request.get("entries"),
-                                         config=request.get("config"))
-            return {"ok": True, **reply}
-        if cmd == "store-merge-coverage":
-            reply = self.farm.store_merge_coverage(
-                request.get("store"), request.get("coverage"),
-                config=request.get("config"))
+                                            request.get("hashes"))
             return {"ok": True, **reply}
         if cmd == "run-shard":
             reply = self.farm.run_shard(request)

@@ -39,7 +39,7 @@ from repro.nn.initializers import (
 )
 from repro.nn.layer import Layer
 from repro.nn.losses import CrossEntropy, Loss, MeanSquaredError, get_loss
-from repro.nn.network import LayerNeurons, Network, NeuronId
+from repro.nn.network import LayerNeurons, Network
 from repro.nn.norm import BatchNorm
 from repro.nn.metrics import (classification_report, confusion_matrix,
                               precision_recall_f1)
@@ -63,7 +63,7 @@ __all__ = [
     "get_initializer", "glorot_uniform", "he_normal", "row_normalized",
     "Layer",
     "CrossEntropy", "Loss", "MeanSquaredError", "get_loss",
-    "LayerNeurons", "Network", "NeuronId",
+    "LayerNeurons", "Network",
     "ForwardPass", "PassCounter", "scale_layerwise",
     "BatchNorm",
     "SGD", "Adam", "RMSProp", "Optimizer", "get_optimizer",

@@ -32,15 +32,7 @@ from repro.errors import CoverageError, ShapeError
 from repro.nn import dtypes, instrumentation
 from repro.nn.tape import ForwardPass
 
-__all__ = ["Network", "NeuronId", "LayerNeurons"]
-
-
-@dataclass(frozen=True)
-class NeuronId:
-    """Identifies one coverage neuron: layer position + channel/unit index."""
-
-    layer_index: int
-    neuron_index: int
+__all__ = ["Network", "LayerNeurons"]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Shared utilities: RNG handling, rendering (tables, ASCII art, plots),
-timing, image ops, docs hygiene."""
+image ops, docs hygiene."""
 
 from repro.utils.ascii_art import ascii_image, side_by_side
 from repro.utils.docs import (broken_intra_repo_links, iter_markdown_links,
@@ -8,7 +8,6 @@ from repro.utils.plots import ascii_plot
 from repro.utils.rng import (as_rng, derive_rng, rng_from_seed_sequence,
                              spawn_rngs, spawn_seed_sequences)
 from repro.utils.tables import render_table
-from repro.utils.timing import Stopwatch
 from repro.utils.imageops import (
     clip01,
     l1_distance,
@@ -30,7 +29,6 @@ __all__ = [
     "iter_markdown_links",
     "markdown_files",
     "render_table",
-    "Stopwatch",
     "clip01",
     "l1_distance",
     "to_uint8",

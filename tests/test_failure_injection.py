@@ -73,6 +73,6 @@ class TestTrainingRobustness:
 class TestErrorHierarchy:
     def test_all_library_errors_catchable_as_repro_error(self):
         from repro import errors
-        for name in ("ShapeError", "ConfigError", "NotFittedError",
-                     "ConstraintError", "CoverageError", "DatasetError"):
+        for name in ("ShapeError", "ConfigError", "ConstraintError",
+                     "CoverageError", "DatasetError"):
             assert issubclass(getattr(errors, name), ReproError)

@@ -1,4 +1,4 @@
-"""Utility modules: rng plumbing, tables, timing, image ops."""
+"""Utility modules: rng plumbing, tables, image ops."""
 
 import os
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ShapeError
-from repro.utils import (Stopwatch, as_rng, clip01, derive_rng, l1_distance,
+from repro.utils import (as_rng, clip01, derive_rng, l1_distance,
                          render_table, rng_from_seed_sequence, save_pgm,
                          save_ppm, spawn_rngs, spawn_seed_sequences,
                          to_uint8)
@@ -114,24 +114,6 @@ class TestTables:
     @settings(max_examples=20, deadline=None)
     def test_never_crashes_on_floats(self, values):
         render_table([f"c{i}" for i in range(len(values))], [values])
-
-
-class TestStopwatch:
-    def test_context_manager(self):
-        with Stopwatch() as sw:
-            sum(range(1000))
-        assert sw.elapsed >= 0.0
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_accumulates(self):
-        sw = Stopwatch()
-        sw.start(); sw.stop()
-        first = sw.elapsed
-        sw.start(); sw.stop()
-        assert sw.elapsed >= first
 
 
 class TestImageOps:

@@ -10,9 +10,13 @@ subsystem's resume contract (docs/CORPUS.md) at CLI-smoke scale; the
 full matrix (workers ∈ {1, 2}, forward-pass accounting) lives in
 ``tests/corpus/test_session_resume.py``.
 
-A last phase, ``distill_then_resume``, runs ``repro corpus distill`` on
-the resumed corpus, requires the committed fuzz scheduler to name
-exactly the entries the store still holds, and resumes one more round.
+Two more phases follow.  ``merge_is_a_pull`` runs ``repro corpus
+merge`` of the reference corpus into a fresh mirror twice, requires the
+mirror to hold the reference's entries, input bytes and coverage, and
+requires the second (no-op) merge to leave the coverage generation
+alone.  ``distill_then_resume`` runs ``repro corpus distill`` on the
+resumed corpus, requires the committed fuzz scheduler to name exactly
+the entries the store still holds, and resumes one more round.
 
 Exit code 0 on success, non-zero (with a diff summary) on any mismatch.
 
@@ -72,29 +76,44 @@ def run_killed_then_resumed(corpus_dir, models, dataset, constraint):
     resumed.run(ROUNDS)
 
 
-def compare(ref_dir, crash_dir):
+def compare(ref_dir, other_dir):
+    """How two corpora differ in entries, input bytes and coverage."""
     failures = []
-    ref, crash = CorpusStore(ref_dir), CorpusStore(crash_dir)
+    ref, other = CorpusStore(ref_dir), CorpusStore(other_dir)
     if [dict(e) for e in ref.entries()] != [dict(e) for e in
-                                            crash.entries()]:
+                                            other.entries()]:
         failures.append(
-            f"entry records differ: {len(ref)} vs {len(crash)} entries")
+            f"entry records differ: {len(ref)} vs {len(other)} entries")
     else:
         for entry in ref.entries():
             a = ref.load_input(entry["hash"])
-            b = crash.load_input(entry["hash"])
+            b = other.load_input(entry["hash"])
             if not np.array_equal(a, b):
                 failures.append(f"input bytes differ for {entry['hash']}")
-    ref_cov, crash_cov = ref.coverage_states(), crash.coverage_states()
-    if set(ref_cov) != set(crash_cov):
+    ref_cov, other_cov = ref.coverage_states(), other.coverage_states()
+    if set(ref_cov) != set(other_cov):
         failures.append(f"coverage models differ: {sorted(ref_cov)} vs "
-                        f"{sorted(crash_cov)}")
-    for name in sorted(set(ref_cov) & set(crash_cov)):
+                        f"{sorted(other_cov)}")
+    for name in sorted(set(ref_cov) & set(other_cov)):
         if not np.array_equal(ref_cov[name]["covered"],
-                              crash_cov[name]["covered"]):
+                              other_cov[name]["covered"]):
             failures.append(f"merged coverage mask differs for {name}")
-    if ref.fuzz_state() != crash.fuzz_state():
-        failures.append("fuzz checkpoint state differs")
+    return failures
+
+
+def merge_is_a_pull(ref_dir, mirror_dir):
+    """Merge the reference into a fresh mirror twice through the CLI."""
+    from repro.cli import main as repro_main
+    generations = []
+    for _ in range(2):
+        if repro_main(["corpus", "merge", mirror_dir, ref_dir]) != 0:
+            return ["`repro corpus merge` failed"]
+        generations.append(
+            CorpusStore(mirror_dir, create=False).snapshot()["generation"])
+    failures = compare(ref_dir, mirror_dir)
+    if generations[1] != generations[0]:
+        failures.append(f"a no-op merge moved the coverage generation "
+                        f"{generations[0]} -> {generations[1]}")
     return failures
 
 
@@ -138,12 +157,21 @@ def main():
               f"{report.new_tests} new test(s)")
         run_killed_then_resumed(crash_dir, models, dataset, constraint)
         failures = compare(ref_dir, crash_dir)
+        if CorpusStore(ref_dir).fuzz_state() != \
+                CorpusStore(crash_dir).fuzz_state():
+            failures.append("fuzz checkpoint state differs")
         if failures:
             print("FAIL: interrupted+resumed corpus diverged from the "
                   "uninterrupted run:")
         else:
             print("OK: kill + resume is bit-identical to the "
                   "uninterrupted run")
+            failures = merge_is_a_pull(ref_dir, f"{workdir}/mirror")
+            if failures:
+                print("FAIL: merge_is_a_pull:")
+        if not failures:
+            print("OK: a merge mirrors the reference and a no-op merge "
+                  "commits nothing")
             failures = distill_then_resume(crash_dir, models, dataset,
                                            constraint)
             if failures:

@@ -7,7 +7,9 @@ line carries ``{"__frame__": i}`` placeholders plus a
 ``"_frames": [len, ...]`` header, and the raw bytes follow the newline
 back to back, in order.  Only the JSON *header* is bounded by
 :data:`MAX_LINE`; frames are bounded individually by
-:data:`MAX_FRAME`.  A message without bytes is one plain JSON line.
+:data:`MAX_FRAME`, and read in :data:`READ_CHUNK` pieces, so a header
+that declares a huge frame costs memory only for the bytes that
+actually arrive.  A message without bytes is one plain JSON line.
 
 :func:`dump_message`/:func:`read_message` are the only encode/decode
 points; a malformed message raises :class:`~repro.errors.FarmError`.
@@ -31,6 +33,11 @@ MAX_LINE = 16 << 20
 #: Per-frame byte cap — a sanity bound against a corrupt or hostile
 #: length prefix, far above any real payload.
 MAX_FRAME = 1 << 30
+
+#: Largest single read of a frame.  A buffered reader allocates what
+#: it is asked for before the bytes arrive, so asking for a declared
+#: length in one read would let a one-line header cost ``MAX_FRAME``.
+READ_CHUNK = 1 << 20
 
 FRAMES_KEY = "_frames"
 _FRAME_REF = "__frame__"
@@ -88,6 +95,20 @@ def dump_message(message):
     return line
 
 
+def _read_frame(rfile, length):
+    """Read exactly ``length`` frame bytes, :data:`READ_CHUNK` at a time."""
+    parts = []
+    remaining = length
+    while remaining:
+        part = rfile.read(min(remaining, READ_CHUNK))
+        if not part:
+            raise FarmError(f"truncated wire frame: wanted {length} bytes, "
+                            f"got {length - remaining}")
+        parts.append(part)
+        remaining -= len(part)
+    return b"".join(parts)
+
+
 def read_message(rfile, max_line=MAX_LINE):
     """Read one message from a binary stream; ``(message, bytes_read)``.
 
@@ -118,15 +139,8 @@ def read_message(rfile, max_line=MAX_LINE):
         raise FarmError(f"bad wire frame table: {FRAMES_KEY!r} must list "
                         f"frame lengths in [0, {MAX_FRAME}]")
     if lengths:
-        frames = []
-        for length in lengths:
-            frame = rfile.read(length)
-            if len(frame) != length:
-                raise FarmError(
-                    f"truncated wire frame: wanted {length} bytes, "
-                    f"got {len(frame)}")
-            frames.append(frame)
-            total += length
+        frames = [_read_frame(rfile, length) for length in lengths]
+        total += sum(lengths)
         # Resolve below the top level: the message itself stays a dict.
         message = {key: _resolve(item, frames)
                    for key, item in message.items()}

@@ -9,15 +9,27 @@ Kernel notes:
 * ``im2col`` gathers windows through an ``as_strided`` view of the
   (padded) input and one bulk ``copyto`` — a pure data movement, so the
   result is bit-identical to the historical per-offset Python loop.
-* ``col2im`` keeps the per-offset scatter-add loop **in the same i,j
-  order** as always: overlapping windows sum in a fixed sequence, and
-  changing that order would change float rounding and break the pinned
-  float64 goldens.
-* Both accept caller-provided output buffers so the ascent loop can
-  reuse a :class:`~repro.nn.workspace.Workspace` across iterations, and
-  ``Conv2D.forward`` fuses bias + activation into the GEMM epilogue
-  (in-place on the output buffer) whenever the activation's backward
-  does not need the pre-activation.
+* The input gradient sums overlapping windows **in the same i,j order
+  as always**: changing that order would change float rounding and
+  break the pinned float64 goldens.  Stride 1 (every LeNet conv, Dave's
+  and the ImageNet models' 3x3 convs) folds it without a scatter
+  (:func:`_fold_rows`): the ``W.T @ grad_z`` GEMM writes each
+  ``(c, i, j)`` row, followed by a zero tail, into a buffer laid out
+  like the padded input, and ``kh*kw`` whole-row adds of shifted views
+  build the padded gradient.  Every cell gets the same values in the
+  same order; the extra adds read only zero tails or zero columns, and
+  adding ``±0.0`` to a sum that started at ``+0.0`` changes no bit.
+  On LeNet-5 at batch 12, float32, with a workspace, this took the
+  backward of ``conv1`` and of ``conv2`` from 580-690 µs to 310-330 µs
+  each (2-vCPU Xeon VM, one BLAS thread; docs/PERFORMANCE.md).
+  Stride > 1 keeps ``col2im``'s clipped per-offset scatter-adds: a
+  strided fold would need a dilated row layout, which measured slower
+  there.
+* The kernels take caller-provided buffers or a
+  :class:`~repro.nn.workspace.Workspace`, so the ascent loop can reuse
+  its memory across iterations, and ``Conv2D.forward`` fuses bias +
+  activation into the GEMM epilogue (in-place on the output buffer)
+  whenever the activation's backward does not need the pre-activation.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ from repro.nn.activations import get_activation
 from repro.nn.initializers import get_initializer
 from repro.nn.layer import Layer
 from repro.nn.parameter import Parameter
+from repro.nn.workspace import Workspace
 from repro.utils.rng import as_rng
 
 __all__ = ["Conv2D", "im2col", "col2im", "conv_output_size"]
@@ -115,6 +128,63 @@ def _scatter_add(grad, col, row_off, col_off, stride, h, w, out_h, out_w):
     c0 = col_off + stride * u0
     grad[:, :, r0:row_off + stride * (t1 - 1) + 1:stride,
          c0:col_off + stride * (u1 - 1) + 1:stride] += col[:, :, t0:t1, u0:u1]
+
+
+def _fold_rows(weight, grad_z, input_shape, kernel_h, kernel_w, pad,
+               workspace, key):
+    """Stride-1 input gradient: ``col2im(weight.T @ grad_z)`` bit for bit.
+
+    The GEMM runs on ``grad_z`` widened to the padded width ``wp`` (the
+    extra columns are zero) and writes row ``(c, i, j)`` of each sample
+    into a buffer with row length ``hp*wp + kw - 1``: the row's
+    ``out_h*wp`` GEMM cells, then a zero tail.  Read ``i*wp + j`` cells
+    early, row ``(c, i, j)`` lines up with the padded input, so offset
+    ``(i, j)``'s contribution is one whole-row add.  A read outside the
+    window lands on a zero column or in the previous row's zero tail,
+    which covers the longest shift, ``(kh-1)*wp + kw - 1``; the first
+    row is offset ``(0, 0)``, which reads unshifted.  Only the ``h``
+    unpadded grid rows are summed; the pad columns are cropped once at
+    the end.
+
+    The tails and the extra columns are zeroed only when their buffer
+    is fresh (always, when ``workspace`` is None): later passes through
+    a workspace overwrite just the GEMM cells and ``grad_z``'s columns.
+    """
+    n, c, h, w = input_shape
+    f, out_h, out_w = grad_z.shape[1:]
+    wp = w + 2 * pad
+    taps = kernel_h * kernel_w
+    row = (h + 2 * pad) * wp + kernel_w - 1
+    dtype = grad_z.dtype
+    if workspace is None:
+        workspace = Workspace()
+    # The zero layout depends on the spatial size, so it is keyed.
+    allocations = workspace.allocations
+    wide = workspace.get((key, "gzwide", h, w), (n, f, out_h, wp), dtype)
+    rows = workspace.get((key, "gxrows", h, w), (n, c * taps, row), dtype)
+    fresh = workspace.allocations != allocations
+    acc = workspace.get((key, "gxacc" if pad else "gx"), (n, c, h, wp), dtype)
+    if fresh:
+        wide[..., out_w:] = 0.0
+        rows[..., out_h * wp:] = 0.0
+    wide[..., :out_w] = grad_z
+    np.matmul(weight.T, wide.reshape(n, f, out_h * wp),
+              out=rows[..., :out_h * wp])
+    item = rows.itemsize
+    shifted = as_strided(
+        rows.reshape(-1)[pad * wp:], shape=(kernel_h, kernel_w, n, c, h * wp),
+        strides=((kernel_w * row - wp) * item, (row - 1) * item,
+                 c * taps * row * item, taps * row * item, item))
+    flat = acc.reshape(n, c, h * wp)
+    flat.fill(0.0)
+    for i in range(kernel_h):
+        for j in range(kernel_w):
+            flat += shifted[i, j]
+    if not pad:
+        return acc
+    grad = workspace.get((key, "gx"), (n, c, h, w), dtype)
+    np.copyto(grad, acc[..., pad:pad + w])
+    return grad
 
 
 class Conv2D(Layer):
@@ -203,6 +273,9 @@ class Conv2D(Layer):
                                              axes=([0, 2], [0, 2]))
             self.bias.grad += gz_flat.sum(axis=(0, 2))
         kh, kw = self.kernel_size
+        if self.stride == 1:
+            return _fold_rows(self.weight.value, grad_z, input_shape, kh, kw,
+                              self.padding, workspace, id(self))
         if workspace is None:
             grad_cols = self.weight.value.T @ gz_flat
             return col2im(grad_cols, input_shape, kh, kw, self.stride,

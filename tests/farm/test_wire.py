@@ -9,6 +9,7 @@ import json
 import os
 import socket
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from repro.corpus import CorpusStore
 from repro.dist import decode_array, decode_coverage
 from repro.errors import FarmError
 from repro.farm import FarmClient, PeerClient
-from repro.farm.wire import (MAX_FRAME, Blob, as_bytes, dump_message,
-                             read_message)
+from repro.farm.wire import (MAX_FRAME, READ_CHUNK, Blob, as_bytes,
+                             dump_message, read_message)
 
 
 def _roundtrip(message):
@@ -56,6 +57,30 @@ def test_truncated_frame_is_an_error_not_eof():
     data = dump_message({"d": Blob(b"abcdef")})
     with pytest.raises(FarmError, match="truncated"):
         read_message(io.BytesIO(data[:-3]))
+
+
+def test_frames_longer_than_a_read_chunk_arrive_whole():
+    payload = os.urandom(READ_CHUNK) * 2 + b"tail"
+    assert as_bytes(_roundtrip({"d": Blob(payload)})["d"]) == payload
+
+
+def test_declared_frame_allocates_only_the_bytes_that_arrive():
+    """A one-line header declaring a MAX_FRAME frame, then 10 bytes and
+    a close: the reader must fail on the truncation without first
+    allocating the declared gigabyte."""
+    sender, receiver = socket.socketpair()
+    with sender, receiver, receiver.makefile("rb") as rfile:
+        sender.sendall(b'{"_frames": [%d], "d": {"__frame__": 0}}\n'
+                       % MAX_FRAME + b"x" * 10)
+        sender.shutdown(socket.SHUT_WR)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FarmError, match="truncated"):
+                read_message(rfile)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 8 << 20, f"peak {peak} bytes"
 
 
 def test_clean_eof_is_a_closed_channel():

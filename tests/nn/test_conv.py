@@ -1,4 +1,6 @@
-"""Conv2D and im2col/col2im: shapes, adjointness, gradient checks."""
+"""Conv2D and im2col/col2im: shapes, adjointness, gradient checks, and
+the input-gradient kernel pinned byte for byte to col2im on every zoo
+shape."""
 
 import numpy as np
 import pytest
@@ -6,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ShapeError
-from repro.nn import Conv2D
+from repro.models.dave import (build_dave_dropout, build_dave_norminit,
+                               build_dave_orig)
+from repro.models.lenet import build_lenet1, build_lenet4, build_lenet5
+from repro.models.resnet import build_resnet
+from repro.models.vgg import build_vgg16, build_vgg19
+from repro.nn import Conv2D, Residual, Workspace, dtypes
 from repro.nn.conv import col2im, conv_output_size, im2col
 
 from tests.nn.gradcheck import check_layer_gradients
@@ -91,3 +98,77 @@ def test_asymmetric_kernel():
     layer = Conv2D(1, 2, (3, 5), rng=rng)
     out = layer.apply(rng.normal(size=(1, 1, 8, 10)))
     assert out.shape == (1, 2, 6, 6)
+
+
+def _zoo_conv_shapes():
+    """``(in, out, kernel, stride, pad, h, w)`` of every zoo Conv2D."""
+    shapes = set()
+
+    def walk(layers, shape):
+        for layer in layers:
+            if isinstance(layer, Conv2D):
+                shapes.add((layer.in_channels, layer.out_channels,
+                            layer.kernel_size, layer.stride, layer.padding)
+                           + tuple(shape[1:]))
+            elif isinstance(layer, Residual):
+                walk(layer.body + layer.shortcut, shape)
+            shape = layer.output_shape(shape)
+
+    for build in (build_lenet1, build_lenet4, build_lenet5, build_dave_orig,
+                  build_dave_norminit, build_dave_dropout, build_vgg16,
+                  build_vgg19, build_resnet):
+        network = build(rng=0)
+        walk(network.layers, network.input_shape)
+    return sorted(shapes)
+
+
+ZOO_CONV_SHAPES = _zoo_conv_shapes()
+
+
+def _shape_id(shape):
+    c, f, (kh, kw), stride, pad, h, w = shape
+    return f"{c}to{f}-k{kh}x{kw}-s{stride}-p{pad}-{h}x{w}"
+
+
+@pytest.fixture
+def poisoned_empty(monkeypatch):
+    """np.empty hands out NaN-filled float buffers, so a kernel that
+    reads a cell it never wrote or zeroed shows in the bytes."""
+    real_empty = np.empty
+
+    def empty(*args, **kwargs):
+        out = real_empty(*args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", empty)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", ZOO_CONV_SHAPES, ids=_shape_id)
+def test_input_gradient_is_col2im_bit_for_bit(shape, dtype, poisoned_empty):
+    """Conv2D.backward's input gradient has the bytes of
+    ``col2im(W.T @ grad_z)`` — signed zeros included — without a
+    workspace and through one workspace whose batch shrinks (prefix
+    reuse) and then grows past its buffers (fresh zero tails)."""
+    c, f, kernel, stride, pad, h, w = shape
+    rng = np.random.default_rng(7)
+    # A linear activation makes grad_z exactly the incoming gradient.
+    with dtypes.default_dtype(dtype):
+        layer = Conv2D(c, f, kernel, stride=stride, padding=pad,
+                       activation="linear", rng=rng)
+    workspace = Workspace()
+    for n, ws in [(12, None), (12, workspace), (3, workspace),
+                  (16, workspace)]:
+        x = rng.normal(size=(n, c, h, w)).astype(dtype)
+        out, ctx = layer.forward(x, workspace=ws)
+        grad_z = rng.normal(size=out.shape).astype(dtype)
+        pick = rng.random(out.shape)
+        grad_z[pick < 0.15] = 0.0
+        grad_z[pick > 0.85] = -0.0
+        want = col2im(layer.weight.value.T @ grad_z.reshape(n, f, -1),
+                      x.shape, *kernel, stride, pad)
+        got = layer.backward(ctx, grad_z, accumulate=False)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), (n, ws is not None)

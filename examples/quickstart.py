@@ -7,9 +7,9 @@ lighting constraint.  Prints the difference-inducing inputs found, the
 neuron coverage achieved, and writes one seed/generated image pair next
 to this script.
 
-The engine comes from ``make_engine`` — the same selector behind the
-CLI's ``--engine``/``--ascent`` flags: try ``ENGINE = "batch"`` for the
-vectorized driver or ``ASCENT = "momentum"`` for heavy-ball ascent.
+The engine is ``DeepXplore``, Algorithm 1 one seed at a time: swap in
+``AscentEngine`` (same arguments) for the vectorized driver, or pass
+``rule=make_rule("momentum")`` for heavy-ball ascent.
 
 Run:  python examples/quickstart.py
 """
@@ -18,13 +18,11 @@ import os
 
 import numpy as np
 
-from repro import (PAPER_HYPERPARAMS, constraint_for_dataset, get_trio,
-                   load_dataset, make_engine)
+from repro import (PAPER_HYPERPARAMS, DeepXplore, constraint_for_dataset,
+                   get_trio, load_dataset)
 from repro.utils.imageops import save_pgm
 
 SCALE = "smoke"    # bump to "small"/"full" for bigger runs
-ENGINE = "sequential"   # or "batch" / "campaign"
-ASCENT = "vanilla"      # or "momentum"
 
 
 def main():
@@ -36,9 +34,9 @@ def main():
               f"{model.parameter_count()} parameters")
 
     seeds, _ = dataset.sample_seeds(40, rng=np.random.default_rng(7))
-    engine = make_engine(ENGINE, models, PAPER_HYPERPARAMS["mnist"],
-                         constraint_for_dataset(dataset),
-                         dataset.task, 11, ascent=ASCENT)
+    engine = DeepXplore(models, PAPER_HYPERPARAMS["mnist"],
+                        constraint_for_dataset(dataset),
+                        task=dataset.task, rng=11)
     result = engine.run(seeds)
 
     print(f"\nProcessed {result.seeds_processed} seeds in "

@@ -6,23 +6,25 @@ optimization for generating difference-inducing corner-case inputs.
 
 Quickstart::
 
-    from repro import (load_dataset, get_trio, make_engine,
+    import numpy as np
+    from repro import (load_dataset, get_trio, DeepXplore,
                        PAPER_HYPERPARAMS, constraint_for_dataset)
 
     dataset = load_dataset("mnist", scale="small")
     models = get_trio("mnist", scale="small", dataset=dataset)
-    seeds, _ = dataset.sample_seeds(50, rng=0)
-    engine = make_engine("batch", models, PAPER_HYPERPARAMS["mnist"],
-                         constraint_for_dataset(dataset),
-                         "classification", rng=0)
+    seeds, _ = dataset.sample_seeds(50, rng=np.random.default_rng(0))
+    engine = DeepXplore(models, PAPER_HYPERPARAMS["mnist"],
+                        constraint_for_dataset(dataset),
+                        task="classification", rng=0)
     result = engine.run(seeds)
     print(result.difference_count, "difference-inducing inputs,",
           f"{engine.mean_coverage():.1%} neuron coverage")
 
-``make_engine`` selects the driver (``"sequential"`` batch-of-1 /
-``"batch"`` vectorized / ``"campaign"`` multi-process) and, via
-``ascent="momentum"``, the per-iteration update rule; every combination
-runs the same unified :class:`~repro.core.AscentEngine` loop.
+:class:`~repro.core.DeepXplore` runs Algorithm 1 one seed at a time;
+:class:`~repro.core.AscentEngine` takes the same arguments and ascends
+the whole seed set at once, and ``rule=make_rule("momentum")`` swaps
+the per-iteration update rule.  Every combination runs the same
+:func:`~repro.core.run_ascent` loop.
 
 Package map:
 

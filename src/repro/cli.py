@@ -332,7 +332,7 @@ def _cmd_generate(args):
         args.engine, models, hp,
         constraint_for_dataset(dataset, kind=args.constraint),
         dataset.task, args.seed + 2, workers=args.workers,
-        shard_size=args.shard_size, trackers=trackers, ascent=rule)
+        shard_size=args.shard_size, trackers=trackers, rule=rule)
     if shard_runner is not None:
         result = engine.run(seeds, shard_runner=shard_runner)
         remote = sum(1 for place in shard_runner.placements.values()

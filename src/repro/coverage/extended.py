@@ -56,48 +56,6 @@ class NeuronProfile:
         """Per-neuron range width (zero for constant neurons)."""
         return self.high - self.low
 
-    def state_dict(self):
-        """Picklable snapshot of the profiled bounds."""
-        return {"network": self.network.name, "low": self.low.copy(),
-                "high": self.high.copy()}
-
-    def merge(self, other):
-        """Widen bounds to cover another profile of the same network.
-
-        Min/max combine is order-independent, so per-shard profiles of
-        disjoint data slices merge into the full-data profile.
-        """
-        state = other.state_dict() if isinstance(other, NeuronProfile) \
-            else other
-        if state["network"] != self.network.name:
-            raise CoverageError(
-                f"cannot merge profile of {state['network']!r} into one "
-                f"over {self.network.name!r}")
-        low = np.asarray(state["low"], dtype=np.float64)
-        high = np.asarray(state["high"], dtype=np.float64)
-        if low.shape != self.low.shape or high.shape != self.high.shape:
-            # Same zoo name at a different scale has a different neuron
-            # count; merging those would be silently wrong.
-            raise CoverageError(
-                f"cannot merge profile with {low.shape[0]} neurons into "
-                f"one with {self.low.shape[0]}")
-        self.low = np.minimum(self.low, low)
-        self.high = np.maximum(self.high, high)
-        return self
-
-
-def _check_same_criterion(ours, theirs, what):
-    """Shared merge guard for the extended criteria."""
-    for key, mine in ours.items():
-        if isinstance(mine, np.ndarray):
-            ok = np.array_equal(mine, theirs.get(key))
-        else:
-            ok = mine == theirs.get(key)
-        if not ok:
-            raise CoverageError(
-                f"cannot merge {what}: {key} differs "
-                f"({mine!r} != {theirs.get(key)!r})")
-
 
 class KMultisectionCoverage:
     """k-multisection neuron coverage over a profile."""
@@ -134,31 +92,6 @@ class KMultisectionCoverage:
             raise CoverageError("profile has no neurons with range")
         return float(self.covered[usable].sum() / (self.k * usable.sum()))
 
-    def state_dict(self):
-        """Picklable snapshot: criterion parameters + section mask."""
-        return {"network": self.profile.network.name, "k": self.k,
-                "low": self.profile.low.copy(),
-                "high": self.profile.high.copy(),
-                "covered": self.covered.copy()}
-
-    def load_state_dict(self, state):
-        self._check_mergeable(state)
-        self.covered[...] = np.asarray(state["covered"], dtype=bool)
-
-    def merge(self, other):
-        """OR-combine section coverage measured against the same profile."""
-        state = other.state_dict() if isinstance(
-            other, KMultisectionCoverage) else other
-        self._check_mergeable(state)
-        self.covered |= np.asarray(state["covered"], dtype=bool)
-        return self
-
-    def _check_mergeable(self, state):
-        _check_same_criterion(
-            {"network": self.profile.network.name, "k": self.k,
-             "low": self.profile.low, "high": self.profile.high},
-            state, "k-multisection coverage")
-
 
 class BoundaryCoverage:
     """Corner-case coverage: activations beyond the profiled range."""
@@ -180,33 +113,6 @@ class BoundaryCoverage:
         """Covered corner regions / (2 * neurons)."""
         n = self.profile.network.total_neurons
         return float((self.below.sum() + self.above.sum()) / (2 * n))
-
-    def state_dict(self):
-        """Picklable snapshot: profile bounds + corner masks."""
-        return {"network": self.profile.network.name,
-                "low": self.profile.low.copy(),
-                "high": self.profile.high.copy(),
-                "below": self.below.copy(), "above": self.above.copy()}
-
-    def load_state_dict(self, state):
-        self._check_mergeable(state)
-        self.below[...] = np.asarray(state["below"], dtype=bool)
-        self.above[...] = np.asarray(state["above"], dtype=bool)
-
-    def merge(self, other):
-        """OR-combine corner coverage measured against the same profile."""
-        state = other.state_dict() if isinstance(
-            other, BoundaryCoverage) else other
-        self._check_mergeable(state)
-        self.below |= np.asarray(state["below"], dtype=bool)
-        self.above |= np.asarray(state["above"], dtype=bool)
-        return self
-
-    def _check_mergeable(self, state):
-        _check_same_criterion(
-            {"network": self.profile.network.name,
-             "low": self.profile.low, "high": self.profile.high},
-            state, "boundary coverage")
 
 
 class TopKNeuronCoverage:
@@ -232,24 +138,3 @@ class TopKNeuronCoverage:
 
     def coverage(self):
         return float(self.hot.mean())
-
-    def state_dict(self):
-        """Picklable snapshot: criterion parameters + hot mask."""
-        return {"network": self.network.name, "k": self.k,
-                "hot": self.hot.copy()}
-
-    def load_state_dict(self, state):
-        self._check_mergeable(state)
-        self.hot[...] = np.asarray(state["hot"], dtype=bool)
-
-    def merge(self, other):
-        """OR-combine top-k coverage of the same (network, k) criterion."""
-        state = other.state_dict() if isinstance(
-            other, TopKNeuronCoverage) else other
-        self._check_mergeable(state)
-        self.hot |= np.asarray(state["hot"], dtype=bool)
-        return self
-
-    def _check_mergeable(self, state):
-        _check_same_criterion({"network": self.network.name, "k": self.k},
-                              state, "top-k neuron coverage")

@@ -111,16 +111,14 @@ class NeuronCoverageTracker:
         self.covered = np.zeros(network.total_neurons, dtype=bool)
 
     @classmethod
-    def from_state(cls, network, state, fresh=False):
+    def from_state(cls, network, state):
         """Rebuild a tracker from a :meth:`state_dict` snapshot.
 
         ``network`` may be a different object than the snapshot's origin
         (campaign workers rebuild models from payloads); it must match by
         name and neuron count.  ``layer_filter`` callables don't cross
         process boundaries, so the tracked mask is restored verbatim from
-        the snapshot instead.  With ``fresh=True`` the covered mask
-        starts empty — a tracker with the snapshot's *criterion* but
-        none of its history.
+        the snapshot instead.
         """
         if (state["network"] != network.name
                 or state["total_neurons"] != network.total_neurons):
@@ -135,8 +133,7 @@ class NeuronCoverageTracker:
             entry for entry in tracker._entries
             if tracker._tracked[entry.offset:entry.offset + entry.count].all()
         ]
-        if not fresh:
-            tracker.covered = np.asarray(state["covered"], dtype=bool).copy()
+        tracker.covered = np.asarray(state["covered"], dtype=bool).copy()
         return tracker
 
     @property

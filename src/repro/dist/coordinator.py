@@ -26,6 +26,7 @@ Two fan-out strategies live here:
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
@@ -35,8 +36,9 @@ import numpy as np
 from repro.core.campaign import CampaignShard
 from repro.dist.shards import (DEFAULT_LEASE, LedgerShardRunner,
                                decode_outcome)
-from repro.dist.sync import encode_array, encode_coverage
-from repro.errors import ConfigError
+from repro.dist.sync import (BAD_PAYLOAD, decode_array, encode_array,
+                             encode_coverage)
+from repro.errors import ConfigError, FarmError, ReproError
 from repro.utils.atomicio import atomic_write_json
 
 __all__ = ["PeerList", "parse_peer", "FederatedSession",
@@ -48,6 +50,10 @@ PEERS_NAME = "peers.json"
 #: Cap on peers learned from gossip (peers-of-peers).  Explicitly
 #: joined peers are never counted against, or evicted by, this cap.
 MAX_GOSSIP_PEERS = 16
+
+#: Largest SeedSequence entropy pool a shard record may ask for; the
+#: pool is allocated up front, and numpy's default is 4 words.
+MAX_POOL_SIZE = 1024
 
 
 def parse_peer(text):
@@ -84,16 +90,25 @@ class PeerList:
         self.path = os.path.join(self.root, PEERS_NAME)
 
     def records(self):
-        """``[{"host", "port", "via"}]`` in insertion order."""
+        """``[{"host", "port", "via"}]`` in insertion order.
+
+        A missing or torn file reads as no peers (the next write heals
+        it); JSON of any other shape is a :class:`ConfigError` naming
+        the file.
+        """
         try:
             with open(self.path, "r", encoding="utf-8") as handle:
-                import json
                 data = json.load(handle)
         except (FileNotFoundError, ValueError):
             return []
-        return [{"host": str(p["host"]), "port": int(p["port"]),
-                 "via": str(p.get("via", "join"))}
-                for p in data.get("peers", [])]
+        try:
+            return [{"host": str(p["host"]), "port": int(p["port"]),
+                     "via": str(p.get("via", "join"))}
+                    for p in data.get("peers", [])]
+        except (AttributeError, KeyError, TypeError, ValueError):
+            raise ConfigError(
+                f"{self.path} is not a peer list; want "
+                '{"peers": [{"host": ..., "port": ...}, ...]}') from None
 
     def peers(self):
         return [(p["host"], p["port"]) for p in self.records()]
@@ -195,21 +210,38 @@ def encode_shard(shard):
 
 
 def decode_shard(payload):
-    from repro.dist.sync import decode_array
-    entropy = payload["entropy"]
-    if not isinstance(entropy, int):
-        entropy = [int(word) for word in entropy]
-    seq = np.random.SeedSequence(
-        entropy=entropy,
-        spawn_key=tuple(int(k) for k in payload["spawn_key"]),
-        pool_size=int(payload["pool_size"]))
-    return CampaignShard(
-        shard_index=int(payload["shard_index"]),
-        indices=np.asarray(payload["indices"], dtype=np.int64),
-        seeds=decode_array(payload["seeds"]),
-        seed_seq=seq,
-        scales=(None if payload.get("scales") is None
-                else decode_array(payload["scales"])))
+    """Inverse of :func:`encode_shard`.
+
+    The record comes from outside the process (a ``run-shard``
+    request), so one that does not describe a shard is a
+    :class:`FarmError` before any compute runs.
+    """
+    try:
+        entropy = payload["entropy"]
+        if not isinstance(entropy, int):
+            entropy = [int(word) for word in entropy]
+        pool_size = int(payload["pool_size"])
+        if pool_size > MAX_POOL_SIZE:
+            raise ValueError(f"pool_size {pool_size} > {MAX_POOL_SIZE}")
+        seq = np.random.SeedSequence(
+            entropy=entropy,
+            spawn_key=tuple(int(k) for k in payload["spawn_key"]),
+            pool_size=pool_size)
+        shard_index = int(payload["shard_index"])
+        indices = np.asarray(payload["indices"], dtype=np.int64)
+        seeds = decode_array(payload["seeds"])
+        scales = payload.get("scales")
+    except BAD_PAYLOAD as error:
+        raise FarmError(f"bad shard record: {error!r}") from None
+    if scales is not None:
+        scales = decode_array(scales)
+    n = seeds.shape[0] if seeds.ndim else -1
+    if indices.shape != (n,) or (scales is not None
+                                 and scales.shape != (n,)):
+        raise FarmError("bad shard record: indices, seeds and scales "
+                        "must have one entry per seed")
+    return CampaignShard(shard_index=shard_index, indices=indices,
+                         seeds=seeds, seed_seq=seq, scales=scales)
 
 
 class PeerShardRunner:
@@ -219,10 +251,13 @@ class PeerShardRunner:
     peer pulls shards from a shared queue and executes them remotely;
     the driver thread pulls from the same queue and executes locally.
     Work-conserving and failure-transparent — a peer that is down,
-    drops the connection, or refuses the shard (model fingerprint
-    mismatch, unknown dataset) is retired for the run and its shards
-    execute locally instead.  Placement never affects results: a
-    shard's outcome is a pure function of the shard.
+    drops the connection, refuses the shard (model fingerprint
+    mismatch, unknown dataset) or answers with a garbled outcome fails
+    with a :class:`~repro.errors.ReproError`, is retired for the run,
+    and its shards execute locally instead.  Any other exception in a
+    peer thread is a local bug and fails the run.  Placement never
+    affects results: a shard's outcome is a pure function of the
+    shard.
 
     ``dataset`` and ``constraint`` name what the *peer* should rebuild
     (peers resolve their own models from their zoo cache); the rule,
@@ -263,12 +298,18 @@ class PeerShardRunner:
             "shard": encode_shard(shard),
         })
         from repro.farm.wire import as_bytes
-        return decode_outcome(as_bytes(reply["outcome"]))
+        outcome = decode_outcome(as_bytes(reply.get("outcome")))
+        if outcome["shard_index"] != shard.shard_index:
+            raise FarmError(
+                f"peer answered shard {shard.shard_index} with the outcome "
+                f"of shard {outcome['shard_index']}")
+        return outcome
 
     def __call__(self, campaign, tracker_states, shards):
         from repro.farm.client import PeerClient
         pending = sorted(shards, key=lambda s: -s.shard_index)  # pop() asc
         fallback = []
+        crashes = []
         results = {}
         lock = threading.Lock()
         tracker_payloads = [encode_coverage(s) for s in tracker_states]
@@ -286,12 +327,19 @@ class PeerShardRunner:
                 try:
                     outcome = self._run_remote(client, campaign,
                                                tracker_payloads, shard)
-                except Exception as error:     # noqa: BLE001 — any peer
-                    # failure means "run it ourselves", never "fail the
-                    # campaign"; the error is kept for reporting.
+                except ReproError as error:
+                    # A failed peer means "run it ourselves", never
+                    # "fail the campaign"; the error is kept for
+                    # reporting.
                     with lock:
                         fallback.append(shard)
                         self.failures[(host, port)] = str(error)
+                    return
+                except Exception as error:     # noqa: BLE001 — re-raised
+                    # Anything else is a bug on this side of the wire:
+                    # the driver re-raises it after the join.
+                    with lock:
+                        crashes.append(error)
                     return
                 with lock:
                     results[shard.shard_index] = outcome
@@ -302,7 +350,7 @@ class PeerShardRunner:
                    for peer in self.peers]
         for thread in threads:
             thread.start()
-        while self.local:
+        while self.local and not crashes:
             shard = take(pending)
             if shard is None:
                 break
@@ -311,6 +359,8 @@ class PeerShardRunner:
             self.placements[shard.shard_index] = "local"
         for thread in threads:
             thread.join()
+        if crashes:
+            raise crashes[0]
         # Only now are the queues final: a peer thread can only move
         # shards while alive.  Anything left — failed peers' shards in
         # fallback, or pending never pulled because every peer died

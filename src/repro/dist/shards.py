@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.core.engine import GeneratedTest, GenerationResult
 from repro.corpus.store import input_hash
+from repro.dist.sync import BAD_PAYLOAD
 from repro.errors import FarmError
 from repro.farm.locks import _pid_alive
 from repro.utils.atomicio import atomic_write_bytes, atomic_write_json
@@ -154,7 +155,21 @@ def encode_outcome(outcome):
 
 
 def decode_outcome(source):
-    """Inverse of :func:`encode_outcome` (``source``: path or bytes)."""
+    """Inverse of :func:`encode_outcome` (``source``: path or bytes).
+
+    Outcomes come from peers and from ledger result files, so bytes
+    that are not an outcome archive are a :class:`FarmError`, naming
+    the file when ``source`` is a path.
+    """
+    what = ("outcome payload" if isinstance(source, (bytes, bytearray))
+            else f"shard result {source}")
+    try:
+        return _decode_outcome(source)
+    except BAD_PAYLOAD as error:
+        raise FarmError(f"bad {what}: {error!r}") from None
+
+
+def _decode_outcome(source):
     if isinstance(source, (bytes, bytearray)):
         source = io.BytesIO(bytes(source))
     with np.load(source, allow_pickle=False) as data:

@@ -74,10 +74,10 @@ DEFAULT_BATCH = 64
 # read bytes from another host, so a payload that is not what it claims
 # to be is a FarmError, never a traceback in a server thread.
 
-#: What ``np.load`` and the ``.npz`` coverage reader raise on bytes that
-#: are not a well-formed payload.
-_BAD_PAYLOAD = (ValueError, TypeError, KeyError, EOFError,
-                zipfile.BadZipFile)
+#: What ``np.load``, the ``.npz`` readers and the record decoders raise
+#: on bytes or JSON that are not a well-formed payload.
+BAD_PAYLOAD = (ValueError, TypeError, KeyError, AttributeError,
+               OverflowError, EOFError, zipfile.BadZipFile)
 
 
 def encode_array(x):
@@ -89,7 +89,7 @@ def encode_array(x):
 def decode_array(payload):
     try:
         x = np.load(io.BytesIO(as_bytes(payload)), allow_pickle=False)
-    except _BAD_PAYLOAD as error:
+    except BAD_PAYLOAD as error:
         raise FarmError(f"bad array payload: {error}") from None
     if not isinstance(x, np.ndarray):
         raise FarmError("bad array payload: an .npz archive, not an "
@@ -107,7 +107,7 @@ def encode_coverage(state):
 def decode_coverage(payload):
     try:
         return coverage_from_bytes(as_bytes(payload))
-    except _BAD_PAYLOAD as error:
+    except BAD_PAYLOAD as error:
         raise FarmError(f"bad coverage payload: {error}") from None
 
 

@@ -6,8 +6,7 @@ results keyed by experiment id — the programmatic face of EXPERIMENTS.md.
 
 from repro.experiments.class_overlap import run_class_overlap
 from repro.experiments.code_vs_neuron import run_code_vs_neuron
-from repro.experiments.common import (ExperimentResult, make_engine,
-                                      seeds_for_scale)
+from repro.experiments.common import ExperimentResult, seeds_for_scale
 from repro.experiments.coverage_comparison import run_coverage_comparison
 from repro.experiments.coverage_diversity import run_coverage_diversity
 from repro.experiments.coverage_runtime import run_coverage_runtime
@@ -24,7 +23,7 @@ from repro.experiments.sample_mutations import (run_drebin_samples,
                                                 run_pdf_samples)
 
 __all__ = [
-    "ExperimentResult", "make_engine", "seeds_for_scale",
+    "ExperimentResult", "seeds_for_scale",
     "run_model_zoo", "run_difference_counts", "run_drebin_samples",
     "run_pdf_samples", "run_coverage_diversity", "run_code_vs_neuron",
     "run_class_overlap", "run_coverage_runtime", "run_step_size_sweep",

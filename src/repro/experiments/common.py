@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core import make_engine
 from repro.datasets.base import resolve_scale
 from repro.utils.tables import render_table
 
-__all__ = ["ExperimentResult", "seeds_for_scale", "SEED_BUDGETS",
-           "make_engine"]
+__all__ = ["ExperimentResult", "seeds_for_scale", "SEED_BUDGETS"]
 
 #: How many seed inputs experiments draw at each scale.  The paper uses
 #: 2,000 seeds for Table 2; ``full`` keeps that order of magnitude within

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines import fgsm, random_inputs, regression_adversarial
-from repro.core import PAPER_HYPERPARAMS, constraint_for_dataset
+from repro.core import PAPER_HYPERPARAMS, DeepXplore, constraint_for_dataset
 from repro.datasets import load_dataset
 from repro.experiments.common import ExperimentResult
 from repro.models import TRIOS, get_trio
@@ -29,8 +29,7 @@ def _mean_coverage(models, inputs, threshold):
         coverage_of_inputs(m, inputs, threshold=threshold) for m in models]))
 
 
-def _deepxplore_inputs(models, dataset, budget, rng, ascent="vanilla",
-                       beta=None):
+def _deepxplore_inputs(models, dataset, budget, rng):
     """Generate ``budget`` inputs with the coverage objective active.
 
     Only ascent-generated inputs count: seeds the models already
@@ -40,11 +39,9 @@ def _deepxplore_inputs(models, dataset, budget, rng, ascent="vanilla",
     what coverage-guided generation buys, the setting Table 5 also uses.
     """
     from repro.extensions import select_seeds
-    from repro.experiments.common import make_engine
     hp = PAPER_HYPERPARAMS[dataset.name.split("-")[0]].with_(lambda2=1.0)
-    engine = make_engine("sequential", models, hp,
-                         constraint_for_dataset(dataset), dataset.task,
-                         rng, ascent=ascent, beta=beta)
+    engine = DeepXplore(models, hp, constraint_for_dataset(dataset),
+                        task=dataset.task, rng=rng)
     strategy = "balanced" if dataset.task == "classification" else "random"
     seeds, _ = select_seeds(strategy, dataset,
                             min(budget * 8, dataset.x_test.shape[0]),
@@ -69,13 +66,8 @@ def _adversarial_inputs(models, dataset, budget, rng):
 
 
 def run_coverage_comparison(scale="small", seed=0, budget=None,
-                            use_cache=True, datasets=None,
-                            ascent="vanilla", beta=None):
-    """Run the Figure 9 comparison; returns per-dataset series.
-
-    ``ascent``/``beta`` select the update rule for the DeepXplore
-    column's generation (see :func:`make_engine`).
-    """
+                            use_cache=True, datasets=None):
+    """Run the Figure 9 comparison; returns per-dataset series."""
     datasets = datasets or list(TRIOS)
     result = ExperimentResult(
         experiment_id="figure9",
@@ -90,8 +82,7 @@ def run_coverage_comparison(scale="small", seed=0, budget=None,
         models = get_trio(dataset_name, scale=scale, seed=seed,
                           dataset=dataset, use_cache=use_cache)
         n = budget or max(5, dataset.x_test.shape[0] // 100)
-        dx_inputs = _deepxplore_inputs(models, dataset, n, rng,
-                                       ascent=ascent, beta=beta)
+        dx_inputs = _deepxplore_inputs(models, dataset, n, rng)
         adv_inputs = _adversarial_inputs(models, dataset, n, rng)
         rand_inputs, _ = random_inputs(dataset, n, rng)
         xs, dx_series, adv_series, rand_series = [], [], [], []

@@ -9,14 +9,11 @@ differences found.  The paper's headline: coverage-guided generation is
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis import average_l1_diversity
-from repro.core import PAPER_HYPERPARAMS, constraint_for_dataset
+from repro.core import PAPER_HYPERPARAMS, DeepXplore, constraint_for_dataset
 from repro.coverage import NeuronCoverageTracker
 from repro.datasets import load_dataset
-from repro.experiments.common import (ExperimentResult, make_engine,
-                                      seeds_for_scale)
+from repro.experiments.common import ExperimentResult, seeds_for_scale
 from repro.models import get_trio
 from repro.utils.rng import as_rng
 
@@ -26,9 +23,8 @@ __all__ = ["run_coverage_diversity"]
 def _one_setting(models, dataset, seeds, lambda2, rng):
     hp = PAPER_HYPERPARAMS["mnist"].with_(lambda2=lambda2)
     trackers = [NeuronCoverageTracker(m, threshold=0.25) for m in models]
-    engine = make_engine("sequential", models, hp,
-                         constraint_for_dataset(dataset), "classification",
-                         rng, trackers=trackers)
+    engine = DeepXplore(models, hp, constraint_for_dataset(dataset),
+                        task="classification", rng=rng, trackers=trackers)
     run = engine.run(seeds)
     ascent_tests = [t for t in run.tests if t.iterations > 0]
     diversity = average_l1_diversity(ascent_tests, seeds)

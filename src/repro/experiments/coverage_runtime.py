@@ -8,15 +8,10 @@ while the MLP-only malware models track all layers.
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
-
-from repro.core import PAPER_HYPERPARAMS, constraint_for_dataset
+from repro.core import PAPER_HYPERPARAMS, DeepXplore, constraint_for_dataset
 from repro.coverage import NeuronCoverageTracker
 from repro.datasets import load_dataset
-from repro.experiments.common import (ExperimentResult, make_engine,
-                                      seeds_for_scale)
+from repro.experiments.common import ExperimentResult, seeds_for_scale
 from repro.models import TRIOS, get_trio
 from repro.nn import Dense
 from repro.utils.rng import as_rng
@@ -32,39 +27,9 @@ def _layer_filter_for(dataset_name):
     return None
 
 
-def _batch_waves(models, hp, constraint, task, trackers, rng, seeds,
-                 target_coverage, max_visits, ascent="vanilla", beta=None):
-    """Batched counterpart of ``DeepXplore.run(..., cycle=True)``.
-
-    Each wave ascends the whole seed set at once against the *shared*
-    trackers (so later waves chase only still-uncovered neurons), until
-    the coverage target or the seed-visit budget is reached.
-    """
-    engine = make_engine("batch", models, hp, constraint, task, rng,
-                         trackers=trackers, ascent=ascent, beta=beta)
-    start = time.perf_counter()
-    processed = 0
-    tests = 0
-    while processed < max_visits:
-        result = engine.run(seeds)
-        processed += result.seeds_processed
-        tests += result.difference_count
-        if float(np.mean([t.coverage() for t in trackers])) \
-                >= target_coverage:
-            break
-    return time.perf_counter() - start, processed, tests
-
-
 def run_coverage_runtime(scale="small", seed=0, target_coverage=1.0,
-                         use_cache=True, datasets=None, max_visit_factor=5,
-                         engine="sequential", ascent="vanilla", beta=None):
-    """Measure time/seeds to ``target_coverage`` for each dataset trio.
-
-    ``engine="batch"`` replaces the per-seed cycling loop with whole-
-    corpus waves of the vectorized engine — the same coverage chase, run
-    as fast as the substrate allows.  ``ascent``/``beta`` select the
-    update rule for either engine (see :func:`make_engine`).
-    """
+                         use_cache=True, datasets=None, max_visit_factor=5):
+    """Measure time/seeds to ``target_coverage`` for each dataset trio."""
     datasets = datasets or list(TRIOS)
     result = ExperimentResult(
         experiment_id="table8",
@@ -85,22 +50,8 @@ def run_coverage_runtime(scale="small", seed=0, target_coverage=1.0,
                                           layer_filter=layer_filter)
                     for m in models]
         n_seeds = seeds_for_scale(scale, maximum=dataset.x_test.shape[0])
-        if engine == "batch":
-            seeds, _ = dataset.sample_seeds(n_seeds, rng)
-            elapsed, processed, tests = _batch_waves(
-                models, hp, constraint_for_dataset(dataset), dataset.task,
-                trackers, rng, seeds, target_coverage,
-                n_seeds * max_visit_factor, ascent=ascent, beta=beta)
-            achieved = float(np.mean([t.coverage() for t in trackers]))
-            result.rows.append([
-                dataset_name, round(elapsed, 2), processed,
-                f"{achieved:.1%}", tests,
-            ])
-            continue
-        runner = make_engine("sequential", models, hp,
-                             constraint_for_dataset(dataset), dataset.task,
-                             rng, trackers=trackers, ascent=ascent,
-                             beta=beta)
+        runner = DeepXplore(models, hp, constraint_for_dataset(dataset),
+                            task=dataset.task, rng=rng, trackers=trackers)
         seeds, _ = dataset.sample_seeds(n_seeds, rng)
         run = runner.run(seeds, desired_coverage=target_coverage, cycle=True,
                          max_seed_visits=n_seeds * max_visit_factor)

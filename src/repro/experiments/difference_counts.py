@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import PAPER_HYPERPARAMS, constraint_for_dataset
+from repro.core import PAPER_HYPERPARAMS, DeepXplore, constraint_for_dataset
 from repro.datasets import load_dataset
-from repro.experiments.common import (ExperimentResult, make_engine,
-                                      seeds_for_scale)
+from repro.experiments.common import ExperimentResult, seeds_for_scale
 from repro.models import TRIOS, get_trio
 from repro.utils.rng import as_rng
 
@@ -37,13 +36,8 @@ def attribute_test(test, n_models):
 
 
 def run_difference_counts(scale="small", seed=0, datasets=None,
-                          use_cache=True, engine="sequential", workers=1):
-    """Run the Table 2 experiment over all (or selected) datasets.
-
-    ``engine``/``workers`` select how the seed corpus is processed (see
-    :func:`make_engine`); the reported per-DNN attribution is engine-
-    independent.
-    """
+                          use_cache=True):
+    """Run the Table 2 experiment over all (or selected) datasets."""
     datasets = datasets or list(TRIOS)
     result = ExperimentResult(
         experiment_id="table2",
@@ -61,12 +55,8 @@ def run_difference_counts(scale="small", seed=0, datasets=None,
         hp = PAPER_HYPERPARAMS[dataset_name]
         n_seeds = seeds_for_scale(scale, maximum=dataset.x_test.shape[0])
         seeds, _ = dataset.sample_seeds(n_seeds, rng)
-        # Campaign determinism is rooted in an integer, not a shared
-        # generator; the other engines keep drawing from ``rng``.
-        engine_rng = seed if engine == "campaign" else rng
-        run = make_engine(engine, models, hp,
-                          constraint_for_dataset(dataset),
-                          dataset.task, engine_rng, workers=workers).run(seeds)
+        run = DeepXplore(models, hp, constraint_for_dataset(dataset),
+                         task=dataset.task, rng=rng).run(seeds)
         per_model = np.zeros(len(models), dtype=int)
         for test in run.tests:
             per_model[attribute_test(test, len(models))] += 1

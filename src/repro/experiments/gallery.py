@@ -13,10 +13,9 @@ import zlib
 
 import numpy as np
 
-from repro.core import PAPER_HYPERPARAMS, constraint_for_dataset
+from repro.core import PAPER_HYPERPARAMS, DeepXplore, constraint_for_dataset
 from repro.datasets import load_dataset
-from repro.experiments.common import (ExperimentResult, make_engine,
-                                      seeds_for_scale)
+from repro.experiments.common import ExperimentResult, seeds_for_scale
 from repro.models import get_trio
 from repro.utils.imageops import save_pgm, save_ppm
 from repro.utils.rng import as_rng
@@ -45,12 +44,8 @@ def _save_pair(output_dir, tag, seed_img, gen_img):
 
 
 def run_gallery(scale="small", seed=0, per_cell=2, output_dir=None,
-                use_cache=True, datasets=None, ascent="vanilla", beta=None):
-    """Generate the Figure 8 grid; returns a table of found examples.
-
-    ``ascent``/``beta`` select the update rule driving each per-seed
-    ascent (see :func:`make_engine`).
-    """
+                use_cache=True, datasets=None):
+    """Generate the Figure 8 grid; returns a table of found examples."""
     datasets = datasets or list(_VISION_DATASETS)
     result = ExperimentResult(
         experiment_id="figure8",
@@ -70,10 +65,9 @@ def run_gallery(scale="small", seed=0, per_cell=2, output_dir=None,
             rng = as_rng(seed + zlib.crc32(kind.encode()) % 1000)
             n_seeds = seeds_for_scale(scale, maximum=dataset.x_test.shape[0])
             seeds_x, _ = dataset.sample_seeds(n_seeds, rng)
-            engine = make_engine(
-                "sequential", models, hp,
-                constraint_for_dataset(dataset, kind=kind), dataset.task,
-                rng, ascent=ascent, beta=beta)
+            engine = DeepXplore(models, hp,
+                                constraint_for_dataset(dataset, kind=kind),
+                                task=dataset.task, rng=rng)
             found = 0
             for i in range(seeds_x.shape[0]):
                 if found >= per_cell:

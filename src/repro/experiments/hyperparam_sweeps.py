@@ -12,10 +12,9 @@ import time
 
 import numpy as np
 
-from repro.core import PAPER_HYPERPARAMS, constraint_for_dataset
+from repro.core import PAPER_HYPERPARAMS, DeepXplore, constraint_for_dataset
 from repro.datasets import load_dataset
-from repro.experiments.common import (ExperimentResult, make_engine,
-                                      seeds_for_scale)
+from repro.experiments.common import ExperimentResult
 from repro.models import TRIOS, get_trio
 from repro.utils.rng import as_rng
 
@@ -27,27 +26,12 @@ LAMBDA1_VALUES = (0.5, 1.0, 2.0, 3.0)
 LAMBDA2_VALUES = (0.5, 1.0, 2.0, 3.0)
 
 
-def first_difference_time(models, dataset, hp, rng, max_seeds=30,
-                          engine="sequential", ascent="vanilla", beta=None):
-    """Seconds until the first ascent-found difference (NaN if none).
-
-    With ``engine="batch"`` all seeds ascend together and the answer is
-    the earliest ascent-found test's own elapsed time — the batched
-    counterpart of "time to first difference".  ``ascent``/``beta``
-    select the update rule for either engine.
-    """
+def first_difference_time(models, dataset, hp, rng, max_seeds=30):
+    """Seconds until the first ascent-found difference (NaN if none)."""
     seeds, _ = dataset.sample_seeds(
         min(max_seeds, dataset.x_test.shape[0]), rng)
-    if engine == "batch":
-        result = make_engine("batch", models, hp,
-                             constraint_for_dataset(dataset),
-                             dataset.task, rng, ascent=ascent,
-                             beta=beta).run(seeds)
-        times = [t.elapsed for t in result.tests if t.iterations > 0]
-        return min(times) if times else float("nan")
-    runner = make_engine("sequential", models, hp,
-                         constraint_for_dataset(dataset), dataset.task,
-                         rng, ascent=ascent, beta=beta)
+    runner = DeepXplore(models, hp, constraint_for_dataset(dataset),
+                        task=dataset.task, rng=rng)
     start = time.perf_counter()
     for i in range(seeds.shape[0]):
         test = runner.generate_from_seed(seeds[i], seed_index=i)
@@ -57,8 +41,7 @@ def first_difference_time(models, dataset, hp, rng, max_seeds=30,
 
 
 def _sweep(experiment_id, title, param_name, values, scale, seed,
-           repetitions, use_cache, datasets, paper_reference,
-           engine="sequential", ascent="vanilla", beta=None):
+           repetitions, use_cache, datasets, paper_reference):
     datasets = datasets or list(TRIOS)
     result = ExperimentResult(
         experiment_id=experiment_id,
@@ -77,50 +60,42 @@ def _sweep(experiment_id, title, param_name, values, scale, seed,
             times = []
             for rep in range(repetitions):
                 rng = as_rng(seed * 7919 + rep)
-                times.append(first_difference_time(
-                    models, dataset, hp, rng, engine=engine,
-                    ascent=ascent, beta=beta))
+                times.append(first_difference_time(models, dataset, hp, rng))
             mean = float(np.nanmean(times)) if not all(
                 np.isnan(t) for t in times) else float("nan")
             row.append("-" if np.isnan(mean) else round(mean, 3))
         result.rows.append(row)
     result.notes.append(
         f"cells: mean seconds to first ascent-found difference over "
-        f"{repetitions} repetition(s) with the {engine} engine; "
+        f"{repetitions} repetition(s) with the sequential engine; "
         f"'-' = none found")
     return result
 
 
 def run_step_size_sweep(scale="small", seed=0, repetitions=2,
-                        use_cache=True, datasets=None, values=STEP_VALUES,
-                        engine="sequential", ascent="vanilla", beta=None):
+                        use_cache=True, datasets=None, values=STEP_VALUES):
     """Table 9: runtime vs gradient-ascent step size s."""
     return _sweep(
         "table9", "First-difference runtime vs step size s", "step",
         values, scale, seed, repetitions, use_cache, datasets,
         paper_reference=("optimal s varies by dataset; e.g. MNIST fastest "
-                         "at s=0.01 (0.19s), ImageNet at s=10 (1.06s)"),
-        engine=engine, ascent=ascent, beta=beta)
+                         "at s=0.01 (0.19s), ImageNet at s=10 (1.06s)"))
 
 
 def run_lambda1_sweep(scale="small", seed=0, repetitions=2,
-                      use_cache=True, datasets=None, values=LAMBDA1_VALUES,
-                      engine="sequential", ascent="vanilla", beta=None):
+                      use_cache=True, datasets=None, values=LAMBDA1_VALUES):
     """Table 10: runtime vs lambda1."""
     return _sweep(
         "table10", "First-difference runtime vs lambda1", "lambda1",
         values, scale, seed, repetitions, use_cache, datasets,
         paper_reference=("optimal lambda1 varies; e.g. MNIST fastest at 3, "
-                         "VirusTotal at 2"),
-        engine=engine, ascent=ascent, beta=beta)
+                         "VirusTotal at 2"))
 
 
 def run_lambda2_sweep(scale="small", seed=0, repetitions=2,
-                      use_cache=True, datasets=None, values=LAMBDA2_VALUES,
-                      engine="sequential", ascent="vanilla", beta=None):
+                      use_cache=True, datasets=None, values=LAMBDA2_VALUES):
     """Table 11: runtime vs lambda2."""
     return _sweep(
         "table11", "First-difference runtime vs lambda2", "lambda2",
         values, scale, seed, repetitions, use_cache, datasets,
-        paper_reference="lambda2 = 0.5 tends to be optimal for all datasets",
-        engine=engine, ascent=ascent, beta=beta)
+        paper_reference="lambda2 = 0.5 tends to be optimal for all datasets")

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import Hyperparams, Unconstrained
+from repro.core import DeepXplore, Hyperparams, Unconstrained
 from repro.datasets import load_dataset
-from repro.experiments.common import ExperimentResult, make_engine
+from repro.experiments.common import ExperimentResult
 from repro.models import build_lenet1_variant
 from repro.models.registry import TRAINING_DTYPE
 from repro.nn import Trainer, dtypes
@@ -81,8 +81,7 @@ def train_control_pair(dataset, kind, amount, seed=0):
     return control, variant
 
 
-def _mean_iterations(control, variant, seeds, rng, max_iterations=150,
-                     ascent="vanilla", beta=None):
+def _mean_iterations(control, variant, seeds, rng, max_iterations=150):
     """Average ascent iterations to a difference; NaN per-seed timeouts.
 
     Uses the unconstrained (full-gradient) search: between near-identical
@@ -92,9 +91,8 @@ def _mean_iterations(control, variant, seeds, rng, max_iterations=150,
     """
     hp = Hyperparams(lambda1=1.0, lambda2=0.0, step=10.0 / 255.0,
                      max_iterations=max_iterations)
-    engine = make_engine("sequential", [control, variant], hp,
-                         Unconstrained(), "classification", rng,
-                         ascent=ascent, beta=beta)
+    engine = DeepXplore([control, variant], hp, Unconstrained(),
+                        task="classification", rng=rng)
     iterations = []
     for i in range(seeds.shape[0]):
         test = engine.generate_from_seed(seeds[i], seed_index=i)
@@ -106,12 +104,8 @@ def _mean_iterations(control, variant, seeds, rng, max_iterations=150,
 
 
 def run_model_similarity(scale="small", seed=0, n_seeds=25,
-                         max_iterations=150, ascent="vanilla", beta=None):
-    """Run the Table 12 experiment (three perturbation families).
-
-    ``ascent``/``beta`` select the update rule driving each per-seed
-    ascent (see :func:`make_engine`).
-    """
+                         max_iterations=150):
+    """Run the Table 12 experiment (three perturbation families)."""
     dataset = load_dataset("mnist", scale=scale, seed=seed)
     rng = as_rng(seed + 12)
     n_seeds = min(n_seeds, dataset.x_test.shape[0])
@@ -133,7 +127,7 @@ def run_model_similarity(scale="small", seed=0, n_seeds=25,
                                                   seed=seed)
             mean_iters, found = _mean_iterations(
                 control, variant, seeds, as_rng(seed + 99),
-                max_iterations=max_iterations, ascent=ascent, beta=beta)
+                max_iterations=max_iterations)
             cell = "-" if np.isnan(mean_iters) else round(mean_iters, 1)
             result.rows.append([kind, amount, cell, found])
     result.notes.append(

@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis import detect_polluted
-from repro.core import Hyperparams, LightingConstraint
+from repro.core import DeepXplore, Hyperparams, LightingConstraint
 from repro.datasets import load_dataset, pollute_labels
-from repro.experiments.common import ExperimentResult, make_engine
+from repro.experiments.common import ExperimentResult
 from repro.models import build_lenet5
 from repro.models.registry import TRAINING_DTYPE
 from repro.nn import Trainer, dtypes
@@ -38,12 +38,8 @@ def _train_lenet5(dataset, seed, epochs):
 
 
 def run_pollution_detection(scale="small", seed=0, fraction=0.3, epochs=None,
-                            max_generated=40, ascent="vanilla", beta=None):
-    """Run the pollution-detection experiment end to end.
-
-    ``ascent``/``beta`` select the update rule driving each per-seed
-    ascent (see :func:`make_engine`).
-    """
+                            max_generated=40):
+    """Run the pollution-detection experiment end to end."""
     dataset = load_dataset("mnist", scale=scale, seed=seed)
     polluted_ds, truth = pollute_labels(dataset, source_class=_SOURCE,
                                         target_class=_TARGET,
@@ -57,9 +53,8 @@ def run_pollution_detection(scale="small", seed=0, fraction=0.3, epochs=None,
     nines = dataset.x_train[np.asarray(dataset.y_train) == _SOURCE]
     hp = Hyperparams(lambda1=1.0, lambda2=0.1, step=10.0 / 255.0,
                      max_iterations=30)
-    engine = make_engine("sequential", [clean_model, polluted_model], hp,
-                         LightingConstraint(), "classification", rng,
-                         ascent=ascent, beta=beta)
+    engine = DeepXplore([clean_model, polluted_model], hp,
+                        LightingConstraint(), task="classification", rng=rng)
     targeted = []
     for i in range(nines.shape[0]):
         if len(targeted) >= max_generated:

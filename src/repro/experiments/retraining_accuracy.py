@@ -9,26 +9,22 @@ manual labelling), and random test samples (ground-truth labels).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis import retrain_with_augmentation
 from repro.baselines import fgsm, random_inputs
-from repro.core import (PAPER_HYPERPARAMS, constraint_for_dataset,
-                        majority_label)
+from repro.core import (PAPER_HYPERPARAMS, DeepXplore,
+                        constraint_for_dataset, majority_label)
 from repro.datasets import load_dataset
-from repro.experiments.common import ExperimentResult, make_engine
+from repro.experiments.common import ExperimentResult
 from repro.models import TRIOS, get_model, train_model, MODEL_ZOO
 from repro.utils.rng import as_rng
 
 __all__ = ["run_retraining_accuracy"]
 
 
-def _deepxplore_augmentation(models, dataset, count, rng,
-                             engine="sequential", ascent="vanilla",
-                             beta=None):
+def _deepxplore_augmentation(models, dataset, count, rng):
     hp = PAPER_HYPERPARAMS["mnist"]
-    runner = make_engine(engine, models, hp, constraint_for_dataset(dataset),
-                         "classification", rng, ascent=ascent, beta=beta)
+    runner = DeepXplore(models, hp, constraint_for_dataset(dataset),
+                        task="classification", rng=rng)
     seeds, _ = dataset.sample_seeds(
         min(count * 4, dataset.x_test.shape[0]), rng)
     run = runner.run(seeds, max_tests=count)
@@ -40,23 +36,15 @@ def _deepxplore_augmentation(models, dataset, count, rng,
 
 
 def run_retraining_accuracy(scale="small", seed=0, n_augment=100, epochs=5,
-                            use_cache=True, engine="sequential",
-                            ascent="vanilla", beta=None):
-    """Run the Figure 10 experiment on the three LeNets.
-
-    ``engine`` (``sequential``/``batch``) and ``ascent``/``beta`` select
-    how the DeepXplore augmentation set is generated; the retraining
-    protocol itself is engine-independent.
-    """
+                            use_cache=True):
+    """Run the Figure 10 experiment on the three LeNets."""
     dataset = load_dataset("mnist", scale=scale, seed=seed)
     rng = as_rng(seed + 10)
     models = [get_model(name, scale=scale, seed=seed, dataset=dataset,
                         use_cache=use_cache) for name in TRIOS["mnist"]]
     n_augment = min(n_augment, dataset.x_test.shape[0] // 2)
 
-    dx_x, dx_y = _deepxplore_augmentation(models, dataset, n_augment, rng,
-                                          engine=engine, ascent=ascent,
-                                          beta=beta)
+    dx_x, dx_y = _deepxplore_augmentation(models, dataset, n_augment, rng)
     adv_seeds, adv_labels = dataset.sample_seeds(n_augment, rng)
     adv_x = fgsm(models[0], adv_seeds, adv_labels)
     rand_x, rand_y = random_inputs(dataset, n_augment, rng)

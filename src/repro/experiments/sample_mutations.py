@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import PAPER_HYPERPARAMS, constraint_for_dataset
+from repro.core import PAPER_HYPERPARAMS, DeepXplore, constraint_for_dataset
 from repro.datasets import load_dataset
-from repro.experiments.common import (ExperimentResult, make_engine,
-                                      seeds_for_scale)
+from repro.experiments.common import ExperimentResult, seeds_for_scale
 from repro.models import get_trio
 from repro.utils.rng import as_rng
 
@@ -38,10 +37,9 @@ def find_evasions(dataset_name, scale, seed, max_samples=2, use_cache=True):
     n_seeds = seeds_for_scale(scale, maximum=dataset.x_test.shape[0])
     seeds, labels = dataset.sample_seeds(n_seeds, rng)
     malicious = seeds[np.asarray(labels) == _MALICIOUS]
-    engine = make_engine("sequential", models,
-                         PAPER_HYPERPARAMS[dataset_name],
-                         constraint_for_dataset(dataset), "classification",
-                         rng)
+    engine = DeepXplore(models, PAPER_HYPERPARAMS[dataset_name],
+                        constraint_for_dataset(dataset),
+                        task="classification", rng=rng)
     evasions = []
     for i in range(malicious.shape[0]):
         if len(evasions) >= max_samples:

@@ -24,8 +24,9 @@ class MultiNeuronCoverageObjective:
 
     Drop-in replacement for :class:`repro.core.CoverageObjective` (same
     ``pick`` / ``value`` / ``gradient`` protocol), so it can be handed to
-    :class:`repro.core.JointObjective` or used through
-    :func:`make_multi_neuron_engine`.
+    :class:`repro.core.JointObjective` or to an engine as
+    ``coverage_factory=lambda trackers, rng:
+    MultiNeuronCoverageObjective(trackers, rng=rng)``.
     """
 
     def __init__(self, trackers, neurons_per_model=3, rng=None):

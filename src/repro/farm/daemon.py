@@ -698,10 +698,15 @@ class FarmDaemon:
                 f"{sorted(PAPER_HYPERPARAMS)}")
         models, dataset = self._models_for(dataset_name)
         dtype = request.get("dtype")
-        if dtype is not None and any(
-                str(np.dtype(m.dtype)) != str(np.dtype(dtype))
-                for m in models):
+        if dtype not in (None, "float32", "float64"):
+            raise FarmError(f"run-shard dtype must be float32 or float64, "
+                            f"got {dtype!r}")
+        if dtype is not None and any(str(m.dtype) != dtype for m in models):
             models = resolve_models(models, dtype=dtype)
+        kind = request.get("constraint", "default")
+        if not isinstance(kind, str):
+            raise FarmError(f"run-shard constraint must be a name, "
+                            f"got {kind!r}")
         hp = PAPER_HYPERPARAMS[dataset_name]
         task = request.get("task", dataset.task)
         fingerprint = request.get("fingerprint")
@@ -711,18 +716,15 @@ class FarmDaemon:
                 f"shard fingerprint mismatch: driver has {fingerprint!r}, "
                 f"this peer resolves {mine!r} — mixed scales or model "
                 "architectures cannot federate")
-        shard = decode_shard(request.get("shard") or {})
-        tracker_states = [decode_coverage(payload)
-                          for payload in request.get("trackers") or []]
-        if len(tracker_states) != len(models):
+        shard = decode_shard(request.get("shard"))
+        payloads = request.get("trackers")
+        if not isinstance(payloads, list) or len(payloads) != len(models):
             raise FarmError(
-                f"run-shard needs one tracker state per model "
-                f"({len(models)}), got {len(tracker_states)}")
+                f"run-shard needs a list of one tracker state per model "
+                f"({len(models)})")
+        tracker_states = [decode_coverage(payload) for payload in payloads]
         campaign = Campaign(
-            models, hp,
-            constraint_for_dataset(dataset,
-                                   kind=request.get("constraint",
-                                                    "default")),
+            models, hp, constraint_for_dataset(dataset, kind=kind),
             task=task, workers=1,
             shard_size=max(1, len(shard.seeds)),
             rule=rule_from_identity(request.get("ascent", "vanilla")),

@@ -119,10 +119,10 @@ class ForwardPass:
                        inject=None):
         layers = self.network.layers
         for i in range(layer_index, -1, -1):
-            if inject is not None and i == inject[0]:
+            if inject and i in inject:
                 # Linearity: adding a seed where the sweep passes its
                 # layer equals running a second backward from there.
-                grad = grad + inject[1]
+                grad = grad + inject[i]
             grad = layers[i].backward(self._contexts[i], grad,
                                       accumulate=accumulate)
         instrumentation.record_backward(self.network, self.batch_size)
@@ -174,43 +174,48 @@ class ForwardPass:
 
     def gradient_joint(self, seed, neuron=None, scale=1.0,
                        accumulate=False):
-        """d(seed . output + scale * neuron_value)/dx in ONE sweep.
+        """d(seed . output + scale * sum of neuron values)/dx in ONE sweep.
 
+        ``neuron`` is ``None``, one flat neuron id, or a sequence of ids.
         By linearity this equals ``gradient_of_output(seed) + scale *
-        gradient_of_neuron(neuron)``: the neuron's seed is injected as
-        the backward sweep passes its layer, so the second sweep never
-        runs.  The single sweep accumulates in a different float order
-        than the two-sweep sum, so the bit-pinned float64 golden path
-        keeps calling the separate methods.
+        sum(gradient_of_neuron(n) for n in neurons)``: each neuron's seed
+        is injected as the backward sweep passes its layer, so no second
+        sweep runs.  The single sweep accumulates in a different float
+        order than the separate sum, so the bit-pinned float64 golden
+        path keeps calling the separate methods.
         """
-        if neuron is None:
+        neurons = ([] if neuron is None
+                   else [neuron] if np.ndim(neuron) == 0 else list(neuron))
+        if not neurons:
             return self.gradient_of_output(seed, accumulate=accumulate)
         out = self.outputs()
         grad = np.broadcast_to(np.asarray(seed, dtype=self.dtype),
                                out.shape).copy()
         if not self._layer_outputs:
             return grad
+        inject = {}
+        for one in neurons:
+            index, seed_one = self._neuron_seed(one)
+            seed_one = np.asarray(scale * seed_one, dtype=self.dtype)
+            inject[index] = (inject[index] + seed_one if index in inject
+                             else seed_one)
+        return self._backward_from(len(self._layer_outputs) - 1, grad,
+                                   accumulate=accumulate, inject=inject)
+
+    def _neuron_seed(self, flat_neuron_index):
+        """``(layer index, unbatched seed)`` selecting one neuron's output."""
         network = self.network
-        entry, local = network.neuron_layer_of(neuron)
-        layer = network.layers[entry.layer_index]
-        out_shape = network._output_shapes[entry.layer_index]
-        seed_one = layer.neuron_seed(out_shape, local, dtype=self.dtype)
-        return self._backward_from(
-            len(self._layer_outputs) - 1, grad, accumulate=accumulate,
-            inject=(entry.layer_index,
-                    np.asarray(scale * seed_one, dtype=self.dtype)))
+        entry, local = network.neuron_layer_of(flat_neuron_index)
+        index = entry.layer_index
+        return index, network.layers[index].neuron_seed(
+            network._output_shapes[index], local, dtype=self.dtype)
 
     def gradient_of_neuron(self, flat_neuron_index, accumulate=False):
         """Gradient of one hidden neuron's scalar output w.r.t. the input."""
-        network = self.network
-        entry, local = network.neuron_layer_of(flat_neuron_index)
-        layer = network.layers[entry.layer_index]
-        out_shape = network._output_shapes[entry.layer_index]
-        seed_one = layer.neuron_seed(out_shape, local, dtype=self.dtype)
+        index, seed_one = self._neuron_seed(flat_neuron_index)
         grad = np.broadcast_to(
-            seed_one, (self.batch_size,) + tuple(out_shape)).copy()
-        return self._backward_from(entry.layer_index, grad,
-                                   accumulate=accumulate)
+            seed_one, (self.batch_size,) + seed_one.shape).copy()
+        return self._backward_from(index, grad, accumulate=accumulate)
 
     def __repr__(self):
         return (f"ForwardPass(network={self.network.name!r}, "

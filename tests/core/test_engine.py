@@ -304,17 +304,6 @@ class TestExhaustedSeedCoverage:
                                        rule=MomentumRule(0.9))
         assert sum(int(m.sum()) for m in covered) > 0
 
-    def test_paper_exact_mode_reachable_via_make_engine(self, mnist_trio):
-        """absorb_exhausted plumbs through the one engine selector for
-        every driver — the knob is not construct-by-hand only."""
-        from repro.core import make_engine
-        hp = PAPER_HYPERPARAMS["mnist"]
-        for kind in ("sequential", "batch", "campaign"):
-            engine = make_engine(kind, mnist_trio, hp,
-                                 LightingConstraint(), "classification",
-                                 0, absorb_exhausted=False)
-            assert engine.absorb_exhausted is False
-
 
 class TestFacades:
     """The public engine classes construct quietly: no deprecation
@@ -330,12 +319,17 @@ class TestFacades:
 class TestRuleComposability:
     """Extensions compose with any rule on the unified engine."""
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_multi_neuron_objective_with_momentum_batch(self, mnist_trio,
-                                                        mnist_smoke):
+                                                        mnist_smoke, dtype):
+        """float32 fuses every picked neuron into obj1's sweep; float64
+        sums separate sweeps.  Both must run."""
+        from repro.core import resolve_models
         from repro.extensions import MultiNeuronCoverageObjective
         seeds, _ = mnist_smoke.sample_seeds(10, np.random.default_rng(2))
         engine = AscentEngine(
-            mnist_trio, PAPER_HYPERPARAMS["mnist"], LightingConstraint(),
+            resolve_models(mnist_trio, dtype=dtype),
+            PAPER_HYPERPARAMS["mnist"], LightingConstraint(),
             rng=3, rule=MomentumRule(0.8),
             coverage_factory=lambda trackers, rng:
                 MultiNeuronCoverageObjective(trackers, neurons_per_model=3,

@@ -1,13 +1,10 @@
-"""The engine selector's dtype handling: ``make_engine(dtype=...)`` and
-``resolve_models``."""
+"""Engines over ``resolve_models``' output and ``resolve_models`` itself."""
 
 import numpy as np
 import pytest
 
 from repro.core import (AscentEngine, Hyperparams, Unconstrained,
-                        make_engine, resolve_models)
-from repro.coverage import NeuronCoverageTracker
-from repro.errors import ConfigError
+                        resolve_models)
 from repro.nn import Conv2D, Dense, Flatten, Network, dtypes
 
 
@@ -28,21 +25,13 @@ def models():
 
 def test_make_engine_with_dtype_end_to_end(models):
     hp = Hyperparams(lambda1=1.0, lambda2=0.1, step=0.05, max_iterations=5)
-    engine = make_engine("batch", models, hp, Unconstrained(),
-                         "classification", 0, dtype="float32")
-    assert isinstance(engine, AscentEngine)
+    engine = AscentEngine(resolve_models(models, dtype="float32"), hp,
+                          Unconstrained(), task="classification", rng=0)
     assert engine.dtype == np.dtype(np.float32)
     result = engine.run(np.random.default_rng(2).random((4, 1, 4, 4)))
     assert result.seeds_processed == 4
     for test in result.tests:
         assert test.x.dtype == np.dtype(np.float32)
-
-
-def test_make_engine_refuses_stale_trackers_after_conversion(models):
-    trackers = [NeuronCoverageTracker(m) for m in models]
-    with pytest.raises(ConfigError, match="trackers"):
-        make_engine("batch", models, Hyperparams(), Unconstrained(),
-                    "classification", 0, dtype="float32", trackers=trackers)
 
 
 def test_resolve_models_converts_without_mutating(models):

@@ -1,4 +1,4 @@
-"""Merge laws of the coverage criteria (the campaign's correctness core).
+"""Merge laws of the coverage tracker (the campaign's correctness core).
 
 Coverage merging must be a semilattice join: commutative, associative,
 idempotent, and equal to one tracker that saw the union of all inputs.
@@ -8,9 +8,7 @@ These laws are what make sharded campaigns equivalent to serial runs.
 import numpy as np
 import pytest
 
-from repro.coverage import (BoundaryCoverage, KMultisectionCoverage,
-                            NeuronCoverageTracker, NeuronProfile,
-                            TopKNeuronCoverage)
+from repro.coverage import NeuronCoverageTracker
 from repro.errors import CoverageError
 from repro.nn import Dense, Network
 
@@ -90,14 +88,6 @@ def test_state_dict_is_a_copy(net, batches):
     assert not a.covered.all()
 
 
-def test_from_state_fresh_starts_empty(net, batches):
-    a = _tracker_fed(net, batches)
-    fresh = NeuronCoverageTracker.from_state(net, a.state_dict(), fresh=True)
-    assert fresh.covered_count() == 0
-    assert fresh.threshold == a.threshold
-    assert fresh.tracked_count == a.tracked_count
-
-
 def test_from_state_restores_layer_filter(net, batches):
     filtered = NeuronCoverageTracker(net, threshold=0.5,
                                      layer_filter=lambda l: l.name == "h1")
@@ -120,91 +110,3 @@ def test_merge_rejects_layer_filter_mismatch(net):
                               layer_filter=lambda l: l.name == "h1")
     with pytest.raises(CoverageError):
         a.merge(b)
-
-
-# -- extended criteria --------------------------------------------------------
-def test_profile_merge_widens_bounds(net, batches):
-    whole = NeuronProfile.from_data(net, np.concatenate(batches))
-    merged = NeuronProfile.from_data(net, batches[0])
-    for x in batches[1:]:
-        merged.merge(NeuronProfile.from_data(net, x))
-    np.testing.assert_allclose(merged.low, whole.low)
-    np.testing.assert_allclose(merged.high, whole.high)
-
-
-def test_profile_merge_rejects_shape_mismatch(net, rng):
-    """Same zoo name at a different scale means a different neuron
-    count — merging must raise, not broadcast."""
-    other = Network([
-        Dense(4, 9, rng=rng, name="h1"),
-        Dense(9, 3, activation="softmax", rng=rng, name="out"),
-    ], input_shape=(4,), name="mergenet")
-    a = NeuronProfile.from_data(net, rng.random((5, 4)))
-    b = NeuronProfile.from_data(other, rng.random((5, 4)))
-    with pytest.raises(CoverageError):
-        a.merge(b)
-
-
-def test_kmultisection_merge_equals_union(net, batches, rng):
-    profile = NeuronProfile.from_data(net, rng.random((30, 4)))
-    parts = []
-    for x in batches:
-        cov = KMultisectionCoverage(profile, k=5)
-        cov.update(x)
-        parts.append(cov)
-    merged = KMultisectionCoverage(profile, k=5)
-    for part in parts:
-        merged.merge(part)
-    whole = KMultisectionCoverage(profile, k=5)
-    for x in batches:
-        whole.update(x)
-    np.testing.assert_array_equal(merged.covered, whole.covered)
-
-
-def test_kmultisection_merge_rejects_k_mismatch(net, rng):
-    profile = NeuronProfile.from_data(net, rng.random((10, 4)))
-    a = KMultisectionCoverage(profile, k=5)
-    b = KMultisectionCoverage(profile, k=10)
-    with pytest.raises(CoverageError):
-        a.merge(b)
-
-
-def test_boundary_merge_equals_union(net, batches, rng):
-    profile = NeuronProfile.from_data(net, rng.random((10, 4)) * 0.3)
-    parts = []
-    for x in batches:
-        cov = BoundaryCoverage(profile)
-        cov.update(x)
-        parts.append(cov)
-    merged = BoundaryCoverage(profile)
-    for part in reversed(parts):
-        merged.merge(part.state_dict())
-    whole = BoundaryCoverage(profile)
-    for x in batches:
-        whole.update(x)
-    np.testing.assert_array_equal(merged.below, whole.below)
-    np.testing.assert_array_equal(merged.above, whole.above)
-
-
-def test_topk_merge_equals_union(net, batches):
-    parts = []
-    for x in batches:
-        cov = TopKNeuronCoverage(net, k=2)
-        cov.update(x)
-        parts.append(cov)
-    merged = TopKNeuronCoverage(net, k=2)
-    for part in parts:
-        merged.merge(part)
-    whole = TopKNeuronCoverage(net, k=2)
-    for x in batches:
-        whole.update(x)
-    np.testing.assert_array_equal(merged.hot, whole.hot)
-    assert merged.coverage() == whole.coverage()
-
-
-def test_topk_state_roundtrip(net, batches):
-    cov = TopKNeuronCoverage(net, k=2)
-    cov.update(batches[0])
-    twin = TopKNeuronCoverage(net, k=2)
-    twin.load_state_dict(cov.state_dict())
-    np.testing.assert_array_equal(twin.hot, cov.hot)

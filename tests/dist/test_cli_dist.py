@@ -80,10 +80,33 @@ def test_peer_list_survives_torn_file(tmp_path):
     assert _peers_on_disk(str(root)) == [("10.0.0.2", 7001)]
 
 
+#: peers.json contents that are JSON but not a peer list.
+WRONG_SHAPES = {
+    "record-without-port": '{"peers": [{"host": "a"}]}',
+    "peers-not-a-list": '{"peers": "xyz"}',
+    "top-level-list": "[1, 2]",
+    "port-not-a-number": '{"peers": [{"host": "a", "port": "http"}]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_SHAPES))
+def test_peer_list_refuses_wrong_shape(tmp_path, name):
+    (tmp_path / PEERS_NAME).write_text(WRONG_SHAPES[name], encoding="utf-8")
+    with pytest.raises(ConfigError, match=PEERS_NAME):
+        PeerList(str(tmp_path)).records()
+
+
 # -- repro peers --------------------------------------------------------------
 def test_peers_with_empty_list(tmp_path, capsys):
     assert main(["peers", "--root", str(tmp_path / "root")]) == 0
     assert "no peers configured" in capsys.readouterr().out
+
+
+def test_peers_reports_wrong_shape_in_one_line(tmp_path, capsys):
+    (tmp_path / PEERS_NAME).write_text('{"peers": "xyz"}', encoding="utf-8")
+    assert main(["peers", "--root", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and PEERS_NAME in err
 
 
 def test_peers_reports_unreachable(tmp_path, capsys):

@@ -16,7 +16,9 @@ import pytest
 from repro.core import Campaign, PAPER_HYPERPARAMS
 from repro.core.constraints import LightingConstraint
 from repro.corpus import FuzzSession
-from repro.dist import FederatedSession, PeerShardRunner
+from repro.dist import (FederatedSession, PeerShardRunner, decode_outcome,
+                        encode_outcome)
+from repro.farm.wire import Blob
 from repro.utils.faults import InjectedFault, inject, reset_faults
 
 WAVE, SHARD, SEED, POOL = 6, 2, 11, 8
@@ -144,6 +146,61 @@ def test_peer_shard_runner_matches_local(live_peer, mnist_trio,
     for ta, tb in zip(local.trackers, remote.trackers):
         np.testing.assert_array_equal(ta.state_dict()["covered"],
                                       tb.state_dict()["covered"])
+
+
+def _garbage_outcome(run_shard, request):
+    return {"shard_index": 0, "outcome": Blob(b"garbage")}
+
+
+def _next_shards_outcome(run_shard, request):
+    reply = run_shard(request)
+    outcome = decode_outcome(reply["outcome"])
+    outcome["shard_index"] += 1
+    return {"shard_index": outcome["shard_index"],
+            "outcome": Blob(encode_outcome(outcome))}
+
+
+@pytest.mark.parametrize("answer, error", [
+    (_garbage_outcome, "bad outcome payload"),
+    (_next_shards_outcome, "with the outcome of shard"),
+], ids=["garbage-bytes", "another-shards-outcome"])
+def test_peer_answering_wrong_outcome_is_retired(live_peer, mnist_trio,
+                                                 mnist_smoke, monkeypatch,
+                                                 answer, error):
+    """``ok: true`` with an outcome that is not the asked shard's
+    retires the peer with a typed error; its shards run locally."""
+    daemon, _server, port = live_peer
+    run_shard = daemon.run_shard
+    monkeypatch.setattr(daemon, "run_shard",
+                        lambda request: answer(run_shard, request))
+    seeds = _sample_seeds(mnist_smoke)
+    want = _campaign(mnist_trio).run(seeds)
+
+    runner = PeerShardRunner([("127.0.0.1", port)], "mnist",
+                             timeout=120.0, local=False)
+    got = _campaign(mnist_trio).run(seeds, shard_runner=runner)
+
+    assert error in runner.failures[("127.0.0.1", port)]
+    assert set(runner.placements.values()) == {"local"}
+    _assert_results_equal(want, got)
+
+
+def test_peer_shard_runner_raises_local_bugs(mnist_trio, mnist_smoke,
+                                             monkeypatch):
+    """A bug on the driver's side of the wire is not a dead peer: it
+    fails the run instead of retiring the peer and running locally."""
+    import repro.dist.coordinator as coordinator
+
+    def broken(shard):
+        raise KeyError("seed_seq")
+
+    monkeypatch.setattr(coordinator, "encode_shard", broken)
+    runner = PeerShardRunner([("127.0.0.1", 1)], "mnist", timeout=2.0,
+                             local=False)
+    with pytest.raises(KeyError, match="seed_seq"):
+        _campaign(mnist_trio).run(_sample_seeds(mnist_smoke),
+                                  shard_runner=runner)
+    assert runner.failures == {}
 
 
 def test_peer_shard_runner_survives_dead_peer(mnist_trio, mnist_smoke):

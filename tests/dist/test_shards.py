@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import io
+import os
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +18,7 @@ from repro.corpus.store import input_hash
 from repro.dist import (LedgerShardRunner, ShardLedger, decode_outcome,
                         encode_outcome, round_key, shard_digest,
                         shard_hashes, shard_id)
-from repro.errors import FarmError
+from repro.errors import FarmError, ReproError
 
 
 # -- identity helpers ---------------------------------------------------------
@@ -109,6 +113,30 @@ def test_outcome_codec_empty_tests():
 # -- the ledger ---------------------------------------------------------------
 def _units(n):
     return [{"shard_id": shard_id(i), "digest": f"d{i}"} for i in range(n)]
+
+
+def _garbled_result(name):
+    if name == "truncated":
+        whole = encode_outcome(_fake_outcome(0))
+        return whole[:len(whole) // 2]
+    if name == "header-not-a-record":
+        buffer = io.BytesIO()
+        np.savez(buffer, header=np.array('{"tests": 5}'))
+        return buffer.getvalue()
+    return b"not an outcome archive"
+
+
+@pytest.mark.parametrize("name", ["truncated", "header-not-a-record",
+                                  "not-an-archive"])
+def test_garbled_result_file_is_a_typed_error_naming_it(tmp_path, name):
+    ledger = ShardLedger(tmp_path / "c", "seed0", host="h1", pid=11)
+    ledger.ensure(_units(1))
+    sid = ledger.claim()
+    os.makedirs(ledger.results_dir, exist_ok=True)
+    with open(ledger.result_path(sid), "wb") as handle:
+        handle.write(_garbled_result(name))
+    with pytest.raises(ReproError, match=re.escape(ledger.result_path(sid))):
+        ledger.load_result(sid)
 
 
 def test_ledger_lifecycle(tmp_path):

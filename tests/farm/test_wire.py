@@ -14,8 +14,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core.campaign import shard_corpus
 from repro.corpus import CorpusStore
 from repro.dist import decode_array, decode_coverage
+from repro.dist.coordinator import encode_shard
 from repro.errors import FarmError
 from repro.farm import FarmClient, PeerClient
 from repro.farm.wire import (MAX_FRAME, READ_CHUNK, Blob, as_bytes,
@@ -302,7 +304,11 @@ _TRAVERSAL = "../" + "0" * 64
 #: An input file holding garbage, under a well-formed hash.
 _GARBAGE = "1" * 64
 
-#: Requests a store read verb must refuse.
+#: A well-formed one-seed shard record, so a run-shard case reaches the
+#: field after it.
+_SHARD = encode_shard(shard_corpus(np.zeros((1, 1, 28, 28)), seed=0)[0])
+
+#: Requests a verb must refuse.
 MALFORMED_REQUESTS = {
     "entries-hashes-int": {"cmd": "store-entries", "store": "s",
                            "hashes": 7},
@@ -316,6 +322,16 @@ MALFORMED_REQUESTS = {
                                  "store": "../outside"},
     "entries-garbage-npy": {"cmd": "store-entries", "store": "s",
                             "hashes": [_GARBAGE]},
+    "run-shard-no-shard": {"cmd": "run-shard", "dataset": "mnist"},
+    "run-shard-garbled-shard": {"cmd": "run-shard", "dataset": "mnist",
+                                "shard": {"entropy": "xyz",
+                                          "spawn_key": 7}},
+    "run-shard-dtype-garbage": {"cmd": "run-shard", "dataset": "mnist",
+                                "dtype": "garbage"},
+    "run-shard-trackers-int": {"cmd": "run-shard", "dataset": "mnist",
+                               "shard": _SHARD, "trackers": 5},
+    "run-shard-constraint-list": {"cmd": "run-shard", "dataset": "mnist",
+                                  "constraint": [1]},
 }
 
 
@@ -340,6 +356,20 @@ def test_server_answers_malformed_request_then_serves(live_server, name):
         reply = _ask(channel, dump_message(MALFORMED_REQUESTS[name]))
         assert reply["ok"] is False and reply["kind"] == "error"
         # Same channel, next request: the handler thread survived.
+        assert _ask(channel, dump_message({"cmd": "ping"}))["ok"] is True
+    finally:
+        for handle in reversed(channel):
+            handle.close()
+
+
+def test_peers_verb_answers_wrong_shaped_peer_list_then_serves(live_server):
+    with open(os.path.join(live_server.farm.root, "peers.json"), "w",
+              encoding="utf-8") as handle:
+        handle.write('{"peers": "xyz"}')
+    channel = _channel(live_server)
+    try:
+        reply = _ask(channel, dump_message({"cmd": "peers"}))
+        assert reply["ok"] is False and "peers.json" in reply["error"]
         assert _ask(channel, dump_message({"cmd": "ping"}))["ok"] is True
     finally:
         for handle in reversed(channel):

@@ -131,6 +131,23 @@ def test_gradient_of_neuron_matches_finite_difference(kind, dtype):
         assert abs(grad[idx] - numeric) < tol["atol"], neuron
 
 
+@pytest.mark.parametrize("neurons", [None, 4, [0, 2], [1, 5]],
+                         ids=["none", "one", "same-layer", "two-layers"])
+def test_gradient_joint_matches_separate_sweeps(neurons):
+    """One fused sweep equals the output gradient plus ``scale`` times
+    each picked neuron's own gradient (c1 holds neurons 0-2, c2 3-6)."""
+    net = _build("conv", "float64")
+    rng = np.random.default_rng(13)
+    tape = net.run(_input_for(net, rng))
+    seed = rng.normal(size=tape.outputs().shape)
+    scale = 0.7
+    want = tape.gradient_of_output(seed)
+    for neuron in [] if neurons is None else np.atleast_1d(neurons):
+        want = want + scale * tape.gradient_of_neuron(int(neuron))
+    got = tape.gradient_joint(seed, neurons, scale)
+    np.testing.assert_allclose(got, want, rtol=1e-10)
+
+
 @pytest.mark.parametrize("kind", sorted(NETWORKS))
 def test_multiple_backwards_from_one_tape_do_not_corrupt(kind):
     net = NETWORKS[kind]()

@@ -34,7 +34,8 @@ kept tests count.
 Execution model: every iteration records exactly one
 :class:`~repro.nn.tape.ForwardPass` per model over the active batch,
 which serves the oracle check, both objective gradients, and coverage
-absorption.
+absorption; one backward sweep per model carries both objective
+gradients, at float32 and float64 alike.
 """
 
 from __future__ import annotations
@@ -213,9 +214,11 @@ class AscentEngine:
         :class:`VanillaRule`.
     coverage_factory:
         Pluggable obj2: ``callable(trackers, rng)`` returning a coverage
-        objective with ``pick()``/``gradient_from_tapes()``.  Default is
-        Algorithm 1's one-neuron-per-model rule; extensions supply
-        variants (e.g. multi-neuron).
+        objective whose ``pick()`` returns one entry per model (``None``,
+        a flat neuron id, or a sequence of ids); each model's picks ride
+        obj1's backward sweep.  Default is Algorithm 1's
+        one-neuron-per-model rule; extensions supply variants (e.g.
+        multi-neuron).
     absorb_exhausted:
         Fold the final tapes of seeds that hit ``max_iterations`` into
         coverage (default).  ``False`` restores the paper-exact
@@ -407,20 +410,11 @@ class AscentEngine:
                 # (DeepFool); skip the obj1/obj2 backwards entirely —
                 # coverage absorption is unaffected, it reads tapes.
                 return np.zeros_like(x_cur)
-            # float32 fuses the coverage seed into obj1's sweep.  The
-            # fused sweep accumulates in another float order, so float64
-            # keeps the bit-pinned two-sweep sum the goldens record.
-            fused = self.hp.lambda2 > 0.0 and self.dtype == np.float32
-            neurons = (coverage.pick() if fused
+            neurons = (coverage.pick() if self.hp.lambda2 > 0.0
                        else [None] * len(self.models))
-            grad = self._objective_gradient(
+            return self._objective_gradient(
                 st["tapes"], st["rows"], st["targets"], st["seed_classes"],
                 neurons)
-            if self.hp.lambda2 > 0.0 and not fused:
-                coverage.pick()
-                grad = grad + self.hp.lambda2 * coverage.gradient_from_tapes(
-                    st["tapes"])[st["rows"]]
-            return grad
 
         def constrain(grad, x_cur):
             return self._apply_constraints(st["constraints"], grad, x_cur)

@@ -9,15 +9,14 @@ inactivated neuron ``n`` (one per model, re-picked every iteration) above
 the activation threshold.  Every term is differentiable, so the whole
 objective's input-gradient is the sum of per-term input-gradients.
 
-Each objective exposes two equivalent gradient APIs:
-
-* ``gradient(x)`` — self-contained; runs the models (``value(x)`` is
-  the matching objective value).
-* ``gradient_from_tapes(tapes)`` — derives the same gradient from
-  :class:`~repro.nn.tape.ForwardPass` tapes the caller already recorded
-  (one per model, in model order).  The generation engines use this
-  path so that one forward pass per model per iteration feeds every
-  term *and* the oracle check.
+Each objective's ``gradient(x)`` runs the models itself (``value(x)``
+is the matching objective value); these self-contained forms are the
+reference the engine is tested against.  The generation engine does not
+call them: it builds obj1's output seed from the iteration's recorded
+:class:`~repro.nn.tape.ForwardPass` tapes and hands the neurons a
+:class:`CoverageObjective` picks to the same backward sweep
+(:meth:`~repro.nn.tape.ForwardPass.gradient_joint`), so one forward and
+one backward per model per iteration serve the whole objective.
 """
 
 from __future__ import annotations
@@ -102,9 +101,8 @@ class CoverageObjective:
     """obj2: the summed output of one inactivated neuron per model.
 
     Algorithm 1 line 33 re-picks the neurons each iteration; call
-    :meth:`pick` per iteration and then :meth:`gradient` (or hand the
-    iteration's tapes to :meth:`gradient_from_tapes`, aligned with the
-    trackers' networks).
+    :meth:`pick` per iteration and then :meth:`gradient` (the engine
+    instead carries the picks on obj1's backward sweep).
     """
 
     def __init__(self, trackers, rng=None):
@@ -116,14 +114,6 @@ class CoverageObjective:
         """Choose an uncovered neuron per model; returns the choices."""
         self._targets = [t.pick_uncovered(self.rng) for t in self.trackers]
         return list(self._targets)
-
-    def gradient_from_tapes(self, tapes):
-        grad = np.zeros_like(tapes[0].x)
-        for tape, neuron in zip(tapes, self._targets):
-            if neuron is None:
-                continue
-            grad += tape.gradient_of_neuron(neuron)
-        return grad
 
     def value(self, x):
         total = 0.0

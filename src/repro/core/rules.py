@@ -39,9 +39,10 @@ docs/ARCHITECTURE.md):
 
 Rules that need more than the joint gradient (DeepFool's pairwise
 boundary search) read the engine's per-iteration state through the
-:class:`AscentContext` the engine binds before ascending; they declare
-``needs_context = True`` and may switch the engine's own objective
-backwards off entirely (``consumes_gradient = False``).
+:class:`AscentContext` the engine binds before ascending (an unbound
+rule raises a :class:`~repro.errors.ConfigError` from :meth:`update`),
+and may switch the engine's own objective backwards off entirely
+(``consumes_gradient = False``).
 """
 
 from __future__ import annotations
@@ -142,11 +143,6 @@ class AscentRule:
         :meth:`update` returns an absolute displacement, applied as-is;
         the default ``False`` scales the returned direction by the
         engine's step size ``s``.
-    ``needs_context``
-        The rule requires an :class:`AscentContext` to be bound before
-        :meth:`update` (engines always bind one; plain
-        :func:`~repro.core.engine.run_ascent` callers must do it
-        themselves for such rules).
     ``supports_regression``
         The rule can drive regression tapes (DeepFool is
         classification-only).
@@ -159,7 +155,6 @@ class AscentRule:
     name = "rule"
     consumes_gradient = True
     absolute_step = False
-    needs_context = False
     supports_regression = True
     accepts_seed_scales = False
 
@@ -390,7 +385,6 @@ class DeepFoolRule(AscentRule):
     name = "deepfool"
     consumes_gradient = False
     absolute_step = True
-    needs_context = True
     supports_regression = False
 
     def __init__(self, overshoot=DEFAULT_DEEPFOOL_OVERSHOOT):
@@ -509,7 +503,6 @@ class AdaptiveStepRule(AscentRule):
         self.max_scale = float(max_scale)
         # Capability flags follow the wrapped rule.
         self.consumes_gradient = inner.consumes_gradient
-        self.needs_context = inner.needs_context
         self.supports_regression = inner.supports_regression
         self._scales = None       # pending per-run scales (seed-aligned)
         self._row_scales = None   # active, row-aligned with the batch
@@ -583,19 +576,12 @@ _RULE_CLASSES = {
 def make_rule(ascent="vanilla", beta=None, overshoot=None):
     """Resolve an ``--ascent``-style spec into an :class:`AscentRule`.
 
-    ``ascent`` may already be a rule instance (returned unchanged; then
-    the flag arguments must be unset), or one of :data:`ASCENT_RULES`.
-    ``beta`` applies to the momentum and nesterov rules, ``overshoot``
-    to deepfool; passing a flag to a rule that does not accept it is a
+    ``ascent`` is one of :data:`ASCENT_RULES`.  ``beta`` applies to the
+    momentum and nesterov rules, ``overshoot`` to deepfool; passing a
+    flag to a rule that does not accept it is a
     :class:`~repro.errors.ConfigError` (the CLI surfaces it as a
     one-line error).
     """
-    if isinstance(ascent, AscentRule):
-        if beta is not None or overshoot is not None:
-            raise ConfigError(
-                "rule flags cannot be combined with an explicit rule "
-                "instance")
-        return ascent
     if ascent not in _RULE_CLASSES:
         raise ConfigError(
             f"unknown ascent rule {ascent!r}; known: "

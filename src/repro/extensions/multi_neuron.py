@@ -50,13 +50,6 @@ class MultiNeuronCoverageObjective:
             self._targets.append([int(c) for c in chosen])
         return [list(t) for t in self._targets]
 
-    def gradient_from_tapes(self, tapes):
-        grad = np.zeros_like(tapes[0].x)
-        for tape, neurons in zip(tapes, self._targets):
-            for neuron in neurons:
-                grad += tape.gradient_of_neuron(neuron)
-        return grad
-
     def value(self, x):
         total = 0.0
         for tracker, neurons in zip(self.trackers, self._targets):

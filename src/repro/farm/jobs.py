@@ -49,6 +49,7 @@ is throughput-only as everywhere else.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import asdict, dataclass, field
 
@@ -114,7 +115,7 @@ def normalize_spec(spec):
     clean.update({k: v for k, v in spec.items() if v is not None})
     if clean["store"] is None:
         raise FarmError("job spec needs a store name")
-    check_store_name(clean["store"])
+    clean["store"] = check_store_name(clean["store"])
     if clean["kind"] not in JOB_KINDS:
         raise FarmError(
             f"unknown job kind {clean['kind']!r}; want one of {JOB_KINDS}")
@@ -130,9 +131,9 @@ def normalize_spec(spec):
             except (TypeError, ValueError):
                 raise FarmError(f"job lease must be a number, "
                                 f"got {clean['lease']!r}") from None
-            if clean["lease"] <= 0:
-                raise FarmError(
-                    f"job lease must be > 0 seconds, got {clean['lease']}")
+            if not 0 < clean["lease"] < math.inf:
+                raise FarmError(f"job lease must be a finite number of "
+                                f"seconds > 0, got {clean['lease']}")
     elif clean["campaign"] is not None:
         raise FarmError(
             f"campaign only applies to federate jobs, not "
@@ -158,15 +159,31 @@ def normalize_spec(spec):
             f"sources only applies to compact-merge jobs, not "
             f"{clean['kind']!r}")
     for key in ("rounds", "seeds", "wave_size", "shard_size", "workers"):
-        try:
-            clean[key] = int(clean[key])
-        except (TypeError, ValueError):
-            raise FarmError(f"job {key} must be an integer, "
-                            f"got {clean[key]!r}") from None
-        if clean[key] < 1:
-            raise FarmError(f"job {key} must be >= 1, got {clean[key]}")
-    clean["seed"] = int(clean["seed"])
+        clean[key] = _spec_integer(clean, key, minimum=1)
+    # numpy's SeedSequence refuses negative entropy.
+    clean["seed"] = _spec_integer(clean, "seed", minimum=0)
+    for key in ("dataset", "ascent", "constraint"):
+        if not isinstance(clean[key], str):
+            raise FarmError(f"job {key} must be a name, got {clean[key]!r}")
+    for key in ("beta", "overshoot"):
+        if clean[key] is not None:
+            try:
+                clean[key] = float(clean[key])
+            except (TypeError, ValueError):
+                raise FarmError(f"job {key} must be a number, "
+                                f"got {clean[key]!r}") from None
     return clean
+
+
+def _spec_integer(clean, key, minimum):
+    try:
+        value = int(clean[key])
+    except (TypeError, ValueError, OverflowError):
+        raise FarmError(f"job {key} must be an integer, "
+                        f"got {clean[key]!r}") from None
+    if value < minimum:
+        raise FarmError(f"job {key} must be >= {minimum}, got {value}")
+    return value
 
 
 @dataclass

@@ -116,8 +116,10 @@ def read_message(rfile, max_line=MAX_LINE):
     peer closed the channel).  A truncated message — EOF mid-frame —
     raises :class:`FarmError`: the peer died mid-answer, which is a
     failed request, not a closed idle channel.  So does any malformed
-    header: one over ``max_line`` bytes, bad JSON, or a frame table or
-    frame reference that does not describe the frames that follow.
+    header: one over ``max_line`` bytes, bad UTF-8 or JSON, JSON that
+    Python cannot load (an integer past its digit limit, nesting past
+    its recursion limit), or a frame table or frame reference that does
+    not describe the frames that follow.
     """
     line = rfile.readline(max_line + 1)
     if not line:
@@ -126,7 +128,9 @@ def read_message(rfile, max_line=MAX_LINE):
         raise FarmError(f"wire header exceeds the {max_line}-byte cap")
     try:
         message = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (ValueError, RecursionError) as error:
+        # ValueError covers bad UTF-8, bad JSON and integers past
+        # Python's digit limit; RecursionError, nesting too deep.
         raise FarmError(f"bad wire header: {error}") from None
     total = len(line)
     if not isinstance(message, dict):
@@ -142,6 +146,10 @@ def read_message(rfile, max_line=MAX_LINE):
         frames = [_read_frame(rfile, length) for length in lengths]
         total += sum(lengths)
         # Resolve below the top level: the message itself stays a dict.
-        message = {key: _resolve(item, frames)
-                   for key, item in message.items()}
+        try:
+            message = {key: _resolve(item, frames)
+                       for key, item in message.items()}
+        except RecursionError:
+            raise FarmError("bad wire header: nested too deeply to "
+                            "resolve its frames") from None
     return message, total

@@ -180,9 +180,9 @@ class ForwardPass:
         By linearity this equals ``gradient_of_output(seed) + scale *
         sum(gradient_of_neuron(n) for n in neurons)``: each neuron's seed
         is injected as the backward sweep passes its layer, so no second
-        sweep runs.  The single sweep accumulates in a different float
-        order than the separate sum, so the bit-pinned float64 golden
-        path keeps calling the separate methods.
+        sweep runs.  The engine's ascent takes every gradient this way at
+        both dtypes; the sweep sums in another float order than the
+        separate methods, so the two agree to rounding, not bit for bit.
         """
         neurons = ([] if neuron is None
                    else [neuron] if np.ndim(neuron) == 0 else list(neuron))

@@ -42,9 +42,10 @@ def test_federate_spec_requires_campaign():
 def test_lease_is_federate_only_and_positive():
     with pytest.raises(FarmError, match="lease"):
         normalize_spec({"store": "s", "kind": "fuzz", "lease": 5})
-    with pytest.raises(FarmError, match="lease"):
-        normalize_spec({"store": "s", "kind": "federate",
-                        "campaign": "/c", "lease": 0})
+    for lease in (0, float("nan"), float("inf")):
+        with pytest.raises(FarmError, match="lease"):
+            normalize_spec({"store": "s", "kind": "federate",
+                            "campaign": "/c", "lease": lease})
     clean = normalize_spec({"store": "s", "kind": "federate",
                             "campaign": "/c", "lease": 5})
     assert clean["lease"] == 5.0

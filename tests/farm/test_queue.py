@@ -57,6 +57,19 @@ def test_bad_specs_rejected(tmp_path, clock):
         queue.submit(spec(rounds=0))              # below 1
     with pytest.raises(FarmError):
         queue.submit(spec(frobnicate=1))          # unknown field
+    # Each is refused at submit with a FarmError, before any worker
+    # sees it.
+    bad_fields = [
+        {"seed": "abc"}, {"seed": [1]}, {"seed": -1},
+        {"rounds": float("inf")}, {"dataset": [1]}, {"ascent": [1]},
+        {"constraint": 5}, {"beta": "abc"}, {"overshoot": [1]},
+    ]
+    for fields in bad_fields:
+        with pytest.raises(FarmError):
+            queue.submit(spec(**fields))
+    assert queue.jobs() == []
+    # A store name arrives as a string, whatever JSON type carried it.
+    assert queue.submit(spec(store=5)).spec["store"] == "5"
 
 
 def test_saturation_counts_queued_plus_running(tmp_path, clock):

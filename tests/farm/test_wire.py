@@ -94,6 +94,10 @@ def test_non_object_message_rejected():
         read_message(io.BytesIO(b"[1, 2]\n"))
 
 
+#: The header cap the in-process checks read under; "oversized" exceeds
+#: it, every other case fits.
+_HEADER_CAP = 1 << 20
+
 #: Malformed headers, each with the message text its FarmError carries.
 MALFORMED_HEADERS = {
     "frames-not-a-list": (b'{"_frames": 5}\n', "frame table"),
@@ -110,7 +114,19 @@ MALFORMED_HEADERS = {
         b'{"_frames": [1], "a": {"__frame__": "x"}}\nx', "frame reference"),
     "bad-json": (b'{"cmd": \n', "bad wire header"),
     "bad-utf8": (b'{"cmd": "\xff"}\n', "bad wire header"),
-    "oversized": (b'{"cmd": "' + b"x" * 64 + b'"}\n', "64-byte cap"),
+    "int-too-long": (b'{"cmd": "ping", "x": ' + b"1" * 5000 + b'}\n',
+                     "bad wire header"),
+    "nested-too-deep": (
+        b'{"cmd": "ping", "x": ' + b"[" * 200000 + b"]" * 200000 + b'}\n',
+        "bad wire header"),
+    # Deeper than the interpreter's recursion limit (1000): whichever of
+    # the JSON decoder and the frame resolver gives up first, the answer
+    # is typed.
+    "frames-nested-too-deep": (
+        b'{"_frames": [1], "x": ' + b"[" * 1200 + b"]" * 1200 + b'}\nx',
+        "bad wire header"),
+    "oversized": (b'{"cmd": "' + b"x" * _HEADER_CAP + b'"}\n',
+                  f"{_HEADER_CAP}-byte cap"),
 }
 
 
@@ -118,7 +134,7 @@ MALFORMED_HEADERS = {
 def test_malformed_header_is_a_farm_error(name):
     data, match = MALFORMED_HEADERS[name]
     with pytest.raises(FarmError, match=match):
-        read_message(io.BytesIO(data), max_line=64)
+        read_message(io.BytesIO(data), max_line=_HEADER_CAP)
 
 
 def _npz_bytes():
@@ -332,6 +348,26 @@ MALFORMED_REQUESTS = {
                                "shard": _SHARD, "trackers": 5},
     "run-shard-constraint-list": {"cmd": "run-shard", "dataset": "mnist",
                                   "constraint": [1]},
+    "submit-seed-text": {"cmd": "submit",
+                         "spec": {"store": "s", "seed": "abc"}},
+    "submit-seed-list": {"cmd": "submit", "spec": {"store": "s", "seed": [1]}},
+    "submit-seed-negative": {"cmd": "submit",
+                             "spec": {"store": "s", "seed": -1}},
+    "submit-rounds-infinite": {"cmd": "submit",
+                               "spec": {"store": "s",
+                                        "rounds": float("inf")}},
+    "submit-dataset-list": {"cmd": "submit",
+                            "spec": {"store": "s", "dataset": [1]}},
+    "submit-ascent-list": {"cmd": "submit",
+                           "spec": {"store": "s", "ascent": [1]}},
+    "submit-constraint-int": {"cmd": "submit",
+                              "spec": {"store": "s", "constraint": 5}},
+    "submit-beta-text": {"cmd": "submit",
+                         "spec": {"store": "s", "ascent": "momentum",
+                                  "beta": "abc"}},
+    "submit-overshoot-list": {"cmd": "submit",
+                              "spec": {"store": "s", "ascent": "deepfool",
+                                       "overshoot": [1]}},
 }
 
 
@@ -378,7 +414,9 @@ def test_peers_verb_answers_wrong_shaped_peer_list_then_serves(live_server):
 
 @pytest.mark.parametrize("name", ["bad-json", "frame-length-not-int",
                                   "frame-ref-missing", "frame-ref-not-int",
-                                  "frames-not-a-list"])
+                                  "frames-not-a-list", "int-too-long",
+                                  "nested-too-deep",
+                                  "frames-nested-too-deep"])
 def test_server_answers_malformed_header_then_serves(live_server, name):
     data, match = MALFORMED_HEADERS[name]
     channel = _channel(live_server)

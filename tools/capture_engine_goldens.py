@@ -1,24 +1,28 @@
 #!/usr/bin/env python
 """Regenerate ``tests/data/golden_engines.json``.
 
-The golden file pins the exact behaviour of the generation engines —
-test inputs (content hashes), iteration counts, predictions, and final
-coverage masks — for a fixed matrix of (rule, driver, dataset)
-configurations under fixed RNG.  ``tests/core/test_engine.py`` replays
-the matrix against the unified :class:`~repro.core.engine.AscentEngine`
-and asserts bit-identical results.
+The golden file pins the exact float64 behaviour of the generation
+engines — test inputs (content hashes), iteration counts, predictions,
+final coverage masks and forward-pass counts — for a fixed matrix of
+(rule, driver, dataset) configurations under fixed RNG.
+``tests/core/test_engine.py`` replays the matrix against
+:class:`~repro.core.engine.DeepXplore` and
+:class:`~repro.core.engine.AscentEngine` and asserts bit-identical
+results, so any change to the float64 arithmetic shows up there.
 
-The file committed in this repo was captured from the *pre-unification*
-engines (the separate ``DeepXplore`` / ``BatchDeepXplore`` /
-``MomentumDeepXplore`` loop bodies), so the pins prove the refactor
-changed nothing.  Re-run this script only when the pinned behaviour is
-*meant* to change (it overwrites the goldens with current behaviour):
+Re-run this script only when the pinned behaviour is *meant* to change
+(it overwrites the goldens with current behaviour):
 
     PYTHONPATH=src python tools/capture_engine_goldens.py
 
+Before writing, it prints what moved against the file it replaces: per
+config, how many ``x_sha256`` input hashes changed, then every other
+field that changed with its old and new value.  A change meant to keep
+the discrete outcomes should move input hashes only.
+
 All capture runs disable the engine's exhausted-tape folding
-(``absorb_exhausted=False``) because the pre-refactor engines never
-folded exhausted seeds' tapes into coverage.
+(``absorb_exhausted=False``): the paper-exact accounting, in which only
+difference-inducing inputs fold into coverage.
 """
 
 from __future__ import annotations
@@ -50,8 +54,7 @@ CONFIGS = [
      ("momentum", 0.8), 3, 5, 10),
     ("vanilla-batch-driving", "driving", "regression", "batch",
      ("vanilla", None), 3, 5, 8),
-    # Rule-library rows (captured from the unified engine when each rule
-    # landed; there is no pre-unification counterpart for these).
+    # Rule-library rows.
     ("nesterov-batch-mnist", "mnist", "classification", "batch",
      ("nesterov", 0.9), 3, 5, 10),
     ("adam-batch-mnist", "mnist", "classification", "batch",
@@ -143,6 +146,39 @@ def digest_result(result, trackers):
     }
 
 
+def _flatten(value, path=""):
+    """``{field path: leaf}`` for a nested golden record, e.g.
+    ``tests[3].predictions[0]``."""
+    if isinstance(value, dict):
+        items = [(f"{path}.{key}" if path else str(key), item)
+                 for key, item in value.items()]
+    elif isinstance(value, list):
+        items = [(f"{path}[{i}]", item) for i, item in enumerate(value)]
+    else:
+        return {path: value}
+    flat = {}
+    for key, item in items:
+        flat.update(_flatten(item, key))
+    return flat
+
+
+def report_changes(old, new):
+    """Print, per config, how many input hashes moved between two golden
+    ``configs`` maps and every other field that changed."""
+    for name in sorted(set(old) | set(new)):
+        before = _flatten(old.get(name, {}))
+        after = _flatten(new.get(name, {}))
+        moved = [key for key in sorted(set(before) | set(after))
+                 if before.get(key) != after.get(key)]
+        hashes = [key for key in moved if key.endswith(".x_sha256")]
+        total = sum(key.endswith(".x_sha256") for key in after)
+        print(f"{name}: x_sha256 {len(hashes)}/{total} changed, "
+              f"{len(moved) - len(hashes)} other field(s) changed")
+        for key in moved:
+            if not key.endswith(".x_sha256"):
+                print(f"  {key}: {before.get(key)!r} -> {after.get(key)!r}")
+
+
 def capture():
     goldens = {"configs": {}}
     for (name, dataset_name, task, driver, rule_spec, draw_seed,
@@ -164,6 +200,10 @@ def capture():
         print(f"{name}: {len(result.tests)} tests, "
               f"{result.seeds_exhausted} exhausted, "
               f"{golden['forwards']} forwards")
+    if os.path.exists(GOLDEN_PATH):
+        with open(GOLDEN_PATH, encoding="utf-8") as handle:
+            previous = json.load(handle)["configs"]
+        report_changes(previous, goldens["configs"])
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
     with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
         json.dump(goldens, handle, indent=2, sort_keys=True)

@@ -11,6 +11,7 @@ and machine-independent: the unified engine must spend no more forwards
 
 import json
 import os
+import statistics
 import time
 
 import numpy as np
@@ -48,6 +49,9 @@ PRE_REFACTOR_FORWARD_SAMPLES = 2208
 #: ``substrate[before]``/``substrate[after]`` records compare the
 #: current float32 + workspace + fused-backward fast path against it.
 PRE_OPT_SEEDS_PER_SEC = 49.59
+
+#: Interleaved repeats per (dtype, rule) cell in the throughput matrix.
+MATRIX_REPEATS = 3
 
 _RECORDS = []
 
@@ -131,34 +135,39 @@ def test_dtype_rule_throughput_matrix(benchmark):
         "float64": resolve_models(models, dtype="float64"),
         "float32": resolve_models(models, dtype="float32"),
     }
+    rules = (("vanilla", None), ("momentum", MomentumRule(0.9)))
 
     def run():
-        cells = {}
-        for dtype in ("float64", "float32"):
-            for label, rule in (("vanilla", None),
-                                ("momentum", MomentumRule(0.9))):
-                cell_models = resolved[dtype]
+        samples, differences = {}, {}
+        for repeat in range(MATRIX_REPEATS):
+            # Alternate which dtype runs first, so a slow stretch of a
+            # shared machine lands on both sides of the comparison.
+            order = (("float64", "float32") if repeat % 2 == 0
+                     else ("float32", "float64"))
+            for dtype in order:
                 cell_seeds = seeds.astype(dtype)
-                elapsed = None
-                for _ in range(2):  # best-of-2 damps scheduler noise
-                    engine = AscentEngine(cell_models, hp,
+                for label, rule in rules:
+                    engine = AscentEngine(resolved[dtype], hp,
                                           LightingConstraint(), rng=73,
                                           rule=rule,
                                           absorb_exhausted=False)
                     start = time.perf_counter()
                     result = engine.run(cell_seeds)
-                    once = time.perf_counter() - start
-                    elapsed = once if elapsed is None else min(elapsed,
-                                                               once)
-                cells[f"{dtype}-{label}"] = {
-                    "seconds": round(elapsed, 4),
-                    "seeds_per_sec": round(
-                        seeds.shape[0] / max(elapsed, 1e-9), 2),
-                    "differences": result.difference_count,
-                }
-        return cells
+                    key = f"{dtype}-{label}"
+                    samples.setdefault(key, []).append(
+                        time.perf_counter() - start)
+                    differences[key] = result.difference_count
+        return samples, differences
 
-    cells = benchmark.pedantic(run, rounds=1, iterations=1)
+    samples, differences = benchmark.pedantic(run, rounds=1, iterations=1)
+    cells = {}
+    for key, times in samples.items():
+        best = min(times)   # best-of: what bench-smoke compares
+        cells[key] = {
+            "seconds": round(best, 4),
+            "seeds_per_sec": round(seeds.shape[0] / max(best, 1e-9), 2),
+            "differences": differences[key],
+        }
     for key, row in cells.items():
         _RECORDS.append({"name": f"engine-throughput[{key}]", **row})
     after = cells["float32-vanilla"]
@@ -182,10 +191,13 @@ def test_dtype_rule_throughput_matrix(benchmark):
          for key, row in cells.items()],
         title="[engine] throughput per (dtype, rule) cell"))
     # Machine-independent floors only: every cell still finds
-    # differences, and float32 beats float64 under the same rule.
+    # differences, and float32 beats float64 under the same rule, on the
+    # median of the interleaved repeats.
     assert all(row["differences"] > 0 for row in cells.values())
-    assert (cells["float32-vanilla"]["seeds_per_sec"]
-            > cells["float64-vanilla"]["seeds_per_sec"])
+    f32 = statistics.median(samples["float32-vanilla"])
+    f64 = statistics.median(samples["float64-vanilla"])
+    assert f32 < f64, (f"float32-vanilla median {f32:.3f}s is not faster "
+                       f"than float64-vanilla {f64:.3f}s")
 
 
 #: The leaderboard lineup: every registered rule, with the betas the

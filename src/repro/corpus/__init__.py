@@ -17,10 +17,9 @@ from repro.corpus.scheduler import (ENERGY_EPSILON, INITIAL_ENERGY,
                                     NOVELTY_WEIGHT, VISIT_DECAY,
                                     SeedScheduler)
 from repro.corpus.session import FuzzReport, FuzzSession
-from repro.corpus.store import (CorpusEntry, CorpusStore,
-                                corpus_fingerprint, input_hash)
+from repro.corpus.store import CorpusStore, corpus_fingerprint, input_hash
 
-__all__ = ["CorpusStore", "CorpusEntry", "corpus_fingerprint", "input_hash",
+__all__ = ["CorpusStore", "corpus_fingerprint", "input_hash",
            "SeedScheduler", "INITIAL_ENERGY", "VISIT_DECAY",
            "NOVELTY_WEIGHT", "ENERGY_EPSILON",
            "FuzzSession", "FuzzReport"]

@@ -29,8 +29,12 @@ Invariants:
   ``compact-merge`` job call it).
 * **Atomic writes** — every file lands via write-to-temp +
   ``os.replace``; ``meta.jsonl`` is append-only with a flush+fsync per
-  record, and a truncated trailing line (a crash mid-append) is ignored
-  on load.
+  record.  A truncated trailing line (a crash mid-append) is ignored on
+  load, and the next append starts on a fresh line so it is not lost
+  with the torn one.
+* **Lazy handle** — opening a store reads only ``MANIFEST.json``; the
+  entry index (``meta.jsonl``) and the committed checkpoint load on
+  first use, so a handle that only serves inputs parses neither.
 * **Versioned commit point** — coverage snapshots are written under a
   fresh generation number *first*, then ``checkpoint.json`` flips to
   reference them in one atomic replace.  A crash between the two leaves
@@ -45,6 +49,7 @@ Invariants:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -60,9 +65,9 @@ from repro.errors import ConfigError
 from repro.utils.atomicio import atomic_write_bytes, atomic_write_json
 from repro.utils.faults import fault_point
 
-__all__ = ["CorpusStore", "CorpusEntry", "corpus_fingerprint", "input_hash",
+__all__ = ["CorpusStore", "corpus_fingerprint", "input_hash",
            "coverage_to_bytes", "coverage_from_bytes",
-           "coverage_states_equal"]
+           "coverage_states_equal", "merge_coverage_states"]
 
 STORE_VERSION = 1
 
@@ -71,6 +76,10 @@ STORE_VERSION = 1
 _SNAPSHOT_RETRIES = 5
 
 _SAFE_NAME = re.compile(r"[^A-Za-z0-9_.-]")
+
+#: One decode per ``meta.jsonl`` line: ``json.loads`` minus the
+#: whitespace scans a stripped line does not need.
+_decode_record = json.JSONDecoder().raw_decode
 
 
 def corpus_fingerprint(models, hyperparams, task):
@@ -164,16 +173,38 @@ def coverage_states_equal(a, b):
     return True
 
 
-class CorpusEntry(dict):
-    """One corpus record (a dict with attribute sugar for common keys)."""
+def merge_coverage_states(base, states):
+    """``base`` ⊕ ``states`` for two ``{model: state_dict}`` maps.
 
-    @property
-    def hash(self):
-        return self["hash"]
+    Models only one side holds pass through unchanged; the rest
+    OR-merge with :func:`repro.coverage.merge_state_dicts`.
+    """
+    merged = dict(base)
+    for name, state in states.items():
+        merged[name] = (merge_state_dicts(merged[name], state)
+                        if name in merged else state)
+    return merged
 
-    @property
-    def kind(self):
-        return self["kind"]
+
+def _read_json_object(path, default):
+    """The JSON object in ``path``, or ``default`` when there is no file.
+
+    A file that is not one JSON object is a :class:`ConfigError` naming
+    it, so a garbled store answers a read verb with a typed error.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except FileNotFoundError:
+        return default
+    except (ValueError, RecursionError) as error:
+        # ValueError covers bad UTF-8, bad JSON and integers past
+        # Python's digit limit; RecursionError, nesting too deep.
+        raise ConfigError(f"corrupt store file {path}: {error}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"corrupt store file {path}: expected a JSON "
+                          f"object, got {type(data).__name__}")
+    return data
 
 
 class CorpusStore:
@@ -200,9 +231,9 @@ class CorpusStore:
         self.checkpoint_path = os.path.join(self.path, "checkpoint.json")
         os.makedirs(self.inputs_dir, exist_ok=True)
         os.makedirs(self.coverage_dir, exist_ok=True)
-        # Version-check the manifest BEFORE parsing meta/checkpoint: a
-        # future-format store must fail with this clean ConfigError, not
-        # whatever KeyError the version-1 parsers hit first.
+        # Version-check the manifest at open, before anything parses
+        # meta/checkpoint: a future-format store must fail with this
+        # clean ConfigError, not whatever the version-1 parsers hit first.
         manifest = self._load_manifest()
         if manifest.get("version", STORE_VERSION) != STORE_VERSION:
             raise ConfigError(
@@ -210,52 +241,69 @@ class CorpusStore:
                 f"{manifest.get('version')!r}; this build reads "
                 f"version {STORE_VERSION}")
         self._config = manifest.get("config")
-        self._entries = {}          # hash -> CorpusEntry, insertion-ordered
-        self._load_meta()
-        self._checkpoint = self._load_checkpoint()
 
     # -- loading ------------------------------------------------------------
+    @functools.cached_property
+    def _entries(self):
+        """``{hash: record}`` in insertion order, read on first use."""
+        return self._read_meta_records()
+
+    @functools.cached_property
+    def _checkpoint(self):
+        """The committed checkpoint, read on first use."""
+        return self._load_checkpoint()
+
     def _read_meta_records(self):
-        """Parse ``meta.jsonl`` from disk into ``{hash: CorpusEntry}``.
+        """Parse ``meta.jsonl`` from disk into ``{hash: record}``.
 
         The file content is captured in one read, so the result is a
         point-in-time prefix of the append-only log even while another
-        process (or thread) is appending to it.  A truncated trailing
-        line (a crash or an in-flight append) is ignored — the entry's
-        ``.npy`` may exist but unreferenced files are harmless and
-        re-adding is idempotent.
+        process (or thread) is appending to it.  A line that is not
+        complete JSON (a crash or an in-flight append) is ignored — the
+        entry's ``.npy`` may exist but unreferenced files are harmless
+        and re-adding is idempotent.  A line that decodes to anything
+        but an entry record is a :class:`ConfigError` naming the file
+        and line: no torn append produces one.
         """
         records = {}
-        if not os.path.exists(self.meta_path):
+        try:
+            with open(self.meta_path, "r", encoding="utf-8") as handle:
+                data = handle.read()
+        except FileNotFoundError:
             return records
-        with open(self.meta_path, "r", encoding="utf-8") as handle:
-            data = handle.read()
-        for line in data.splitlines():
+        except UnicodeDecodeError as error:
+            raise ConfigError(f"corrupt store file {self.meta_path}: "
+                              f"{error}") from None
+        for number, line in enumerate(data.splitlines(), 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                record, end = _decode_record(line)
             except json.JSONDecodeError:
                 continue
-            records[record["hash"]] = CorpusEntry(record)
+            except (ValueError, RecursionError) as error:
+                raise ConfigError(f"corrupt store file {self.meta_path} "
+                                  f"line {number}: {error}") from None
+            if end != len(line):
+                continue            # trailing bytes: not one JSON value
+            if not (isinstance(record, dict)
+                    and isinstance(record.get("hash"), str)
+                    and isinstance(record.get("kind"), str)):
+                raise ConfigError(
+                    f"corrupt store file {self.meta_path} line {number}: "
+                    f"not an entry record with a hash and a kind")
+            records[record["hash"]] = record
         return records
 
-    def _load_meta(self):
-        self._entries.update(self._read_meta_records())
-
     def _load_checkpoint(self):
-        if not os.path.exists(self.checkpoint_path):
-            return {"version": STORE_VERSION, "coverage_gen": 0,
-                    "coverage": {}, "fuzz": None}
-        with open(self.checkpoint_path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        return _read_json_object(self.checkpoint_path, {
+            "version": STORE_VERSION, "coverage_gen": 0, "coverage": {},
+            "fuzz": None})
 
     def _load_manifest(self):
-        if not os.path.exists(self.manifest_path):
-            return {"version": STORE_VERSION, "config": None}
-        with open(self.manifest_path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        return _read_json_object(self.manifest_path, {
+            "version": STORE_VERSION, "config": None})
 
     # -- config fingerprint -------------------------------------------------
     def bind_config(self, config):
@@ -343,11 +391,19 @@ class CorpusStore:
         atomic_write_bytes(self.input_path(entry_hash), buffer.getvalue())
         record = {"hash": entry_hash, "kind": str(kind)}
         record.update(json.loads(json.dumps(meta)))
-        with open(self.meta_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+        with open(self.meta_path, "a+b") as handle:
+            # A crash mid-append leaves the log without its final
+            # newline: start on a fresh line, or the next load skips
+            # this record along with the torn one.
+            if handle.tell():
+                handle.seek(-1, os.SEEK_END)
+                if handle.read(1) != b"\n":
+                    line = b"\n" + line
+            handle.write(line)
             handle.flush()
             os.fsync(handle.fileno())
-        self._entries[entry_hash] = CorpusEntry(record)
+        self._entries[entry_hash] = record
         return entry_hash, True
 
     def add_test(self, test, origin, **meta):
@@ -462,13 +518,7 @@ class CorpusStore:
 
         Models without a committed snapshot pass through unchanged.
         """
-        merged = self.coverage_states()
-        for name, state in states.items():
-            if name in merged:
-                merged[name] = merge_state_dicts(merged[name], state)
-            else:
-                merged[name] = state
-        return merged
+        return merge_coverage_states(self.coverage_states(), states)
 
     def _write_manifest(self):
         kinds = {}
@@ -563,7 +613,7 @@ class CorpusStore:
         dropped = [h for h in self._entries if h not in keep_hashes]
         self._entries = {h: e for h, e in self._entries.items()
                          if h in keep_hashes}
-        lines = "".join(json.dumps(dict(e), sort_keys=True) + "\n"
+        lines = "".join(json.dumps(e, sort_keys=True) + "\n"
                         for e in self._entries.values())
         atomic_write_bytes(self.meta_path, lines.encode("utf-8"))
         for entry_hash in dropped:

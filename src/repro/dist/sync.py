@@ -50,7 +50,8 @@ import zipfile
 import numpy as np
 
 from repro.corpus.store import (CorpusStore, coverage_from_bytes,
-                                coverage_states_equal, coverage_to_bytes)
+                                coverage_states_equal, coverage_to_bytes,
+                                merge_coverage_states)
 from repro.errors import FarmError
 from repro.farm.wire import Blob, as_bytes
 from repro.utils.faults import fault_point
@@ -201,7 +202,7 @@ def pull(dest, source, batch=DEFAULT_BATCH):
         # against different model trios is a ConfigError, not a merge.
         dest.bind_config(manifest["config"])
     existing = dest.coverage_states()
-    merged = dest.merge_coverage(manifest.get("coverage") or {})
+    merged = merge_coverage_states(existing, manifest.get("coverage") or {})
     pending = [entry for entry in manifest.get("entries", [])
                if entry["hash"] not in dest]
     added = 0

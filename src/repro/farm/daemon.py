@@ -637,7 +637,7 @@ class FarmDaemon:
             exclude_hashes=have)
         return {"config": snap["config"],
                 "generation": snap["generation"],
-                "entries": [dict(entry) for entry in snap["entries"]],
+                "entries": snap["entries"],
                 "coverage": {model: encode_coverage(state)
                              for model, state
                              in snap["coverage"].items()}}

@@ -55,8 +55,8 @@ from dataclasses import asdict, dataclass, field
 
 from repro.errors import FarmError
 
-__all__ = ["Job", "JOB_KINDS", "JOB_STATUSES", "check_store_name",
-           "normalize_spec"]
+__all__ = ["Job", "JOB_KINDS", "JOB_STATUSES", "SPEC_MAXIMA",
+           "check_store_name", "normalize_spec"]
 
 JOB_KINDS = ("fuzz", "generate", "federate", "compact-merge",
              "compact-distill")
@@ -86,6 +86,19 @@ _SPEC_FIELDS = {
     "campaign": None,     # federate: shared campaign directory
     "lease": None,        # federate: seconds before a claim is stealable
     "sources": None,      # compact-merge: store names to fold in
+}
+
+#: The largest value a submit may ask for in each sized field.  Each
+#: sizes what the daemon commits to the job — worker processes, the
+#: seed pool held in memory, waves of wall time — so one request cannot
+#: ask for thousands of processes or an unbounded allocation.  Every
+#: limit sits far above what the docs, tools and benchmarks use.
+SPEC_MAXIMA = {
+    "rounds": 100_000,
+    "seeds": 100_000,
+    "wave_size": 10_000,
+    "shard_size": 10_000,
+    "workers": 64,
 }
 
 
@@ -158,8 +171,8 @@ def normalize_spec(spec):
         raise FarmError(
             f"sources only applies to compact-merge jobs, not "
             f"{clean['kind']!r}")
-    for key in ("rounds", "seeds", "wave_size", "shard_size", "workers"):
-        clean[key] = _spec_integer(clean, key, minimum=1)
+    for key, maximum in SPEC_MAXIMA.items():
+        clean[key] = _spec_integer(clean, key, minimum=1, maximum=maximum)
     # numpy's SeedSequence refuses negative entropy.
     clean["seed"] = _spec_integer(clean, "seed", minimum=0)
     for key in ("dataset", "ascent", "constraint"):
@@ -175,7 +188,7 @@ def normalize_spec(spec):
     return clean
 
 
-def _spec_integer(clean, key, minimum):
+def _spec_integer(clean, key, minimum, maximum=None):
     try:
         value = int(clean[key])
     except (TypeError, ValueError, OverflowError):
@@ -183,6 +196,8 @@ def _spec_integer(clean, key, minimum):
                         f"got {clean[key]!r}") from None
     if value < minimum:
         raise FarmError(f"job {key} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise FarmError(f"job {key} must be <= {maximum}, got {value}")
     return value
 
 

@@ -32,5 +32,12 @@ def atomic_write_bytes(path, payload):
 
 
 def atomic_write_json(path, obj):
-    atomic_write_bytes(path, (json.dumps(obj, indent=2, sort_keys=True)
+    """Write ``obj`` to ``path`` atomically as compact, key-sorted JSON.
+
+    Compact on purpose: ``indent`` makes CPython encode in pure Python
+    instead of its C encoder, about three times slower on a checkpoint
+    that is rewritten every wave.
+    """
+    atomic_write_bytes(path, (json.dumps(obj, sort_keys=True,
+                                         separators=(",", ":"))
                               + "\n").encode("utf-8"))

@@ -51,6 +51,80 @@ def test_truncated_meta_line_is_ignored(tmp_path, rng):
     assert [e["hash"] for e in reopened.entries()] == [keep]
 
 
+def test_entry_added_after_a_torn_meta_line_survives_reopen(tmp_path, rng):
+    store = CorpusStore(tmp_path / "c")
+    keep, _ = store.add_entry(rng.random((3,)), "seed")
+    with open(store.meta_path, "a", encoding="utf-8") as handle:
+        handle.write('{"hash": "deadbeef", "kin')   # crash mid-append
+    after, added = CorpusStore(tmp_path / "c").add_entry(rng.random((3,)),
+                                                         "seed")
+    assert added
+    reopened = CorpusStore(tmp_path / "c")
+    assert [e["hash"] for e in reopened.entries()] == [keep, after]
+
+
+def test_record_missing_only_its_newline_keeps_the_next_one(tmp_path, rng):
+    store = CorpusStore(tmp_path / "c")
+    first, _ = store.add_entry(rng.random((3,)), "seed")
+    # Crash between the record's "}" and its "\n".
+    os.truncate(store.meta_path, os.path.getsize(store.meta_path) - 1)
+    second, _ = CorpusStore(tmp_path / "c").add_entry(rng.random((3,)),
+                                                      "seed")
+    reopened = CorpusStore(tmp_path / "c")
+    assert [e["hash"] for e in reopened.entries()] == [first, second]
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", '{"kind": "seed"}',
+                                  '{"hash": 7, "kind": "seed"}',
+                                  '{"hash": "ab"}', "1" + "0" * 5000],
+                         ids=["list", "no-hash", "int-hash", "no-kind",
+                              "int-too-long"])
+def test_meta_line_that_is_not_an_entry_record_is_a_config_error(
+        tmp_path, rng, line):
+    store = CorpusStore(tmp_path / "c")
+    store.add_entry(rng.random((3,)), "seed")
+    with open(store.meta_path, "a", encoding="utf-8") as handle:
+        handle.write(line + "\n")
+    reopened = CorpusStore(tmp_path / "c")
+    with pytest.raises(ConfigError, match=r"meta\.jsonl line 2"):
+        reopened.entries()
+
+
+def test_meta_log_that_is_not_utf8_is_a_config_error(tmp_path):
+    store = CorpusStore(tmp_path / "c")
+    with open(store.meta_path, "wb") as handle:
+        handle.write(b'{"hash": "\xff"}\n')
+    with pytest.raises(ConfigError, match="meta.jsonl"):
+        len(CorpusStore(tmp_path / "c"))
+
+
+@pytest.mark.parametrize("name", ["checkpoint.json", "MANIFEST.json"])
+@pytest.mark.parametrize("text", ['{"version": 1, "cov', "[1, 2]"])
+def test_garbled_store_json_is_a_config_error_naming_the_file(tmp_path,
+                                                             name, text):
+    CorpusStore(tmp_path / "c").commit(fuzz_state=None)
+    with open(tmp_path / "c" / name, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    with pytest.raises(ConfigError, match=name):
+        CorpusStore(tmp_path / "c").snapshot()
+
+
+def test_open_reads_neither_the_log_nor_the_checkpoint(tmp_path, rng):
+    """A handle that only serves inputs (the store-entries verb) parses
+    neither file; the entry index loads on first use."""
+    store = CorpusStore(tmp_path / "c")
+    x = rng.random((3,))
+    entry, _ = store.add_entry(x, "seed")
+    store.commit(fuzz_state=None)
+    for path in (store.meta_path, store.checkpoint_path):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("[1, 2]\n")
+    reader = CorpusStore(tmp_path / "c", create=False)
+    np.testing.assert_array_equal(reader.load_input(entry), x)
+    with pytest.raises(ConfigError, match="meta.jsonl"):
+        len(reader)
+
+
 def test_commit_roundtrips_coverage(tmp_path, lenet1, rng):
     tracker = NeuronCoverageTracker(lenet1, threshold=0.2)
     tracker.update(rng.random((4, 1, 28, 28)))

@@ -116,6 +116,23 @@ def test_noop_pull_skips_coverage_commit(tmp_path, make_store):
     assert CorpusStore(tmp_path / "dest").snapshot()["generation"] == gen
 
 
+def test_pull_loads_dest_coverage_once(tmp_path, make_store):
+    make_store(tmp_path / "src", 3, covered_idx=(2,))
+    dest = make_store(tmp_path / "dest", 1, seed=1, covered_idx=(0,))
+    loads = []
+    committed = dest.coverage_states
+
+    def counted():
+        loads.append(1)
+        return committed()
+
+    dest.coverage_states = counted
+    assert pull(dest, tmp_path / "src") == 3
+    assert len(loads) == 1
+    assert CorpusStore(tmp_path / "dest").coverage_states()["SYN_A"][
+        "covered"][[0, 2]].all()
+
+
 def test_pull_rejects_a_corrupt_source_entry(tmp_path, make_store):
     """A source input whose bytes no longer match its name is refused
     before it is written: the destination holds only hashes the source

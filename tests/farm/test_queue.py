@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import FarmError
 from repro.farm import JobQueue, QueueSaturatedError, UnknownJobError
+from repro.farm.jobs import SPEC_MAXIMA, normalize_spec
 
 
 class FakeClock:
@@ -70,6 +71,14 @@ def test_bad_specs_rejected(tmp_path, clock):
     assert queue.jobs() == []
     # A store name arrives as a string, whatever JSON type carried it.
     assert queue.submit(spec(store=5)).spec["store"] == "5"
+
+
+@pytest.mark.parametrize("key", sorted(SPEC_MAXIMA))
+def test_spec_sizes_are_refused_above_their_maximum(key):
+    limit = SPEC_MAXIMA[key]
+    assert normalize_spec({"store": "s", key: limit})[key] == limit
+    with pytest.raises(FarmError, match=f"job {key} must be <= {limit}"):
+        normalize_spec({"store": "s", key: limit + 1})
 
 
 def test_saturation_counts_queued_plus_running(tmp_path, clock):

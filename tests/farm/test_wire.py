@@ -368,6 +368,21 @@ MALFORMED_REQUESTS = {
     "submit-overshoot-list": {"cmd": "submit",
                               "spec": {"store": "s", "ascent": "deepfool",
                                        "overshoot": [1]}},
+    # Sizes past SPEC_MAXIMA; the daemon under test runs no worker, so
+    # a spec that slipped through would only queue, never start.
+    "submit-workers-too-many": {"cmd": "submit",
+                                "spec": {"store": "s", "workers": 5000,
+                                         "shard_size": 1}},
+    "submit-seeds-too-many": {"cmd": "submit",
+                              "spec": {"store": "s", "seeds": 10 ** 9}},
+    "submit-rounds-too-many": {"cmd": "submit",
+                               "spec": {"store": "s", "rounds": 10 ** 9}},
+    "submit-wave-size-too-big": {"cmd": "submit",
+                                 "spec": {"store": "s",
+                                          "wave_size": 10 ** 9}},
+    "submit-shard-size-too-big": {"cmd": "submit",
+                                  "spec": {"store": "s",
+                                           "shard_size": 10 ** 9}},
 }
 
 
@@ -406,6 +421,30 @@ def test_peers_verb_answers_wrong_shaped_peer_list_then_serves(live_server):
     try:
         reply = _ask(channel, dump_message({"cmd": "peers"}))
         assert reply["ok"] is False and "peers.json" in reply["error"]
+        assert _ask(channel, dump_message({"cmd": "ping"}))["ok"] is True
+    finally:
+        for handle in reversed(channel):
+            handle.close()
+
+
+def test_store_manifest_answers_a_truncated_checkpoint_then_serves(
+        live_server):
+    store = CorpusStore(live_server.farm.store_path("s"))
+    entry, _ = store.add_entry(np.arange(3.0), "seed", origin=0)
+    store.commit(fuzz_state=None)
+    os.truncate(store.checkpoint_path, 10)
+    channel = _channel(live_server)
+    try:
+        reply = _ask(channel, dump_message({"cmd": "store-manifest",
+                                            "store": "s"}))
+        assert reply["ok"] is False and "checkpoint.json" in reply["error"]
+        # store-entries reads only inputs/, so it still serves.
+        reply = _ask(channel, dump_message({"cmd": "store-entries",
+                                            "store": "s",
+                                            "hashes": [entry]}))
+        assert reply["ok"] is True
+        np.testing.assert_array_equal(
+            decode_array(reply["entries"][0]["data"]), np.arange(3.0))
         assert _ask(channel, dump_message({"cmd": "ping"}))["ok"] is True
     finally:
         for handle in reversed(channel):

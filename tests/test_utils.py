@@ -1,4 +1,4 @@
-"""Utility modules: rng plumbing, tables, image ops."""
+"""Utility modules: rng plumbing, tables, image ops, atomic writes."""
 
 import os
 
@@ -12,6 +12,7 @@ from repro.utils import (as_rng, clip01, derive_rng, l1_distance,
                          render_table, rng_from_seed_sequence, save_pgm,
                          save_ppm, spawn_rngs, spawn_seed_sequences,
                          to_uint8)
+from repro.utils.atomicio import atomic_write_json
 
 
 class TestRng:
@@ -151,3 +152,11 @@ class TestImageOps:
             save_pgm(tmp_path / "x.pgm", np.zeros((3, 4, 4)))
         with pytest.raises(ShapeError):
             save_ppm(tmp_path / "x.ppm", np.zeros((1, 4, 4)))
+
+
+def test_atomic_write_json_is_compact_and_key_sorted(tmp_path):
+    path = tmp_path / "state.json"
+    atomic_write_json(str(path), {"b": [1, {"d": 2, "c": 3}], "a": None})
+    assert path.read_text(encoding="utf-8") == \
+        '{"a":null,"b":[1,{"c":3,"d":2}]}\n'
+    assert os.listdir(tmp_path) == ["state.json"]   # no temp file left

@@ -62,7 +62,8 @@ import numpy as np
 from repro.analysis.minimize import minimize_suite
 from repro.coverage import merge_state_dicts
 from repro.errors import ConfigError
-from repro.utils.atomicio import atomic_write_bytes, atomic_write_json
+from repro.utils.atomicio import (append_json_line, atomic_write_bytes,
+                                  atomic_write_json)
 from repro.utils.faults import fault_point
 
 __all__ = ["CorpusStore", "corpus_fingerprint", "input_hash",
@@ -76,6 +77,10 @@ STORE_VERSION = 1
 _SNAPSHOT_RETRIES = 5
 
 _SAFE_NAME = re.compile(r"[^A-Za-z0-9_.-]")
+
+#: A checkpoint's coverage reference: one file directly in
+#: ``coverage/``, named as :meth:`CorpusStore.commit` names it.
+_COVERAGE_REF = re.compile(r"coverage/[A-Za-z0-9_.-]+\.npz")
 
 #: One decode per ``meta.jsonl`` line: ``json.loads`` minus the
 #: whitespace scans a stripped line does not need.
@@ -297,9 +302,26 @@ class CorpusStore:
         return records
 
     def _load_checkpoint(self):
-        return _read_json_object(self.checkpoint_path, {
+        """The committed checkpoint; a :class:`ConfigError` naming the
+        file when a field has the wrong shape, so no reader joins a
+        reference that leaves ``coverage/`` to the store path."""
+        checkpoint = _read_json_object(self.checkpoint_path, {
             "version": STORE_VERSION, "coverage_gen": 0, "coverage": {},
             "fuzz": None})
+        coverage = checkpoint.get("coverage", {})
+        gen = checkpoint.get("coverage_gen", 0)
+        if not (isinstance(coverage, dict)
+                and all(isinstance(ref, str) and _COVERAGE_REF.fullmatch(ref)
+                        for ref in coverage.values())):
+            problem = "coverage must map model names to files in coverage/"
+        elif type(gen) is not int or gen < 0:
+            problem = f"coverage_gen must be an integer >= 0, got {gen!r}"
+        elif not isinstance(checkpoint.get("fuzz"), (dict, type(None))):
+            problem = "fuzz must be null or an object"
+        else:
+            return checkpoint
+        raise ConfigError(
+            f"corrupt store file {self.checkpoint_path}: {problem}")
 
     def _load_manifest(self):
         return _read_json_object(self.manifest_path, {
@@ -391,18 +413,7 @@ class CorpusStore:
         atomic_write_bytes(self.input_path(entry_hash), buffer.getvalue())
         record = {"hash": entry_hash, "kind": str(kind)}
         record.update(json.loads(json.dumps(meta)))
-        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-        with open(self.meta_path, "a+b") as handle:
-            # A crash mid-append leaves the log without its final
-            # newline: start on a fresh line, or the next load skips
-            # this record along with the torn one.
-            if handle.tell():
-                handle.seek(-1, os.SEEK_END)
-                if handle.read(1) != b"\n":
-                    line = b"\n" + line
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
+        append_json_line(self.meta_path, record)
         self._entries[entry_hash] = record
         return entry_hash, True
 

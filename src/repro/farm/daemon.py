@@ -3,7 +3,7 @@
 One :class:`FarmDaemon` owns a *farm root* directory::
 
     root/
-      queue.json            # journaled job queue (atomic JSON)
+      queue.json            # job journal: snapshot + appended records
       daemon.json           # live endpoint record (written by the server)
       LOCK                  # daemon liveness lock (pid-checked)
       stores/<name>/        # one corpus store per tenant
@@ -17,7 +17,7 @@ can share a trio.  A job may still fan out its own campaign worker
 *processes* when its spec asks for ``workers > 1``.
 
 Crash story (the tentpole contract): every durable structure already
-survives ``kill -9`` — the queue journal is atomic, running jobs
+survives ``kill -9`` — the queue journal skips a torn append, running jobs
 re-queue on reload, and corpus stores checkpoint per wave — so a
 daemon killed mid-wave restarts, re-claims the interrupted job, and
 the resumed store converges bit-identically to an uninterrupted run.

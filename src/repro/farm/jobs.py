@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.errors import FarmError
 
@@ -201,6 +201,13 @@ def _spec_integer(clean, key, minimum, maximum=None):
     return value
 
 
+#: The JSON type(s) each field of a job record may hold.
+_RECORD_TYPES = {"job_id": str, "spec": dict, "status": str,
+                 "attempts": int, "not_before": (int, float),
+                 "submitted": (int, float), "error": (str, type(None)),
+                 "result": dict}
+
+
 @dataclass
 class Job:
     """One queued/running/finished unit of farm work."""
@@ -219,10 +226,42 @@ class Job:
         return self.spec["store"]
 
     def to_dict(self):
-        return asdict(self)
+        """This job as a fresh JSON-safe dict, built field by field.
+
+        ``spec`` (with its ``sources`` list) and ``result`` are copied,
+        so no caller can alias the live job.
+        """
+        spec = dict(self.spec)
+        if spec.get("sources") is not None:
+            spec["sources"] = list(spec["sources"])
+        return {"job_id": self.job_id, "spec": spec, "status": self.status,
+                "attempts": self.attempts, "not_before": self.not_before,
+                "submitted": self.submitted, "error": self.error,
+                "result": dict(self.result)}
 
     @classmethod
     def from_dict(cls, record):
+        """Inverse of :meth:`to_dict`; a :class:`FarmError` saying what
+        is wrong when ``record`` is not a job record."""
+        if not isinstance(record, dict):
+            raise FarmError(f"a job record must be an object, "
+                            f"got {type(record).__name__}")
+        for key in ("job_id", "spec"):
+            if key not in record:
+                raise FarmError(f"a job record needs a {key}")
+        for key, value in record.items():
+            if key not in _RECORD_TYPES:
+                raise FarmError(f"unknown job record field {key!r}")
+            if isinstance(value, bool) \
+                    or not isinstance(value, _RECORD_TYPES[key]):
+                raise FarmError(f"job record field {key!r} has the wrong "
+                                f"type: {value!r}")
+        if record.get("status", "queued") not in JOB_STATUSES:
+            raise FarmError(f"unknown job status {record['status']!r}")
+        spec = record["spec"]
+        if not (isinstance(spec.get("store"), str)
+                and isinstance(spec.get("kind"), str)):
+            raise FarmError("a job record's spec needs a store and a kind")
         return cls(**record)
 
     def describe(self):

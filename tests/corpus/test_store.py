@@ -109,6 +109,47 @@ def test_garbled_store_json_is_a_config_error_naming_the_file(tmp_path,
         CorpusStore(tmp_path / "c").snapshot()
 
 
+WRONG_SHAPED_CHECKPOINT_FIELDS = {
+    "coverage-int": {"coverage": 5},
+    "coverage-list": {"coverage": ["coverage/m.g1.npz"]},
+    "coverage-ref-int": {"coverage": {"m": 5}},
+    "coverage-ref-outside": {"coverage": {"m": "../../etc/x.npz"}},
+    "coverage-ref-climbs-out": {"coverage": {"m": "coverage/../../x.npz"}},
+    "coverage-ref-absolute": {"coverage": {"m": "/etc/x.npz"}},
+    "gen-string": {"coverage_gen": "x"},
+    "gen-negative": {"coverage_gen": -1},
+    "gen-bool": {"coverage_gen": True},
+    "fuzz-int": {"fuzz": 5},
+    "fuzz-list": {"fuzz": [1]},
+}
+
+
+@pytest.mark.parametrize("read", ["snapshot", "coverage_states"])
+@pytest.mark.parametrize("case", sorted(WRONG_SHAPED_CHECKPOINT_FIELDS))
+def test_wrong_shaped_checkpoint_field_is_a_config_error(tmp_path, case,
+                                                         read):
+    store = CorpusStore(tmp_path / "c")
+    store.commit(fuzz_state=None)
+    with open(store.checkpoint_path, encoding="utf-8") as handle:
+        checkpoint = json.load(handle)
+    checkpoint.update(WRONG_SHAPED_CHECKPOINT_FIELDS[case])
+    with open(store.checkpoint_path, "w", encoding="utf-8") as handle:
+        json.dump(checkpoint, handle)
+    with pytest.raises(ConfigError, match=r"checkpoint\.json: "):
+        getattr(CorpusStore(tmp_path / "c"), read)()
+
+
+def test_snapshot_retries_a_valid_reference_whose_file_is_gone(tmp_path):
+    """What a racing commit's garbage collection looks like to a
+    reader: the reference is well formed, its file is missing."""
+    store = CorpusStore(tmp_path / "c")
+    with open(store.checkpoint_path, "w", encoding="utf-8") as handle:
+        json.dump({"version": 1, "coverage_gen": 3, "fuzz": None,
+                   "coverage": {"m": "coverage/m.g3.npz"}}, handle)
+    with pytest.raises(ConfigError, match="consistent snapshot"):
+        CorpusStore(tmp_path / "c").snapshot()
+
+
 def test_open_reads_neither_the_log_nor_the_checkpoint(tmp_path, rng):
     """A handle that only serves inputs (the store-entries verb) parses
     neither file; the entry index loads on first use."""

@@ -451,6 +451,24 @@ def test_store_manifest_answers_a_truncated_checkpoint_then_serves(
             handle.close()
 
 
+def test_store_manifest_answers_a_wrong_shaped_checkpoint_then_serves(
+        live_server):
+    store = CorpusStore(live_server.farm.store_path("s"))
+    store.add_entry(np.arange(3.0), "seed", origin=0)
+    with open(store.checkpoint_path, "w", encoding="utf-8") as handle:
+        json.dump({"version": 1, "coverage_gen": 1, "coverage": 5,
+                   "fuzz": None}, handle)
+    channel = _channel(live_server)
+    try:
+        reply = _ask(channel, dump_message({"cmd": "store-manifest",
+                                            "store": "s"}))
+        assert reply["ok"] is False and "checkpoint.json" in reply["error"]
+        assert _ask(channel, dump_message({"cmd": "ping"}))["ok"] is True
+    finally:
+        for handle in reversed(channel):
+            handle.close()
+
+
 @pytest.mark.parametrize("name", ["bad-json", "frame-length-not-int",
                                   "frame-ref-missing", "frame-ref-not-int",
                                   "frames-not-a-list", "int-too-long",

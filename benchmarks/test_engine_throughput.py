@@ -38,7 +38,8 @@ BENCH_ENGINE_PATH = os.path.join(
 #: 73, paper hyperparams, lighting constraint.  Because the unified
 #: vanilla engine is pinned bit-identical to that code
 #: (tests/core/test_engine.py), re-measuring with the current engine
-#: (``absorb_exhausted=False``) reproduces these numbers exactly.
+#: reproduces these numbers exactly (folding exhausted seeds' tapes
+#: into coverage reads tapes already recorded and costs no forwards).
 PRE_REFACTOR_FORWARDS = 93
 PRE_REFACTOR_FORWARD_SAMPLES = 2208
 
@@ -88,11 +89,7 @@ def test_unified_engine_no_regression(benchmark):
     models, seeds, hp = _scenario()
 
     def run():
-        # absorb_exhausted=False matches the baseline's accounting
-        # exactly (the absorb costs no forwards either way, but keep the
-        # comparison apples-to-apples).
-        engine = AscentEngine(models, hp, LightingConstraint(), rng=73,
-                              absorb_exhausted=False)
+        engine = AscentEngine(models, hp, LightingConstraint(), rng=73)
         with PassCounter() as passes:
             start = time.perf_counter()
             result = engine.run(seeds)
@@ -149,8 +146,7 @@ def test_dtype_rule_throughput_matrix(benchmark):
                 for label, rule in rules:
                     engine = AscentEngine(resolved[dtype], hp,
                                           LightingConstraint(), rng=73,
-                                          rule=rule,
-                                          absorb_exhausted=False)
+                                          rule=rule)
                     start = time.perf_counter()
                     result = engine.run(cell_seeds)
                     key = f"{dtype}-{label}"

@@ -13,7 +13,7 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.utils.imageops import l1_distance
 
-__all__ = ["average_l1_diversity", "pairwise_l1_diversity"]
+__all__ = ["average_l1_diversity"]
 
 
 def average_l1_diversity(tests, seeds):
@@ -29,18 +29,3 @@ def average_l1_diversity(tests, seeds):
     distances = [l1_distance(t.x, seeds[t.seed_index]) for t in tests]
     return float(np.mean(distances))
 
-
-def pairwise_l1_diversity(inputs):
-    """Mean pairwise L1 distance within a set of inputs."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    n = inputs.shape[0]
-    if n < 2:
-        return 0.0
-    flat = inputs.reshape(n, -1)
-    total = 0.0
-    count = 0
-    for i in range(n):
-        diffs = np.abs(flat[i + 1:] - flat[i]).sum(axis=1)
-        total += float(diffs.sum())
-        count += diffs.size
-    return total / count

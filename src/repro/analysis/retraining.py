@@ -48,8 +48,7 @@ def retrain_with_augmentation(network, dataset, extra_x, extra_y, epochs=5,
     y_aug = np.concatenate([np.asarray(dataset.y_train), extra_y])
     curve = RetrainingCurve(source=source)
     curve.accuracies.append(accuracy(network, dataset.x_test, dataset.y_test))
-    trainer = Trainer(network, loss="cross_entropy", optimizer="adam", lr=lr,
-                      rng=rng)
+    trainer = Trainer(network, loss="cross_entropy", lr=lr, rng=rng)
     for _ in range(epochs):
         trainer.fit(x_aug, y_aug, epochs=1, batch_size=batch_size)
         curve.accuracies.append(

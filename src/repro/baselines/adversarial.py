@@ -13,9 +13,8 @@ import numpy as np
 
 from repro.core.engine import run_ascent
 from repro.errors import ConfigError
-from repro.utils.rng import as_rng
 
-__all__ = ["fgsm", "iterative_fgsm", "adversarial_inputs"]
+__all__ = ["fgsm", "iterative_fgsm", "regression_adversarial"]
 
 _EPS = 1e-12
 
@@ -64,25 +63,6 @@ def iterative_fgsm(network, x, labels, epsilon=0.1, steps=5):
 
     return run_ascent(x.copy(), steps, gradient, step=epsilon / steps,
                       direction=np.sign, project=project)
-
-
-def adversarial_inputs(network, dataset, count, epsilon=0.1, rng=None,
-                       iterative=False):
-    """Generate ``count`` adversarial inputs from random test seeds.
-
-    Returns ``(adversarial_x, seed_labels)``.  Only defined for
-    classification datasets — the paper's adversarial baseline likewise
-    attacks classifiers (for driving it perturbs toward larger MSE, which
-    :func:`regression_adversarial` covers).
-    """
-    rng = as_rng(rng)
-    seeds, labels = dataset.sample_seeds(count, rng)
-    if dataset.task == "regression":
-        return regression_adversarial(network, seeds, labels,
-                                      epsilon=epsilon), labels
-    if iterative:
-        return iterative_fgsm(network, seeds, labels, epsilon=epsilon), labels
-    return fgsm(network, seeds, labels, epsilon=epsilon), labels
 
 
 def regression_adversarial(network, x, targets, epsilon=0.1):

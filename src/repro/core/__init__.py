@@ -13,9 +13,7 @@ from repro.core.engine import (ASCENT_RULES, AdamRule, AdaptiveStepRule,
                                VanillaRule, make_rule, rule_from_identity,
                                run_ascent)
 from repro.core.factory import make_engine, resolve_models
-from repro.core.objectives import (CoverageObjective, DifferentialObjective,
-                                   JointObjective,
-                                   RegressionDifferentialObjective)
+from repro.core.objectives import CoverageObjective
 from repro.core.oracle import (ClassificationOracle, RegressionOracle,
                                majority_label, make_oracle)
 
@@ -30,8 +28,7 @@ __all__ = [
     "MultiRectOcclusion", "PdfFeatureConstraint", "SingleRectOcclusion",
     "Unconstrained", "constraint_for_dataset",
     "DeepXplore", "GeneratedTest", "GenerationResult",
-    "CoverageObjective", "DifferentialObjective", "JointObjective",
-    "RegressionDifferentialObjective",
+    "CoverageObjective",
     "ClassificationOracle", "RegressionOracle", "majority_label",
     "make_oracle",
 ]

@@ -173,8 +173,7 @@ def _run_shard(models, spec, tracker_states, shard):
     engine = AscentEngine(
         models, spec["hp"], spec["constraint"].clone(), task=spec["task"],
         trackers=trackers, rng=rng_from_seed_sequence(shard.seed_seq),
-        rule=spec["rule"].clone(),
-        absorb_exhausted=spec["absorb_exhausted"])
+        rule=spec["rule"].clone())
     result = engine.run(shard.seeds, seed_scales=shard.scales)
     for test in result.tests:
         test.seed_index = int(shard.indices[test.seed_index])
@@ -189,7 +188,6 @@ def _pool_identity(campaign, payloads):
     parts.append(campaign.rule.identity())
     parts.append(type(campaign.constraint).__name__)
     parts.append(str(campaign.task))
-    parts.append(str(campaign.absorb_exhausted))
     parts.append(repr(campaign.hp))
     return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
 
@@ -257,7 +255,10 @@ class Campaign:
         As in :class:`~repro.core.DeepXplore`.  Trackers passed in keep
         any coverage they already hold; shard workers *start from* that
         coverage (so the coverage objective targets genuinely uncovered
-        neurons) and shard results merge back into them.
+        neurons) and shard results merge back into them.  Each shard's
+        engine folds the final tapes of exhausted seeds into coverage as
+        well as those of difference-inducing inputs, the reproduction's
+        one departure from Algorithm 1's accounting.
     workers:
         Worker processes.  ``1`` runs shards in-process on ``models``
         (through the same ``_run_shard`` pool workers call); ``N > 1``
@@ -273,11 +274,6 @@ class Campaign:
         under (each shard gets its own clone, so per-seed rule state
         never crosses shard boundaries); defaults to the vanilla rule.
         Like ``shard_size``, part of the deterministic identity.
-    absorb_exhausted:
-        Engine coverage accounting per shard (see
-        :class:`~repro.core.engine.AscentEngine`); ``False`` is the
-        paper-exact mode.  Also part of the deterministic identity —
-        it changes what later waves' coverage objectives chase.
     mp_start_method:
         ``multiprocessing`` start method (``"fork"``/``"spawn"``);
         defaults to the platform default.
@@ -286,7 +282,7 @@ class Campaign:
     def __init__(self, models, hyperparams=None, constraint=None,
                  task="classification", trackers=None, workers=1,
                  shard_size=DEFAULT_SHARD_SIZE, seed=0, rule=None,
-                 absorb_exhausted=True, mp_start_method=None):
+                 mp_start_method=None):
         if len(models) < 2:
             raise ConfigError("differential testing needs >= 2 models")
         self.models = list(models)
@@ -305,7 +301,6 @@ class Campaign:
         self.rule = rule if rule is not None else VanillaRule()
         if not isinstance(self.rule, AscentRule):
             raise ConfigError("rule must be an AscentRule instance")
-        self.absorb_exhausted = bool(absorb_exhausted)
         if trackers is None:
             trackers = [NeuronCoverageTracker(m, threshold=self.hp.threshold)
                         for m in self.models]
@@ -322,7 +317,6 @@ class Campaign:
             "constraint": self.constraint,
             "task": self.task,
             "rule": self.rule,
-            "absorb_exhausted": self.absorb_exhausted,
         }
 
     def make_pool(self):

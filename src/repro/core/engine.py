@@ -25,11 +25,11 @@ This module owns the repo's single gradient-ascent loop:
   against the golden matrix in ``tests/data/golden_engines.json``.
 
 Coverage semantics: difference-inducing inputs fold their tapes into
-the trackers, as the paper specifies — and so do *exhausted* seeds
-(their final activations were computed anyway; discarding them made the
-trackers lie about what the models were observed doing).  Pass
-``absorb_exhausted=False`` for the paper-exact accounting in which only
-kept tests count.
+the trackers, as the paper specifies — and so do *exhausted* seeds:
+their final activations were computed anyway, and discarding them made
+the trackers lie about what the models were observed doing.  This is
+the reproduction's one departure from Algorithm 1's accounting, in
+which coverage updates only for difference-inducing inputs.
 
 Execution model: every iteration records exactly one
 :class:`~repro.nn.tape.ForwardPass` per model over the active batch,
@@ -219,15 +219,14 @@ class AscentEngine:
         obj1's backward sweep.  Default is Algorithm 1's
         one-neuron-per-model rule; extensions supply variants (e.g.
         multi-neuron).
-    absorb_exhausted:
-        Fold the final tapes of seeds that hit ``max_iterations`` into
-        coverage (default).  ``False`` restores the paper-exact
-        accounting in which only difference-inducing inputs count.
+
+    Seeds that hit ``max_iterations`` fold their final tapes into
+    coverage too (see the module docstring).
     """
 
     def __init__(self, models, hyperparams=None, constraint=None,
                  task="classification", trackers=None, rng=None, rule=None,
-                 coverage_factory=None, absorb_exhausted=True):
+                 coverage_factory=None):
         if len(models) < 2:
             raise ConfigError("differential testing needs >= 2 models")
         self.models = list(models)
@@ -260,7 +259,6 @@ class AscentEngine:
                 "tasks")
         self.coverage_factory = coverage_factory or (
             lambda trackers, rng: CoverageObjective(trackers, rng=rng))
-        self.absorb_exhausted = bool(absorb_exhausted)
         self._workspaces = [Workspace() for _ in self.models]
 
     # -- objective pieces, batched ----------------------------------------------
@@ -480,10 +478,9 @@ class AscentEngine:
             return
         if remaining.shape[0]:
             result.seeds_exhausted = int(remaining.shape[0])
-            if self.absorb_exhausted:
-                # Line 18's counterpart for seeds that never flipped:
-                # their final activations are already on the tapes.
-                self._absorb_tapes(st["tapes"], st["rows"])
+            # Line 18's counterpart for seeds that never flipped: their
+            # final activations are already on the tapes.
+            self._absorb_tapes(st["tapes"], st["rows"])
 
     # -- drivers --------------------------------------------------------------
     def run(self, seeds, max_tests=None, seed_scales=None):
@@ -550,10 +547,12 @@ class DeepXplore(AscentEngine):
     batch-of-one call into the shared engine, so the per-seed sequencing
     (each seed draws its target model, constraint state, and coverage
     picks in turn, and sees the coverage its predecessors accumulated)
-    matches the paper's pseudocode and the historical sequential engine
-    bit-for-bit under fixed RNG.  Prefer :class:`AscentEngine` (whole
-    seed set per call) when per-seed sequencing doesn't matter: same
-    results, a fraction of the wall-clock.
+    matches the paper's pseudocode.  Coverage is the engine's: a seed
+    that exhausts its iterations folds its final tape in too, where
+    Algorithm 1 updates coverage only for difference-inducing inputs.
+    Prefer :class:`AscentEngine` (whole seed set per call) when per-seed
+    sequencing doesn't matter: same results, a fraction of the
+    wall-clock.
     """
 
     # -- seed-set driver ----------------------------------------------------------

@@ -15,8 +15,12 @@ idempotent absorb converges to exactly the uninterrupted store.
 Determinism identity (``ConfigError`` to change on resume): the root
 ``seed``, ``wave_size``, ``shard_size``, the constraint kind, the
 ascent rule (``rule.identity()``, e.g. ``momentum(beta=0.9)``), the
-engine's exhausted-tape accounting (``absorb_exhausted``), and the
-store's config fingerprint (model names, coverage threshold, task).
+models' dtype, and the store's config fingerprint (model names,
+coverage threshold, task).  Every wave folds exhausted seeds' final
+tapes into coverage, as the engine always does (the reproduction's one
+departure from Algorithm 1's accounting); the identity records that
+folding as a constant, so a store written under the paper's accounting
+is refused.
 ``workers`` is throughput only, exactly as for campaigns: a wave is a
 campaign, and campaigns are worker-count invariant.  Corpora written
 before rules existed resume as ``vanilla``.
@@ -92,13 +96,11 @@ class FuzzSession:
         A :class:`CorpusStore` or a directory path (created if absent).
     models, hyperparams, constraint, task:
         As for :class:`~repro.core.Campaign`.
-    wave_size, shard_size, seed, rule, absorb_exhausted:
+    wave_size, shard_size, seed, rule:
         The session's deterministic identity (with the constraint kind);
         persisted in the store and validated on resume.  ``rule`` is the
         :class:`~repro.core.engine.AscentRule` every wave's campaign
-        ascends under (default vanilla); ``absorb_exhausted=False`` is
-        the engine's paper-exact coverage accounting — identity too,
-        because it changes what later waves' coverage objectives chase.
+        ascends under (default vanilla).
     workers, mp_start_method:
         Campaign fan-out; changing them never changes results.
     dataset, seed_strategy, initial_seed_count, initial_seeds:
@@ -115,7 +117,7 @@ class FuzzSession:
     def __init__(self, store, models, hyperparams=None, constraint=None,
                  task="classification", wave_size=16, workers=1,
                  shard_size=DEFAULT_SHARD_SIZE, seed=0, rule=None,
-                 absorb_exhausted=True, dataset=None,
+                 dataset=None,
                  seed_strategy="random", initial_seed_count=64,
                  initial_seeds=None, mp_start_method=None):
         self.store = store if isinstance(store, CorpusStore) \
@@ -135,7 +137,6 @@ class FuzzSession:
         self.rule = rule if rule is not None else VanillaRule()
         if not isinstance(self.rule, AscentRule):
             raise ConfigError("rule must be an AscentRule instance")
-        self.absorb_exhausted = bool(absorb_exhausted)
         self.mp_start_method = mp_start_method
 
         self.store.bind_config(
@@ -187,7 +188,9 @@ class FuzzSession:
             "shard_size": self.shard_size,
             "constraint": type(self.constraint).__name__,
             "ascent": self.rule.identity(),
-            "absorb_exhausted": self.absorb_exhausted,
+            # Exhausted-tape folding is unconditional; the constant keeps
+            # stores written under the paper's accounting from resuming.
+            "absorb_exhausted": True,
             "dtype": str(np.dtype(self.models[0].dtype)),
         }
 
@@ -294,8 +297,7 @@ class FuzzSession:
                     self.models, self.hp, self.constraint, task=self.task,
                     trackers=self.trackers, workers=self.workers,
                     shard_size=self.shard_size, seed=children[round_index],
-                    rule=self.rule, absorb_exhausted=self.absorb_exhausted,
-                    mp_start_method=self.mp_start_method)
+                    rule=self.rule, mp_start_method=self.mp_start_method)
                 if shard_runner is None and self.workers > 1:
                     shard_runner = pool = campaign.make_pool()
                 scales = None

@@ -140,6 +140,12 @@ def coverage_to_bytes(state):
     return buffer.getvalue()
 
 
+#: What ``np.load``, the ``.npz`` readers and the record decoders raise
+#: on bytes or JSON that are not a well-formed payload.
+BAD_PAYLOAD = (ValueError, TypeError, KeyError, AttributeError,
+               OverflowError, EOFError, zipfile.BadZipFile)
+
+
 def _coverage_from_npz(path):
     with np.load(path, allow_pickle=False) as data:
         config = json.loads(str(data["config"][()]))
@@ -152,6 +158,21 @@ def _coverage_from_npz(path):
 def coverage_from_bytes(payload):
     """Inverse of :func:`coverage_to_bytes`."""
     return _coverage_from_npz(io.BytesIO(payload))
+
+
+def _load_coverage_file(path):
+    """One committed coverage snapshot.  A file that is not one (garbage,
+    empty, or an archive without ``config``/``tracked``/``covered``) is
+    a :class:`ConfigError` naming it; a missing file still raises
+    :class:`FileNotFoundError`, which :meth:`CorpusStore.snapshot`
+    retries."""
+    try:
+        return _coverage_from_npz(path)
+    except FileNotFoundError:
+        raise
+    except (OSError,) + BAD_PAYLOAD as error:
+        raise ConfigError(f"unreadable coverage snapshot {path}: "
+                          f"{error}") from None
 
 
 def coverage_states_equal(a, b):
@@ -474,8 +495,8 @@ class CorpusStore:
         """The committed per-model coverage snapshots, ``{name: state}``."""
         states = {}
         for name, rel_path in self._checkpoint.get("coverage", {}).items():
-            states[name] = _coverage_from_npz(os.path.join(self.path,
-                                                           rel_path))
+            states[name] = _load_coverage_file(os.path.join(self.path,
+                                                            rel_path))
         return states
 
     def fuzz_state(self):
@@ -576,7 +597,7 @@ class CorpusStore:
             checkpoint = self._load_checkpoint()
             try:
                 coverage = {
-                    name: _coverage_from_npz(os.path.join(self.path, rel))
+                    name: _load_coverage_file(os.path.join(self.path, rel))
                     for name, rel in checkpoint.get("coverage", {}).items()}
             except FileNotFoundError as error:
                 last_error = error

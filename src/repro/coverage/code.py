@@ -11,13 +11,10 @@ for every input, the natural denominator is the set of lines a reference
 input set executes (the lines that are dynamically reachable for this
 model).  That is exactly the phenomenon Table 6 demonstrates: code
 coverage saturates immediately, independent of which inputs are chosen.
-A static denominator (every line of every reachable forward function) is
-also available for callers who want the stricter ratio.
 """
 
 from __future__ import annotations
 
-import dis
 import os
 import sys
 
@@ -55,54 +52,18 @@ class CodeCoverage:
             sys.settrace(old)
         return hits
 
-    # -- denominators -------------------------------------------------------------
-    def static_lines(self):
-        """All source lines of the forward methods this network can reach."""
-        functions = [type(self.network).forward, type(self.network).predict,
-                     type(self.network)._check_input]
-        seen_types = set()
-        stack = list(self.network.layers)
-        while stack:
-            layer = stack.pop()
-            if type(layer) in seen_types:
-                continue
-            seen_types.add(type(layer))
-            functions.append(type(layer).forward)
-            activation = getattr(layer, "activation", None)
-            if activation is not None:
-                functions.append(type(activation).forward)
-            stack.extend(getattr(layer, "body", []))
-            stack.extend(getattr(layer, "shortcut", []))
-        lines = set()
-        for func in functions:
-            code = func.__code__
-            for _, lineno in dis.findlinestarts(code):
-                if lineno is not None:
-                    lines.add((code.co_filename, lineno))
-        return lines
-
     # -- coverage -----------------------------------------------------------------
     def coverage(self, x, reference=None):
         """Fraction of prediction-path lines executed by ``x``.
 
-        ``reference`` supplies the denominator input set (defaults to the
-        network's dynamically reachable lines measured on ``x`` union
-        ``reference``); pass ``reference=None`` with ``static=True``
-        semantics via :meth:`static_coverage` for the strict ratio.
+        The denominator is the lines ``x`` executes, united with the
+        lines a ``reference`` input set executes when one is given.
         """
         executed = self.lines_executed(x)
         if reference is None:
             total = executed
         else:
             total = executed | self.lines_executed(reference)
-        if not total:
-            return 0.0
-        return len(executed & total) / len(total)
-
-    def static_coverage(self, x):
-        """Executed fraction of *all* statically listed forward lines."""
-        executed = self.lines_executed(x)
-        total = self.static_lines()
         if not total:
             return 0.0
         return len(executed & total) / len(total)

@@ -12,7 +12,7 @@ import pickle
 
 import numpy as np
 
-from repro.datasets.base import Dataset, SCALES, resolve_scale, train_test_split
+from repro.datasets.base import Dataset, SCALES, resolve_scale
 from repro.datasets.drebin import generate_drebin
 from repro.datasets.driving import generate_driving
 from repro.datasets.imagenet import generate_imagenet
@@ -22,7 +22,7 @@ from repro.datasets.pollution import pollute_labels
 from repro.errors import DatasetError
 
 __all__ = [
-    "Dataset", "SCALES", "resolve_scale", "train_test_split",
+    "Dataset", "SCALES", "resolve_scale",
     "generate_mnist", "generate_imagenet", "generate_driving",
     "generate_pdf", "generate_drebin", "pollute_labels",
     "load_dataset", "dataset_names", "cache_dir",

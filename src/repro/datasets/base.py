@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.errors import DatasetError
 
-__all__ = ["Dataset", "train_test_split", "SCALES", "resolve_scale"]
+__all__ = ["Dataset", "SCALES", "resolve_scale"]
 
 #: Named experiment scales.  ``smoke`` keeps CI fast; ``small`` is the
 #: default for benchmarks; ``full`` approaches the paper's set-ups as far
@@ -85,14 +85,3 @@ class Dataset:
                 f"test={self.x_test.shape[0]} input={self.input_shape} "
                 f"task={self.task}")
 
-
-def train_test_split(x, y, test_fraction, rng):
-    """Shuffle and split arrays into train/test portions."""
-    if not 0.0 < test_fraction < 1.0:
-        raise DatasetError(
-            f"test_fraction must be in (0, 1), got {test_fraction}")
-    n = x.shape[0]
-    order = rng.permutation(n)
-    n_test = max(1, int(round(n * test_fraction)))
-    test_idx, train_idx = order[:n_test], order[n_test:]
-    return x[train_idx], y[train_idx], x[test_idx], y[test_idx]

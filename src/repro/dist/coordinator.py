@@ -290,7 +290,6 @@ class PeerShardRunner:
             "task": campaign.task,
             "constraint": self.constraint,
             "ascent": campaign.rule.identity(),
-            "absorb_exhausted": bool(campaign.absorb_exhausted),
             "dtype": str(np.dtype(campaign.models[0].dtype)),
             "fingerprint": corpus_fingerprint(campaign.models, campaign.hp,
                                               campaign.task),

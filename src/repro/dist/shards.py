@@ -58,6 +58,9 @@ __all__ = ["ShardLedger", "LedgerShardRunner", "round_key", "shard_id",
 
 LEDGER_VERSION = 1
 
+#: A ledger shard entry's states, in lifecycle order.
+SHARD_STATUSES = ("pending", "claimed", "done")
+
 #: Seconds after which another host's claim may be stolen.  Claims by a
 #: *local* dead pid are stolen immediately (pid liveness is checkable on
 #: the same machine); the lease is the cross-host fallback.
@@ -286,12 +289,38 @@ class ShardLedger:
 
     # -- ledger state --------------------------------------------------
     def _load(self):
+        """The round's ledger; a missing file is an empty ledger.
+
+        Writes replace the file atomically, so a file that is not a
+        ledger (not UTF-8 JSON, not an object, or a ``shards`` that is
+        not an object of entries with a string ``digest`` and a known
+        ``status``) is a :class:`FarmError` naming it, never a ledger
+        to rewrite from scratch.
+        """
         try:
-            with open(self.ledger_path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError):
+            with open(self.ledger_path, "rb") as handle:
+                raw = handle.read()
+        except FileNotFoundError:
             return {"version": LEDGER_VERSION, "round": self.round_key,
                     "shards": {}}
+        try:
+            state = json.loads(raw.decode("utf-8"))
+        except ValueError as error:     # UnicodeDecodeError included
+            raise FarmError(f"corrupt ledger {self.ledger_path}: "
+                            f"{error}") from None
+        shards = state.get("shards") if isinstance(state, dict) else None
+        if not isinstance(shards, dict):
+            raise FarmError(f"corrupt ledger {self.ledger_path}: expected "
+                            "an object whose 'shards' is an object")
+        for sid, entry in shards.items():
+            if not (isinstance(entry, dict)
+                    and isinstance(entry.get("digest"), str)
+                    and entry.get("status") in SHARD_STATUSES):
+                raise FarmError(
+                    f"corrupt ledger {self.ledger_path}: shard {sid!r} "
+                    f"needs a string digest and a status in "
+                    f"{SHARD_STATUSES}")
+        return state
 
     def _save(self, state):
         atomic_write_json(self.ledger_path, state)

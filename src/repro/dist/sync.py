@@ -45,13 +45,12 @@ to run at any time, from any side, any number of times:
 from __future__ import annotations
 
 import io
-import zipfile
 
 import numpy as np
 
-from repro.corpus.store import (CorpusStore, coverage_from_bytes,
-                                coverage_states_equal, coverage_to_bytes,
-                                merge_coverage_states)
+from repro.corpus.store import (BAD_PAYLOAD, CorpusStore,
+                                coverage_from_bytes, coverage_states_equal,
+                                coverage_to_bytes, merge_coverage_states)
 from repro.errors import FarmError
 from repro.farm.wire import Blob, as_bytes
 from repro.utils.faults import fault_point
@@ -74,11 +73,6 @@ DEFAULT_BATCH = 64
 # farm protocol ships as binary frames (``repro.farm.wire``).  Decoders
 # read bytes from another host, so a payload that is not what it claims
 # to be is a FarmError, never a traceback in a server thread.
-
-#: What ``np.load``, the ``.npz`` readers and the record decoders raise
-#: on bytes or JSON that are not a well-formed payload.
-BAD_PAYLOAD = (ValueError, TypeError, KeyError, AttributeError,
-               OverflowError, EOFError, zipfile.BadZipFile)
 
 
 def encode_array(x):

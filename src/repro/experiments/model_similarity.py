@@ -34,8 +34,7 @@ _TRAIN_SEED = 1234
 
 
 def _train(network, x, y, epochs, rng):
-    trainer = Trainer(network, loss="cross_entropy", optimizer="adam",
-                      rng=rng)
+    trainer = Trainer(network, loss="cross_entropy", rng=rng)
     trainer.fit(x, y, epochs=epochs, batch_size=32)
     return network
 

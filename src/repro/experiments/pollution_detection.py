@@ -30,7 +30,7 @@ def _train_lenet5(dataset, seed, epochs):
     # under the float32 library default.
     with dtypes.default_dtype(TRAINING_DTYPE):
         network = build_lenet5(rng=as_rng(seed), name=f"lenet5-{seed}")
-        trainer = Trainer(network, loss="cross_entropy", optimizer="adam",
+        trainer = Trainer(network, loss="cross_entropy",
                           rng=as_rng(seed + 1))
         trainer.fit(dataset.x_train, dataset.y_train, epochs=epochs,
                     batch_size=32)

@@ -11,8 +11,6 @@ for broader coverage pressure.  The ablation benchmark
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.utils.rng import as_rng
 
@@ -23,10 +21,10 @@ class MultiNeuronCoverageObjective:
     """obj2 over ``neurons_per_model`` uncovered neurons per model.
 
     Drop-in replacement for :class:`repro.core.CoverageObjective` (same
-    ``pick`` / ``value`` / ``gradient`` protocol), so it can be handed to
-    :class:`repro.core.JointObjective` or to an engine as
+    ``pick`` protocol), handed to an engine as
     ``coverage_factory=lambda trackers, rng:
-    MultiNeuronCoverageObjective(trackers, rng=rng)``.
+    MultiNeuronCoverageObjective(trackers, rng=rng)``; the engine carries
+    every picked neuron on obj1's backward sweep.
     """
 
     def __init__(self, trackers, neurons_per_model=3, rng=None):
@@ -35,31 +33,16 @@ class MultiNeuronCoverageObjective:
         self.trackers = list(trackers)
         self.neurons_per_model = int(neurons_per_model)
         self.rng = as_rng(rng)
-        self._targets = [[] for _ in self.trackers]
 
     def pick(self):
         """Choose up to k uncovered neurons per model."""
-        self._targets = []
+        picks = []
         for tracker in self.trackers:
             uncovered = tracker.uncovered_ids()
             if uncovered.size == 0:
-                self._targets.append([])
+                picks.append([])
                 continue
             count = min(self.neurons_per_model, uncovered.size)
             chosen = self.rng.choice(uncovered, size=count, replace=False)
-            self._targets.append([int(c) for c in chosen])
-        return [list(t) for t in self._targets]
-
-    def value(self, x):
-        total = 0.0
-        for tracker, neurons in zip(self.trackers, self._targets):
-            for neuron in neurons:
-                total += float(tracker.network.neuron_value(x, neuron).sum())
-        return total
-
-    def gradient(self, x):
-        grad = np.zeros_like(x)
-        for tracker, neurons in zip(self.trackers, self._targets):
-            for neuron in neurons:
-                grad += tracker.network.input_gradient_of_neuron(x, neuron)
-        return grad
+            picks.append([int(c) for c in chosen])
+        return picks

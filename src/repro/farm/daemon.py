@@ -727,8 +727,7 @@ class FarmDaemon:
             models, hp, constraint_for_dataset(dataset, kind=kind),
             task=task, workers=1,
             shard_size=max(1, len(shard.seeds)),
-            rule=rule_from_identity(request.get("ascent", "vanilla")),
-            absorb_exhausted=bool(request.get("absorb_exhausted", True)))
+            rule=rule_from_identity(request.get("ascent", "vanilla")))
         outcome = campaign.execute_shard(tracker_states, shard)
         return {"shard_index": int(outcome["shard_index"]),
                 "outcome": Blob(encode_outcome(outcome))}

@@ -164,8 +164,7 @@ def train_model(spec, dataset, scale="small", seed=0, verbose=False):
     with dtypes.default_dtype(TRAINING_DTYPE):
         network = spec.builder(dataset, rng)
         network.name = spec.name
-        trainer = Trainer(network, loss=spec.loss, optimizer="adam",
-                          lr=spec.lr, rng=rng)
+        trainer = Trainer(network, loss=spec.loss, lr=spec.lr, rng=rng)
         epochs = spec.epochs.get(scale, 10)
         trainer.fit(dataset.x_train, dataset.y_train, epochs=epochs,
                     batch_size=spec.batch_size, verbose=verbose)

@@ -2,7 +2,7 @@
 
 This package substitutes for TensorFlow/Keras in the DeepXplore
 reproduction.  It provides layers with exact analytic backward passes,
-training (SGD/Adam), and — the capability DeepXplore is built on —
+training (Adam), and — the capability DeepXplore is built on —
 gradients of output probabilities and *arbitrary hidden neurons* with
 respect to the network input.
 """
@@ -11,14 +11,9 @@ from repro.nn import dtypes
 from repro.nn.activations import (
     Activation,
     Atan,
-    Elu,
-    LeakyRelu,
     Linear,
     Relu,
-    Sigmoid,
     Softmax,
-    Softplus,
-    Tanh,
     get_activation,
 )
 from repro.nn.config import (layer_from_config, layer_to_config,
@@ -41,23 +36,18 @@ from repro.nn.layer import Layer
 from repro.nn.losses import CrossEntropy, Loss, MeanSquaredError, get_loss
 from repro.nn.network import LayerNeurons, Network
 from repro.nn.norm import BatchNorm
-from repro.nn.metrics import (classification_report, confusion_matrix,
-                              precision_recall_f1)
-from repro.nn.optimizers import (SGD, Adam, CosineDecay, Optimizer, RMSProp,
-                                 StepDecay, clip_gradients, get_optimizer)
+from repro.nn.optimizers import Adam
 from repro.nn.parameter import Parameter
 from repro.nn.pool import AvgPool2D, GlobalAvgPool2D, MaxPool2D
 from repro.nn.reshape import Flatten
 from repro.nn.residual import Residual
 from repro.nn.scale import FixedScale
 from repro.nn.tape import ForwardPass, scale_layerwise
-from repro.nn.training import (EarlyStopping, Trainer, accuracy, mse,
-                               steering_accuracy)
+from repro.nn.training import Trainer, accuracy, mse, steering_accuracy
 from repro.nn.workspace import Workspace
 
 __all__ = [
-    "Activation", "Atan", "Elu", "LeakyRelu", "Linear", "Relu", "Sigmoid",
-    "Softmax", "Softplus", "Tanh", "get_activation",
+    "Activation", "Atan", "Linear", "Relu", "Softmax", "get_activation",
     "Conv2D", "col2im", "conv_output_size", "im2col",
     "Dense", "Dropout",
     "get_initializer", "glorot_uniform", "he_normal", "row_normalized",
@@ -66,15 +56,13 @@ __all__ = [
     "LayerNeurons", "Network",
     "ForwardPass", "PassCounter", "scale_layerwise",
     "BatchNorm",
-    "SGD", "Adam", "RMSProp", "Optimizer", "get_optimizer",
-    "StepDecay", "CosineDecay", "clip_gradients",
-    "classification_report", "confusion_matrix", "precision_recall_f1",
+    "Adam",
     "Parameter",
     "AvgPool2D", "GlobalAvgPool2D", "MaxPool2D",
     "Flatten",
     "Residual",
     "FixedScale",
-    "EarlyStopping", "Trainer", "accuracy", "mse", "steering_accuracy",
+    "Trainer", "accuracy", "mse", "steering_accuracy",
     "layer_from_config", "layer_to_config", "load_network",
     "network_from_config", "network_from_payload", "network_to_config",
     "network_to_payload", "save_network",

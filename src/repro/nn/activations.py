@@ -28,13 +28,8 @@ __all__ = [
     "Activation",
     "Linear",
     "Relu",
-    "LeakyRelu",
-    "Sigmoid",
-    "Tanh",
     "Softmax",
     "Atan",
-    "Elu",
-    "Softplus",
     "get_activation",
 ]
 
@@ -125,73 +120,6 @@ class Relu(Activation):
         return np.multiply(grad, mask, out=out)
 
 
-class LeakyRelu(Activation):
-    """Leaky ReLU with configurable negative slope."""
-
-    name = "leaky_relu"
-
-    def __init__(self, alpha=0.1):
-        self.alpha = float(alpha)
-
-    @property
-    def needs_preactivation(self):
-        # For alpha > 0 the sign of a matches the sign of z, so backward
-        # can recover the mask from a alone; alpha <= 0 folds signs.
-        return self.alpha <= 0.0
-
-    def forward(self, z):
-        return np.where(z > 0.0, z, self.alpha * z)
-
-    def backward(self, grad, z, a):
-        ref = z if z is not None else a
-        return grad * np.where(ref > 0.0, 1.0, self.alpha)
-
-
-class Sigmoid(Activation):
-    """Logistic sigmoid."""
-
-    name = "sigmoid"
-    needs_preactivation = False
-
-    def forward(self, z):
-        out = np.empty_like(z)
-        self._compute(z, out)
-        return out
-
-    @staticmethod
-    def _compute(z, out):
-        # Masked writes: the pos mask is materialized (fancy indexing
-        # copies) before any element of out — possibly aliasing z — is
-        # written, so in-place use is safe and bit-identical.
-        pos = z >= 0.0
-        neg_ez = np.exp(z[~pos])
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        out[~pos] = neg_ez / (1.0 + neg_ez)
-        return out
-
-    def forward_into(self, z, out):
-        return self._compute(z, out)
-
-    def backward(self, grad, z, a):
-        return grad * a * (1.0 - a)
-
-
-class Tanh(Activation):
-    """Hyperbolic tangent."""
-
-    name = "tanh"
-    needs_preactivation = False
-
-    def forward(self, z):
-        return np.tanh(z)
-
-    def forward_into(self, z, out):
-        return np.tanh(z, out=out)
-
-    def backward(self, grad, z, a):
-        return grad * (1.0 - a * a)
-
-
 class Atan(Activation):
     """Arctangent activation, used by the DAVE steering head.
 
@@ -207,40 +135,6 @@ class Atan(Activation):
 
     def backward(self, grad, z, a):
         return grad / (1.0 + z * z)
-
-
-class Elu(Activation):
-    """Exponential linear unit: smooth negative saturation."""
-
-    name = "elu"
-
-    def __init__(self, alpha=1.0):
-        self.alpha = float(alpha)
-
-    @property
-    def needs_preactivation(self):
-        # Same sign argument as LeakyRelu: for alpha > 0, a > 0 ⟺ z > 0.
-        return self.alpha <= 0.0
-
-    def forward(self, z):
-        return np.where(z > 0.0, z, self.alpha * (np.exp(np.minimum(z, 0.0))
-                                                  - 1.0))
-
-    def backward(self, grad, z, a):
-        ref = z if z is not None else a
-        return grad * np.where(ref > 0.0, 1.0, a + self.alpha)
-
-
-class Softplus(Activation):
-    """log(1 + e^z), a smooth ReLU."""
-
-    name = "softplus"
-
-    def forward(self, z):
-        return np.logaddexp(0.0, z)
-
-    def backward(self, grad, z, a):
-        return grad * Sigmoid().forward(z)
 
 
 class Softmax(Activation):
@@ -268,13 +162,8 @@ class Softmax(Activation):
 _ACTIVATIONS = {
     "linear": Linear,
     "relu": Relu,
-    "leaky_relu": LeakyRelu,
-    "sigmoid": Sigmoid,
-    "tanh": Tanh,
     "softmax": Softmax,
     "atan": Atan,
-    "elu": Elu,
-    "softplus": Softplus,
 }
 
 

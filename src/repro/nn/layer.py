@@ -79,17 +79,6 @@ class Layer:
         """
         return {}
 
-    def cast(self, dtype):
-        """Convert parameters (and any floating buffers) to ``dtype``.
-
-        In-place on the layer.  Layers that own non-parameter arrays
-        (batch-norm running stats, fixed scaling vectors) or child
-        layers override this and call ``super().cast(dtype)``.
-        """
-        for param in self.parameters():
-            param.cast(dtype)
-        return self
-
     def output_shape(self, input_shape):
         """Shape (without batch axis) produced for ``input_shape``."""
         raise NotImplementedError

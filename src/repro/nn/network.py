@@ -8,8 +8,9 @@ gave the original authors three capabilities:
    (:meth:`Network.neuron_activations`);
 3. ``K.gradients(objective, input)`` — the derivative of any scalar built
    from output probabilities and hidden-neuron outputs with respect to the
-   *input* (:meth:`Network.input_gradient_of_class`,
-   :meth:`Network.input_gradient_of_neuron`).
+   *input* (:meth:`~repro.nn.tape.ForwardPass.gradient_of_class`,
+   :meth:`~repro.nn.tape.ForwardPass.gradient_of_neuron`,
+   :meth:`~repro.nn.tape.ForwardPass.gradient_joint`).
 
 All three are provided on top of a single primitive: :meth:`Network.run`
 executes one recorded forward pass and returns an immutable
@@ -17,9 +18,8 @@ executes one recorded forward pass and returns an immutable
 activations, and any number of input-gradients are derived without
 re-running the network.  No forward or backward state is ever left on
 the network or its layers, so concurrent tapes on the same network are
-safe and the engine is reentrant.  The ``predict`` / ``neuron_*`` /
-``input_gradient_*`` methods below are thin compatibility wrappers that
-each build one fresh tape.
+safe and the engine is reentrant.  ``predict`` and
+``neuron_activations`` below each build fresh tapes per batch.
 """
 
 from __future__ import annotations
@@ -108,14 +108,6 @@ class Network:
         """The compute/storage dtype of this network."""
         return self._dtype
 
-    def cast(self, dtype):
-        """Convert all parameters and buffers to ``dtype`` in place."""
-        dt = dtypes.resolve(dtype)
-        for layer in self.layers:
-            layer.cast(dt)
-        self._dtype = dt
-        return self
-
     @property
     def neuron_layers(self):
         """The flat neuron table (read-only list of :class:`LayerNeurons`)."""
@@ -191,31 +183,6 @@ class Network:
         rows = [self.run(x[start:start + batch_size]).neuron_activations()
                 for start in range(0, x.shape[0], batch_size)]
         return np.concatenate(rows, axis=0)
-
-    # -- input gradients (compatibility wrappers over a fresh tape) ---------
-    def input_gradient_of_output(self, x, seed):
-        """d(seed . output)/dx for a batched input ``x``.
-
-        ``seed`` is broadcast against the network output; returns an array
-        shaped like ``x``.
-        """
-        return self.run(x).gradient_of_output(seed)
-
-    def input_gradient_of_class(self, x, class_index):
-        """Gradient of ``output[:, class_index]`` with respect to ``x``."""
-        return self.run(x).gradient_of_class(class_index)
-
-    def input_gradient_of_neuron(self, x, flat_neuron_index):
-        """Gradient of one hidden neuron's scalar output w.r.t. ``x``."""
-        return self.run(x).gradient_of_neuron(flat_neuron_index)
-
-    def neuron_value(self, x, flat_neuron_index):
-        """The scalar output of one neuron for batched input ``x``.
-
-        Routed through a tape and sliced: only the owning layer's neuron
-        outputs are computed, not the full activation table.
-        """
-        return self.run(x).neuron_value(flat_neuron_index)
 
     # -- serialization --------------------------------------------------------
     def state_dict(self):

@@ -31,13 +31,6 @@ class BatchNorm(Layer):
         self.running_mean = np.zeros(self.num_features, dtype=dtype)
         self.running_var = np.ones(self.num_features, dtype=dtype)
 
-    def cast(self, dtype):
-        super().cast(dtype)
-        dt = dtypes.resolve(dtype)
-        self.running_mean = self.running_mean.astype(dt, copy=False)
-        self.running_var = self.running_var.astype(dt, copy=False)
-        return self
-
     def _reshape_stats(self, stat, ndim):
         if ndim == 2:
             return stat[None, :]

@@ -1,4 +1,4 @@
-"""Parameter-update rules: SGD (with momentum) and Adam."""
+"""Parameter-update rule: Adam, which trains every zoo model."""
 
 from __future__ import annotations
 
@@ -6,68 +6,10 @@ import numpy as np
 
 from repro.errors import ConfigError
 
-__all__ = ["Optimizer", "SGD", "Adam", "RMSProp", "get_optimizer",
-           "StepDecay", "CosineDecay", "clip_gradients"]
+__all__ = ["Adam"]
 
 
-def clip_gradients(parameters, max_norm):
-    """Scale all gradients so their global L2 norm is at most ``max_norm``.
-
-    Returns the pre-clip norm.  Stabilizes training of the deeper zoo
-    models (mini-VGG19/ResNet) at higher learning rates.
-    """
-    if max_norm <= 0:
-        raise ConfigError(f"max_norm must be positive, got {max_norm}")
-    total = 0.0
-    for param in parameters:
-        total += float((param.grad ** 2).sum())
-    norm = total ** 0.5
-    if norm > max_norm:
-        scale = max_norm / (norm + 1e-12)
-        for param in parameters:
-            param.grad *= scale
-    return norm
-
-
-class Optimizer:
-    """Base class; subclasses implement :meth:`step` over parameters."""
-
-    def step(self, parameters):
-        raise NotImplementedError
-
-    def zero_grad(self, parameters):
-        for param in parameters:
-            param.zero_grad()
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(self, lr=0.01, momentum=0.0, weight_decay=0.0):
-        if lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
-        self.lr = float(lr)
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
-        self._velocity = {}
-
-    def step(self, parameters):
-        for param in parameters:
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.value
-            if self.momentum:
-                vel = self._velocity.get(id(param))
-                if vel is None:
-                    vel = np.zeros_like(param.value)
-                vel = self.momentum * vel - self.lr * grad
-                self._velocity[id(param)] = vel
-                param.value += vel
-            else:
-                param.value -= self.lr * grad
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam (Kingma & Ba) — the workhorse for training the model zoo."""
 
     def __init__(self, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8,
@@ -98,79 +40,6 @@ class Adam(Optimizer):
             self._state[id(param)] = (m, v)
             param.value -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
 
-
-class RMSProp(Optimizer):
-    """RMSProp: per-parameter learning rates from a running square mean."""
-
-    def __init__(self, lr=0.001, rho=0.9, eps=1e-8, weight_decay=0.0):
-        if lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
-        if not 0.0 <= rho < 1.0:
-            raise ConfigError(f"rho must be in [0, 1), got {rho}")
-        self.lr = float(lr)
-        self.rho = float(rho)
-        self.eps = float(eps)
-        self.weight_decay = float(weight_decay)
-        self._sq = {}
-
-    def step(self, parameters):
+    def zero_grad(self, parameters):
         for param in parameters:
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.value
-            sq = self._sq.get(id(param))
-            if sq is None:
-                sq = np.zeros_like(param.value)
-            sq = self.rho * sq + (1.0 - self.rho) * grad * grad
-            self._sq[id(param)] = sq
-            param.value -= self.lr * grad / (np.sqrt(sq) + self.eps)
-
-
-class StepDecay:
-    """Learning-rate schedule: multiply by ``gamma`` every ``every`` epochs.
-
-    Attach to a Trainer via its ``schedule`` argument; called as
-    ``schedule(optimizer, epoch)`` after each epoch.
-    """
-
-    def __init__(self, gamma=0.5, every=5):
-        if not 0.0 < gamma <= 1.0:
-            raise ConfigError(f"gamma must be in (0, 1], got {gamma}")
-        if every < 1:
-            raise ConfigError(f"every must be >= 1, got {every}")
-        self.gamma = float(gamma)
-        self.every = int(every)
-
-    def __call__(self, optimizer, epoch):
-        if epoch > 0 and epoch % self.every == 0:
-            optimizer.lr *= self.gamma
-
-
-class CosineDecay:
-    """Cosine anneal from the initial lr to ``min_lr`` over ``total``."""
-
-    def __init__(self, total, min_lr=0.0):
-        if total < 1:
-            raise ConfigError(f"total must be >= 1, got {total}")
-        self.total = int(total)
-        self.min_lr = float(min_lr)
-        self._initial = None
-
-    def __call__(self, optimizer, epoch):
-        if self._initial is None:
-            self._initial = optimizer.lr
-        progress = min(epoch, self.total) / self.total
-        cos = 0.5 * (1.0 + np.cos(np.pi * progress))
-        optimizer.lr = self.min_lr + (self._initial - self.min_lr) * cos
-
-
-def get_optimizer(spec, **kwargs):
-    """Resolve an optimizer by name or pass an instance through."""
-    if isinstance(spec, Optimizer):
-        return spec
-    mapping = {"sgd": SGD, "adam": Adam, "rmsprop": RMSProp}
-    try:
-        return mapping[spec](**kwargs)
-    except KeyError:
-        known = ", ".join(sorted(mapping))
-        raise ConfigError(f"unknown optimizer {spec!r}; known: {known}") from None
+            param.zero_grad()

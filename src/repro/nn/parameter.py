@@ -34,14 +34,6 @@ class Parameter:
     def dtype(self):
         return self.value.dtype
 
-    def cast(self, dtype):
-        """Convert storage to ``dtype`` in place (grad is reset to zero)."""
-        dt = dtypes.resolve(dtype)
-        if self.value.dtype != dt:
-            self.value = self.value.astype(dt)
-            self.grad = np.zeros_like(self.value)
-        return self
-
     def zero_grad(self):
         self.grad.fill(0.0)
 

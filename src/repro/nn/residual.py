@@ -81,11 +81,6 @@ class Residual(Layer):
             buffers.update(layer.buffers())
         return buffers
 
-    def cast(self, dtype):
-        for layer in self.body + self.shortcut:
-            layer.cast(dtype)
-        return self
-
     def output_shape(self, input_shape):
         shape = tuple(input_shape)
         for layer in self.body:

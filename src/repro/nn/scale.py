@@ -42,12 +42,6 @@ class FixedScale(Layer):
         x = np.asarray(x, dtype=np.float64)
         return cls(x.mean(axis=0), x.std(axis=0), name=name)
 
-    def cast(self, dtype):
-        dt = dtypes.resolve(dtype)
-        self.mean = self.mean.astype(dt, copy=False)
-        self.std = self.std.astype(dt, copy=False)
-        return self
-
     def forward(self, x, training=False, workspace=None):
         if x.shape[1:] != self.mean.shape:
             raise ShapeError(

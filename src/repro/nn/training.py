@@ -6,45 +6,10 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.nn.losses import get_loss
-from repro.nn.optimizers import clip_gradients, get_optimizer
+from repro.nn.optimizers import Adam
 from repro.utils.rng import as_rng
 
-__all__ = ["Trainer", "EarlyStopping", "accuracy", "mse",
-           "steering_accuracy"]
-
-
-class EarlyStopping:
-    """Stop training when the validation metric stops improving.
-
-    Pass to :meth:`Trainer.fit` via ``early_stopping``; requires a
-    ``validation`` set and ``metric``.  ``patience`` epochs without an
-    improvement of at least ``min_delta`` ends the run.
-    """
-
-    def __init__(self, patience=3, min_delta=0.0, mode="max"):
-        if patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {patience}")
-        if mode not in ("max", "min"):
-            raise ConfigError(f"mode must be 'max' or 'min', got {mode!r}")
-        self.patience = int(patience)
-        self.min_delta = float(min_delta)
-        self.mode = mode
-        self.best = None
-        self.stale = 0
-
-    def should_stop(self, value):
-        """Record an epoch's metric; returns True when out of patience."""
-        improved = (self.best is None
-                    or (self.mode == "max"
-                        and value > self.best + self.min_delta)
-                    or (self.mode == "min"
-                        and value < self.best - self.min_delta))
-        if improved:
-            self.best = value
-            self.stale = 0
-            return False
-        self.stale += 1
-        return self.stale >= self.patience
+__all__ = ["Trainer", "accuracy", "mse", "steering_accuracy"]
 
 
 def accuracy(network, x, y, batch_size=256):
@@ -66,46 +31,31 @@ def steering_accuracy(network, x, y, batch_size=256):
 
 
 class Trainer:
-    """Train a :class:`~repro.nn.network.Network` with minibatch SGD/Adam.
+    """Train a :class:`~repro.nn.network.Network` with minibatch Adam.
 
-    >>> trainer = Trainer(net, loss="cross_entropy", optimizer="adam")
+    >>> trainer = Trainer(net, loss="cross_entropy", lr=0.001, rng=0)
     >>> history = trainer.fit(x_train, y_train, epochs=5, batch_size=64)
     """
 
-    def __init__(self, network, loss="cross_entropy", optimizer="adam",
-                 rng=None, **optimizer_kwargs):
+    def __init__(self, network, loss="cross_entropy", lr=0.001, rng=None):
         self.network = network
         self.loss = get_loss(loss)
-        self.optimizer = get_optimizer(optimizer, **optimizer_kwargs)
+        self.optimizer = Adam(lr=lr)
         self.rng = as_rng(rng)
 
-    def fit(self, x, y, epochs=1, batch_size=64, shuffle=True,
-            validation=None, metric=None, verbose=False, schedule=None,
-            clip_norm=None, early_stopping=None):
-        """Run ``epochs`` passes; returns a history dict of per-epoch stats.
-
-        ``validation`` is an optional ``(x_val, y_val)`` pair; ``metric`` a
-        callable ``metric(network, x, y)`` evaluated on it per epoch.
-        ``schedule`` is called as ``schedule(optimizer, epoch)`` after each
-        epoch; ``clip_norm`` applies global gradient-norm clipping;
-        ``early_stopping`` (an :class:`EarlyStopping`) ends training when
-        the validation metric plateaus.
-        """
+    def fit(self, x, y, epochs=1, batch_size=64, verbose=False):
+        """Run ``epochs`` shuffled passes; returns ``{"loss": [...]}``,
+        the mean minibatch loss of each epoch."""
         x = np.asarray(x, dtype=self.network.dtype)
         y = np.asarray(y)
         if x.shape[0] != y.shape[0]:
             raise ConfigError(
                 f"x and y disagree on sample count: {x.shape[0]} vs {y.shape[0]}")
-        if early_stopping is not None and (validation is None
-                                           or metric is None):
-            raise ConfigError(
-                "early_stopping requires validation data and a metric")
         params = self.network.parameters()
-        history = {"loss": [], "val_metric": [], "lr": []}
+        history = {"loss": []}
         indices = np.arange(x.shape[0])
         for epoch in range(epochs):
-            if shuffle:
-                self.rng.shuffle(indices)
+            self.rng.shuffle(indices)
             epoch_loss = 0.0
             batches = 0
             for start in range(0, x.shape[0], batch_size):
@@ -114,25 +64,11 @@ class Trainer:
                 tape = self.network.run(x[batch_idx], training=True)
                 loss_value, grad = self.loss(tape.outputs(), y[batch_idx])
                 tape.backward(grad)
-                if clip_norm is not None:
-                    clip_gradients(params, clip_norm)
                 self.optimizer.step(params)
                 epoch_loss += loss_value
                 batches += 1
             history["loss"].append(epoch_loss / max(batches, 1))
-            history["lr"].append(getattr(self.optimizer, "lr", None))
-            if validation is not None and metric is not None:
-                x_val, y_val = validation
-                history["val_metric"].append(metric(self.network, x_val, y_val))
             if verbose:
-                val = (f" val={history['val_metric'][-1]:.4f}"
-                       if history["val_metric"] else "")
                 print(f"[{self.network.name}] epoch {epoch + 1}/{epochs} "
-                      f"loss={history['loss'][-1]:.4f}{val}")
-            if schedule is not None:
-                schedule(self.optimizer, epoch + 1)
-            if (early_stopping is not None
-                    and early_stopping.should_stop(
-                        history["val_metric"][-1])):
-                break
+                      f"loss={history['loss'][-1]:.4f}")
         return history

@@ -5,8 +5,8 @@ from repro.utils.ascii_art import ascii_image, side_by_side
 from repro.utils.docs import (broken_intra_repo_links, iter_markdown_links,
                               markdown_files)
 from repro.utils.plots import ascii_plot
-from repro.utils.rng import (as_rng, derive_rng, rng_from_seed_sequence,
-                             spawn_rngs, spawn_seed_sequences)
+from repro.utils.rng import (as_rng, rng_from_seed_sequence,
+                             spawn_seed_sequences)
 from repro.utils.tables import render_table
 from repro.utils.imageops import (
     clip01,
@@ -21,9 +21,7 @@ __all__ = [
     "side_by_side",
     "ascii_plot",
     "as_rng",
-    "derive_rng",
     "rng_from_seed_sequence",
-    "spawn_rngs",
     "spawn_seed_sequences",
     "broken_intra_repo_links",
     "iter_markdown_links",

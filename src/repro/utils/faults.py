@@ -17,7 +17,7 @@ how it crosses process boundaries into daemons and pool workers — as a
 comma-separated list of arms::
 
     REPRO_FAULTS="corpus.add-test:3"                # kill on 3rd hit
-    REPRO_FAULTS="corpus.commit.mid:1,farm.loop:5:raise"
+    REPRO_FAULTS="corpus.commit.mid:1,farm.wave:5:raise"
 
 Each arm is ``point:countdown[:action]``.  The countdown decrements on
 every hit of the matching point; on reaching zero the arm fires once:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["as_rng", "derive_rng", "spawn_rngs", "spawn_seed_sequences",
-           "rng_from_seed_sequence"]
+__all__ = ["as_rng", "spawn_seed_sequences", "rng_from_seed_sequence"]
 
 
 def as_rng(seed_or_rng=None):
@@ -23,29 +22,6 @@ def as_rng(seed_or_rng=None):
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
     return np.random.default_rng(seed_or_rng)
-
-
-def derive_rng(rng, label):
-    """Derive a child generator from ``rng`` tagged by a string ``label``.
-
-    Deriving (rather than sharing) generators keeps independent subsystems
-    (e.g. dataset synthesis vs. weight init) from perturbing each other's
-    random streams when one of them changes how much randomness it consumes.
-    """
-    rng = as_rng(rng)
-    # Fold the label into a 64-bit offset so distinct labels give distinct,
-    # reproducible child streams.
-    digest = np.frombuffer(label.encode("utf-8"), dtype=np.uint8)
-    offset = int(digest.astype(np.uint64).sum() * 2654435761 % (2**63))
-    child_seed = int(rng.integers(0, 2**63)) ^ offset
-    return np.random.default_rng(child_seed)
-
-
-def spawn_rngs(rng, count):
-    """Return ``count`` independent child generators of ``rng``."""
-    rng = as_rng(rng)
-    seeds = rng.integers(0, 2**63, size=count)
-    return [np.random.default_rng(int(s)) for s in seeds]
 
 
 def spawn_seed_sequences(seed, count):

@@ -21,7 +21,7 @@ import pytest
 
 from repro.core import (AscentEngine, Campaign, DeepXplore,
                         LightingConstraint, MomentumRule, PAPER_HYPERPARAMS,
-                        VanillaRule, constraint_for_dataset, make_rule,
+                        VanillaRule, make_rule,
                         run_ascent)
 from repro.errors import ConfigError
 from repro.nn.instrumentation import PassCounter
@@ -33,7 +33,8 @@ sys.path.insert(0, os.path.join(_REPO_ROOT, "tools"))
 # (config list + result fingerprint); importing it keeps this test and
 # a golden regeneration structurally in lockstep.
 from capture_engine_goldens import CONFIGS, GOLDEN_PATH, \
-    assert_matches_golden, digest_result  # noqa: E402
+    _constraint_for, _make_engine, assert_matches_golden, \
+    digest_result  # noqa: E402
 
 GOLDEN_CONFIGS = {name: spec for (name, *spec) in CONFIGS}
 
@@ -45,21 +46,15 @@ def goldens():
 
 
 def _run_config(name, request):
-    (dataset_name, task, driver, (ascent, beta), draw_seed, engine_rng,
+    (dataset_name, task, driver, rule_spec, draw_seed, engine_rng,
      n_seeds) = GOLDEN_CONFIGS[name]
     dataset = request.getfixturevalue(f"{dataset_name}_smoke")
     trio = request.getfixturevalue(f"{dataset_name}_trio")
     seeds, _ = dataset.sample_seeds(n_seeds,
                                     np.random.default_rng(draw_seed))
-    constraint = (LightingConstraint() if dataset_name == "mnist"
-                  else constraint_for_dataset(dataset))
-    cls = DeepXplore if driver == "sequential" else AscentEngine
-    # absorb_exhausted=False: the capture tool pins the paper-exact
-    # accounting, in which only difference-inducing inputs count.
-    engine = cls(trio, PAPER_HYPERPARAMS[dataset_name], constraint,
-                 task=task, rng=engine_rng,
-                 rule=make_rule(ascent, beta=beta),
-                 absorb_exhausted=False)
+    engine = _make_engine(trio, PAPER_HYPERPARAMS[dataset_name],
+                          _constraint_for(dataset_name, dataset), task,
+                          engine_rng, driver, rule_spec)
     with PassCounter() as passes:
         result = engine.run(seeds)
     golden = digest_result(result, engine.trackers)
@@ -102,8 +97,7 @@ class TestFloat32Equivalence:
 
         def run(models):
             engine = AscentEngine(models, PAPER_HYPERPARAMS["mnist"],
-                                  LightingConstraint(), rng=5,
-                                  absorb_exhausted=False)
+                                  LightingConstraint(), rng=5)
             return engine.run(seeds), engine.trackers
 
         r64, trackers64 = run(mnist_trio)
@@ -267,12 +261,6 @@ class TestExhaustedSeedCoverage:
     def test_exhausted_tape_is_folded(self, mnist_trio, exhausted_seed):
         covered = self._coverage_after(mnist_trio, exhausted_seed)
         assert sum(int(m.sum()) for m in covered) > 0
-
-    def test_paper_exact_mode_does_not_fold(self, mnist_trio,
-                                            exhausted_seed):
-        covered = self._coverage_after(mnist_trio, exhausted_seed,
-                                       absorb_exhausted=False)
-        assert sum(int(m.sum()) for m in covered) == 0
 
     def test_identical_across_rules_and_drivers(self, mnist_trio,
                                                 exhausted_seed):

@@ -10,20 +10,22 @@ Two properties of the single-forward execution refactor are pinned here:
    :class:`repro.nn.PassCounter`).
 2. **Equivalence** — under a fixed RNG, the tape-driven ascent generates
    the same difference-inducing inputs as a reference ascent written
-   against the per-call compatibility wrappers (the seed
-   implementation's structure: fresh forwards for every objective term
-   and oracle check).
+   against the self-contained objective forms in
+   ``objectives_reference`` (the seed implementation's structure: fresh
+   forwards for every objective term and oracle check).
 """
 
 import numpy as np
 import pytest
 
-from repro.core import (AscentEngine, DeepXplore, DifferentialObjective,
-                        CoverageObjective, Hyperparams, JointObjective,
-                        Unconstrained, make_oracle, resolve_models)
+from repro.core import (AscentEngine, DeepXplore, CoverageObjective,
+                        Hyperparams, Unconstrained, make_oracle,
+                        resolve_models)
 from repro.core.engine import normalize_gradient
 from repro.coverage import NeuronCoverageTracker
 from repro.nn import Dense, Network, PassCounter
+from tests.core.objectives_reference import (DifferentialObjective,
+                                             JointObjective)
 
 
 def _make_models(n=3, seed=0):
@@ -52,8 +54,9 @@ def _ascended(result):
 
 
 def _reference_generate(models, trackers, hp, rng, seed_x):
-    """The pre-tape ascent: compatibility wrappers, one fresh forward per
-    view — used as the behavioural oracle for the tape loop."""
+    """The pre-tape ascent: self-contained objective forms, one fresh
+    forward per view — used as the behavioural oracle for the tape
+    loop."""
     oracle = make_oracle(models, "classification")
     constraint = Unconstrained()
     x = np.asarray(seed_x, dtype=np.float64)[None, ...]

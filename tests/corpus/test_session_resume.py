@@ -297,17 +297,21 @@ def test_resume_validates_ascent_rule(tmp_path, mnist_trio, mnist_smoke):
 
 def test_resume_validates_coverage_accounting(tmp_path, mnist_trio,
                                               mnist_smoke):
-    """absorb_exhausted is identity: it changes what later waves'
-    coverage objectives chase, so flipping it on resume is an error."""
-    FuzzSession(tmp_path / "c", mnist_trio, PAPER_HYPERPARAMS["mnist"],
-                LightingConstraint(), wave_size=WAVE, shard_size=SHARD,
-                seed=SEED, absorb_exhausted=False, dataset=mnist_smoke,
-                initial_seed_count=POOL).run(1)
+    """Exhausted-tape folding is identity: it changes what later waves'
+    coverage objectives chase.  Sessions always fold, so a store whose
+    fuzz state records the paper's accounting is refused, while one
+    from before the key existed resumes."""
+    make_session(tmp_path / "c", mnist_trio, mnist_smoke).run(1)
+    store = CorpusStore(tmp_path / "c")
+    state = store.fuzz_state()
+    assert state["absorb_exhausted"] is True
+    store.commit(coverage_states=store.coverage_states(),
+                 fuzz_state=dict(state, absorb_exhausted=False))
     with pytest.raises(ConfigError):
-        make_session(tmp_path / "c", mnist_trio)   # default accounting
-    FuzzSession(tmp_path / "c", mnist_trio, PAPER_HYPERPARAMS["mnist"],
-                LightingConstraint(), wave_size=WAVE, shard_size=SHARD,
-                seed=SEED, absorb_exhausted=False)   # matching: resumes
+        make_session(tmp_path / "c", mnist_trio)
+    del state["absorb_exhausted"]
+    store.commit(coverage_states=store.coverage_states(), fuzz_state=state)
+    make_session(tmp_path / "c", mnist_trio)
 
 
 def test_resume_validates_identity(tmp_path, mnist_trio, mnist_smoke):

@@ -1,7 +1,9 @@
 """CorpusStore: content addressing, atomic commits, merge laws, distill."""
 
+import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from repro.corpus import CorpusStore, input_hash
 from repro.coverage import NeuronCoverageTracker
 from repro.dist import pull
 from repro.errors import ConfigError, CoverageError
+from repro.nn import Dense, Network
 
 
 def test_input_hash_canonicalizes_dtype_and_layout(rng):
@@ -136,6 +139,43 @@ def test_wrong_shaped_checkpoint_field_is_a_config_error(tmp_path, case,
     with open(store.checkpoint_path, "w", encoding="utf-8") as handle:
         json.dump(checkpoint, handle)
     with pytest.raises(ConfigError, match=r"checkpoint\.json: "):
+        getattr(CorpusStore(tmp_path / "c"), read)()
+
+
+def _zip_without_coverage_arrays():
+    buffer = io.BytesIO()
+    np.savez(buffer, other=np.zeros(2))
+    return buffer.getvalue()
+
+
+NOT_A_COVERAGE_SNAPSHOT = {
+    "garbage": b"garbage",
+    "empty": b"",
+    "zip-without-arrays": _zip_without_coverage_arrays(),
+}
+
+
+def commit_with_coverage(path):
+    """A store committed with one small model's coverage snapshot;
+    returns the store and the snapshot file's path."""
+    net = Network([Dense(3, 2, rng=0, name="d")], (3,), name="m")
+    store = CorpusStore(path)
+    store.commit(coverage_states={"m": NeuronCoverageTracker(
+        net, threshold=0.5).state_dict()}, fuzz_state=None)
+    with open(store.checkpoint_path, encoding="utf-8") as handle:
+        rel = json.load(handle)["coverage"]["m"]
+    return store, os.path.join(path, rel)
+
+
+@pytest.mark.parametrize("read", ["snapshot", "coverage_states"])
+@pytest.mark.parametrize("case", sorted(NOT_A_COVERAGE_SNAPSHOT))
+def test_coverage_snapshot_that_is_not_one_is_a_config_error(tmp_path, case,
+                                                             read):
+    _, snapshot_path = commit_with_coverage(tmp_path / "c")
+    with open(snapshot_path, "wb") as handle:
+        handle.write(NOT_A_COVERAGE_SNAPSHOT[case])
+    with pytest.raises(ConfigError,
+                       match=re.escape(os.path.basename(snapshot_path))):
         getattr(CorpusStore(tmp_path / "c"), read)()
 
 

@@ -36,22 +36,6 @@ def test_one_input_saturates_dynamic_coverage():
     assert cov.coverage(one, reference=many) == 1.0
 
 
-def test_static_lines_cover_reachable_forwards():
-    net = _net()
-    static = CodeCoverage(net).static_lines()
-    executed = CodeCoverage(net).lines_executed(np.zeros((1, 1, 8, 8)))
-    # Every *executed* forward line must be in the static enumeration.
-    missing = {(f, l) for f, l in executed
-               if (f, l) in static} - static
-    assert not missing
-
-
-def test_static_coverage_high_but_bounded():
-    net = _net()
-    value = CodeCoverage(net).static_coverage(np.zeros((2, 1, 8, 8)))
-    assert 0.5 < value <= 1.0
-
-
 def test_tracer_restores_previous_trace():
     import sys
     net = _net()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.datasets import Dataset, train_test_split
+from repro.datasets import Dataset
 from repro.datasets.base import resolve_scale
 from repro.errors import DatasetError
 
@@ -56,22 +56,6 @@ def test_unknown_task_rejected():
         Dataset(name="bad", x_train=rng.random((2, 2)), y_train=np.zeros(2),
                 x_test=rng.random((2, 2)), y_test=np.zeros(2),
                 task="ranking")
-
-
-def test_train_test_split_partitions():
-    rng = np.random.default_rng(3)
-    x = np.arange(40).reshape(20, 2).astype(float)
-    y = np.arange(20)
-    xtr, ytr, xte, yte = train_test_split(x, y, 0.25, rng)
-    assert xtr.shape[0] == 15 and xte.shape[0] == 5
-    combined = np.sort(np.concatenate([ytr, yte]))
-    np.testing.assert_array_equal(combined, np.arange(20))
-
-
-def test_train_test_split_bad_fraction():
-    rng = np.random.default_rng(0)
-    with pytest.raises(DatasetError):
-        train_test_split(np.zeros((4, 1)), np.zeros(4), 1.5, rng)
 
 
 def test_resolve_scale():

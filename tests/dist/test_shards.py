@@ -157,6 +157,35 @@ def test_ledger_lifecycle(tmp_path):
     assert sorted(ledger.load_results()) == [shard_id(0), shard_id(1)]
 
 
+NOT_A_LEDGER = {
+    "list": b"[]",
+    "no-shards": b'{"version": 1}',
+    "shards-a-list": b'{"shards": [1]}',
+    "not-utf8": b"\xff\xfe",
+    "truncated": b'{"version": 1, "round": "seed0", "shards": {"s',
+    "entry-not-an-object": b'{"shards": {"s000000": 1}}',
+    "digest-not-a-string": (b'{"shards": {"s000000": '
+                            b'{"digest": 7, "status": "pending"}}}'),
+    "unknown-status": (b'{"shards": {"s000000": '
+                       b'{"digest": "d0", "status": "lost"}}}'),
+}
+
+
+@pytest.mark.parametrize("read", ["counts", "claim", "ensure"])
+@pytest.mark.parametrize("case", sorted(NOT_A_LEDGER))
+def test_ledger_file_that_is_not_a_ledger_is_a_farm_error(tmp_path, case,
+                                                          read):
+    """Ledger writes are atomic, so a garbled file is damage to report,
+    not an empty ledger to rewrite (or a shard to hand out)."""
+    ledger = ShardLedger(tmp_path / "c", "seed0", host="h1", pid=11)
+    with open(ledger.ledger_path, "wb") as handle:
+        handle.write(NOT_A_LEDGER[case])
+    call = {"counts": ledger.counts, "claim": ledger.claim,
+            "ensure": lambda: ledger.ensure(_units(1))}[read]
+    with pytest.raises(FarmError, match=re.escape(ledger.ledger_path)):
+        call()
+
+
 def test_ledger_ensure_is_idempotent_and_digest_checked(tmp_path):
     a = ShardLedger(tmp_path / "c", "seed0", host="h1", pid=11)
     b = ShardLedger(tmp_path / "c", "seed0", host="h2", pid=22)

@@ -469,6 +469,31 @@ def test_store_manifest_answers_a_wrong_shaped_checkpoint_then_serves(
             handle.close()
 
 
+def test_store_manifest_answers_a_garbage_coverage_snapshot_then_serves(
+        live_server):
+    from repro.coverage import NeuronCoverageTracker
+    from repro.nn import Dense, Network
+    net = Network([Dense(3, 2, rng=0, name="d")], (3,), name="m")
+    store = CorpusStore(live_server.farm.store_path("s"))
+    store.add_entry(np.arange(3.0), "seed", origin=0)
+    store.commit(coverage_states={"m": NeuronCoverageTracker(
+        net, threshold=0.5).state_dict()}, fuzz_state=None)
+    with open(store.checkpoint_path, encoding="utf-8") as handle:
+        snapshot = json.load(handle)["coverage"]["m"]
+    with open(os.path.join(store.path, snapshot), "wb") as handle:
+        handle.write(b"garbage")
+    channel = _channel(live_server)
+    try:
+        reply = _ask(channel, dump_message({"cmd": "store-manifest",
+                                            "store": "s"}))
+        assert reply["ok"] is False and reply["kind"] == "error"
+        assert os.path.basename(snapshot) in reply["error"]
+        assert _ask(channel, dump_message({"cmd": "ping"}))["ok"] is True
+    finally:
+        for handle in reversed(channel):
+            handle.close()
+
+
 @pytest.mark.parametrize("name", ["bad-json", "frame-length-not-int",
                                   "frame-ref-missing", "frame-ref-not-int",
                                   "frames-not-a-list", "int-too-long",

@@ -25,8 +25,7 @@ def test_rejects_wrong_input_shape():
         layer.apply(np.zeros((2, 5)))
 
 
-@pytest.mark.parametrize("activation", ["linear", "relu", "sigmoid", "tanh",
-                                        "softmax", "atan"])
+@pytest.mark.parametrize("activation", ["linear", "relu", "softmax", "atan"])
 def test_gradients(activation):
     rng = np.random.default_rng(1)
     layer = Dense(6, 4, activation=activation, rng=rng)

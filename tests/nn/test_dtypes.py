@@ -1,12 +1,13 @@
-"""The dtype policy: resolution stack, end-to-end threading, casts,
-and the payload round-trip that derives float32 copies of float64 zoo
-models."""
+"""The dtype policy: resolution stack, end-to-end threading, and the
+payload round-trip that derives float32 copies of float64 zoo models."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.nn import Conv2D, Dense, Flatten, Network, dtypes
+from repro.core import resolve_models
+from repro.nn import (BatchNorm, Conv2D, Dense, FixedScale, Flatten, Network,
+                      dtypes)
 from repro.nn.config import (network_from_config, network_from_payload,
                              network_to_config, network_to_payload)
 
@@ -49,16 +50,31 @@ def test_network_built_under_policy_runs_at_that_dtype():
 
 
 def test_cast_converts_parameters_buffers_and_gradients():
+    """``resolve_models`` converts through the payload round trip:
+    parameters, their gradients and every buffer (batch-norm running
+    stats) come back at the new dtype, and the original is untouched."""
+    rng = np.random.default_rng(4)
     with dtypes.default_dtype(np.float64):
-        net = _net()
-    net.cast(np.float32)
-    assert net.dtype == np.dtype(np.float32)
-    for param in net.parameters():
+        net = Network([
+            FixedScale(np.full(6, 0.5), np.full(6, 2.0), name="scale"),
+            Dense(6, 4, rng=rng, name="h"),
+            BatchNorm(4, name="bn"),
+            Dense(4, 3, activation="softmax", rng=rng, name="out"),
+        ], input_shape=(6,), name="cast_net")
+    converted, = resolve_models([net], dtype=np.float32)
+    assert converted.dtype == np.dtype(np.float32)
+    for param in converted.parameters():
         assert param.value.dtype == np.dtype(np.float32)
         assert param.grad.dtype == np.dtype(np.float32)
-    for buf in net.buffers():
+    assert converted.buffers()
+    for buf in converted.buffers().values():
         assert buf.dtype == np.dtype(np.float32)
-    assert net.predict(np.zeros((1, 1, 4, 4))).dtype == np.dtype(np.float32)
+    scale = converted.layers[0]
+    assert scale.mean.dtype == scale.std.dtype == np.dtype(np.float32)
+    assert converted.predict(np.zeros((1, 6))).dtype == np.dtype(np.float32)
+    assert net.dtype == np.dtype(np.float64)
+    assert all(p.value.dtype == np.dtype(np.float64)
+               for p in net.parameters())
 
 
 def test_payload_round_trip_preserves_and_converts_dtype():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, ShapeError
-from repro.nn import (Adam, CrossEntropy, MeanSquaredError, Parameter, SGD,
-                      get_loss, get_optimizer)
+from repro.nn import (Adam, CrossEntropy, Dense, MeanSquaredError, Network,
+                      Parameter, Trainer, get_loss)
 
 
 class TestCrossEntropy:
@@ -69,32 +69,28 @@ class TestOptimizers:
             optimizer.step([param])
         return np.abs(param.value).max()
 
-    def test_sgd_converges(self):
-        assert self._quadratic_descent(SGD(lr=0.1)) < 1e-6
-
-    def test_sgd_momentum_converges(self):
-        assert self._quadratic_descent(SGD(lr=0.05, momentum=0.9)) < 1e-4
-
     def test_adam_converges(self):
         assert self._quadratic_descent(Adam(lr=0.3)) < 1e-3
 
     def test_weight_decay_shrinks_weights(self):
         param = Parameter(np.array([1.0]), "w")
-        opt = SGD(lr=0.1, weight_decay=0.5)
+        opt = Adam(lr=0.1, weight_decay=0.5)
         param.zero_grad()  # zero task gradient: only decay acts
         opt.step([param])
-        assert param.value[0] == pytest.approx(0.95)
+        # The decay is Adam's whole gradient, so the first bias-corrected
+        # step moves the weight by lr toward zero.
+        assert param.value[0] == pytest.approx(0.9)
 
     def test_invalid_lr(self):
         with pytest.raises(ConfigError):
-            SGD(lr=0.0)
+            Adam(lr=0.0)
         with pytest.raises(ConfigError):
             Adam(lr=-1.0)
 
     def test_zero_grad_helper(self):
         param = Parameter(np.ones(3), "w")
         param.grad += 5.0
-        SGD(lr=0.1).zero_grad([param])
+        Adam(lr=0.1).zero_grad([param])
         assert np.all(param.grad == 0.0)
 
 
@@ -103,7 +99,8 @@ def test_loss_and_optimizer_lookup():
     assert isinstance(get_loss("mse"), MeanSquaredError)
     mse = MeanSquaredError()
     assert get_loss(mse) is mse
-    assert isinstance(get_optimizer("sgd", lr=0.1), SGD)
-    assert isinstance(get_optimizer("adam"), Adam)
-    with pytest.raises(ConfigError):
-        get_optimizer("lbfgs")
+    trainer = Trainer(Network([Dense(2, 2, rng=0)], (2,)), loss="mse",
+                      lr=0.01)
+    assert isinstance(trainer.loss, MeanSquaredError)
+    assert isinstance(trainer.optimizer, Adam)
+    assert trainer.optimizer.lr == 0.01

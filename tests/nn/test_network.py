@@ -61,7 +61,7 @@ def test_neuron_activations_shape_and_values(small_cnn, rng):
 
 def test_class_gradient_matches_numeric(small_cnn, rng):
     x = rng.random((2, 1, 8, 8))
-    grad = small_cnn.input_gradient_of_class(x, 1)
+    grad = small_cnn.run(x).gradient_of_class(1)
     assert grad.shape == x.shape
     eps = 1e-6
     for idx in [(0, 0, 2, 3), (1, 0, 7, 7)]:
@@ -75,13 +75,13 @@ def test_class_gradient_matches_numeric(small_cnn, rng):
 def test_neuron_gradient_matches_numeric(small_cnn, rng):
     x = rng.random((2, 1, 8, 8))
     for neuron in [0, 5, 9, small_cnn.total_neurons - 1]:
-        grad = small_cnn.input_gradient_of_neuron(x, neuron)
+        grad = small_cnn.run(x).gradient_of_neuron(neuron)
         eps = 1e-6
         idx = (1, 0, 4, 4)
         xp = x.copy(); xp[idx] += eps
         xm = x.copy(); xm[idx] -= eps
-        numeric = (small_cnn.neuron_value(xp, neuron)[1]
-                   - small_cnn.neuron_value(xm, neuron)[1]) / (2 * eps)
+        numeric = (small_cnn.run(xp).neuron_value(neuron)[1]
+                   - small_cnn.run(xm).neuron_value(neuron)[1]) / (2 * eps)
         assert abs(grad[idx] - numeric) < 1e-6, neuron
 
 
@@ -121,4 +121,4 @@ def test_class_gradient_requires_flat_output():
     rng = np.random.default_rng(1)
     net = Network([Conv2D(1, 2, 3, padding=1, rng=rng)], (1, 4, 4))
     with pytest.raises(ShapeError):
-        net.input_gradient_of_class(np.zeros((1, 1, 4, 4)), 0)
+        net.run(np.zeros((1, 1, 4, 4))).gradient_of_class(0)

@@ -29,7 +29,7 @@ def _dense_net():
     return Network([
         FixedScale(rng.normal(size=6), rng.uniform(0.5, 2.0, size=6),
                    name="scale"),
-        Dense(6, 8, activation="tanh", rng=rng, name="h1"),
+        Dense(6, 8, activation="atan", rng=rng, name="h1"),
         Dropout(0.4, rng=rng, name="drop"),
         BatchNorm(8, name="bn"),
         Dense(8, 4, activation="softmax", rng=rng, name="out"),
@@ -41,7 +41,7 @@ def _conv_net():
     net = Network([
         Conv2D(1, 3, 3, padding=1, rng=rng, name="c1"),
         MaxPool2D(2, name="mp"),
-        Conv2D(3, 4, 3, padding=1, activation="sigmoid", rng=rng, name="c2"),
+        Conv2D(3, 4, 3, padding=1, activation="atan", rng=rng, name="c2"),
         AvgPool2D(2, name="ap"),
         Flatten(name="f"),
         Dense(4 * 2 * 2, 5, activation="softmax", rng=rng, name="out"),
@@ -126,8 +126,8 @@ def test_gradient_of_neuron_matches_finite_difference(kind, dtype):
         idx = _probe_indices(net, rng, n=2)[0]
         xp = x.copy(); xp[idx] += eps
         xm = x.copy(); xm[idx] -= eps
-        numeric = (float(net.neuron_value(xp, neuron)[idx[0]])
-                   - float(net.neuron_value(xm, neuron)[idx[0]])) / (2 * eps)
+        numeric = (float(net.run(xp).neuron_value(neuron)[idx[0]])
+                   - float(net.run(xm).neuron_value(neuron)[idx[0]])) / (2 * eps)
         assert abs(grad[idx] - numeric) < tol["atol"], neuron
 
 
@@ -218,10 +218,10 @@ def test_no_recorded_state_survives_any_public_call(kind):
     before = state_keys()
     net.predict(x)
     net.neuron_activations(x)
-    net.neuron_value(x, 0)
-    net.input_gradient_of_class(x, 0)
-    net.input_gradient_of_neuron(x, net.total_neurons - 1)
-    net.run(x).gradient_of_class(1)
+    tape = net.run(x)
+    tape.neuron_value(0)
+    tape.gradient_of_neuron(net.total_neurons - 1)
+    tape.gradient_of_class(1)
     assert state_keys() == before
     assert not hasattr(net, "_recorded")
     for layer in net.layers:

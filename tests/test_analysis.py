@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.analysis import (average_l1_diversity, class_pair_overlap,
-                            detect_polluted, pairwise_l1_diversity,
-                            retrain_with_augmentation, ssim)
+                            detect_polluted, retrain_with_augmentation, ssim)
 from repro.core.engine import GeneratedTest
 from repro.datasets import pollute_labels
 from repro.errors import ConfigError, ShapeError
@@ -30,14 +29,6 @@ class TestDiversity:
 
     def test_empty(self):
         assert average_l1_diversity([], np.zeros((1, 2))) == 0.0
-
-    def test_pairwise(self):
-        inputs = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        # Pairs: (0,1)=2, (0,2)=4, (1,2)=2 -> mean 8/3.
-        assert pairwise_l1_diversity(inputs) == pytest.approx(8 / 3)
-
-    def test_pairwise_single_input(self):
-        assert pairwise_l1_diversity(np.zeros((1, 4))) == 0.0
 
 
 class TestSsim:

@@ -1,11 +1,15 @@
-"""Docs stay truthful: links resolve, and the promised files exist."""
+"""Docs stay truthful: links resolve, the promised files exist, and
+every ``repro.…`` name they cite is real API."""
 
 import os
+import sys
 
 from repro.utils.docs import (broken_intra_repo_links, iter_markdown_links,
                               markdown_files)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
+from check_docs import unresolved_names  # noqa: E402
 
 
 def test_docs_files_exist():
@@ -31,3 +35,18 @@ def test_iter_markdown_links_parses_inline_links():
 def test_no_broken_intra_repo_links():
     broken = broken_intra_repo_links(REPO_ROOT)
     assert broken == [], f"broken markdown links: {broken}"
+
+
+def test_docs_name_only_existing_repro_api():
+    missing = unresolved_names(REPO_ROOT, markdown_files(REPO_ROOT))
+    assert missing == [], f"docs name missing API: {missing}"
+
+
+def test_unresolved_name_reported_with_file_and_line(tmp_path):
+    doc = tmp_path / "API.md"
+    doc.write_text("`repro.dist.sync.pull` and `repro.nn.dtypes` resolve;\n"
+                   "`repro.utils.rng.no_such_helper` and "
+                   "`repro.no_such_module` do not.\n", encoding="utf-8")
+    assert unresolved_names(str(tmp_path), [str(doc)]) == [
+        ("API.md", 2, "repro.utils.rng.no_such_helper"),
+        ("API.md", 2, "repro.no_such_module")]

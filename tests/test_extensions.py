@@ -38,18 +38,28 @@ class TestMultiNeuron:
             assert all(n in uncovered for n in neurons)
 
     def test_gradient_matches_numeric(self):
+        """The engine carries each model's picks on one
+        ``gradient_joint`` sweep; that sweep is the derivative of the
+        picked neurons' summed outputs."""
         models = _models()
         trackers = [NeuronCoverageTracker(m, threshold=0.5) for m in models]
-        obj = MultiNeuronCoverageObjective(trackers, neurons_per_model=2,
-                                           rng=1)
-        obj.pick()
+        picks = MultiNeuronCoverageObjective(trackers, neurons_per_model=2,
+                                             rng=1).pick()
         x = np.random.default_rng(5).random((1, 4))
-        grad = obj.gradient(x)
+        no_output = np.zeros((1,) + models[0].output_shape)
+        grad = sum(m.run(x).gradient_joint(no_output, neurons, 1.0)
+                   for m, neurons in zip(models, picks))
+
+        def value(x_probe):
+            return sum(float(m.run(x_probe).neuron_value(n).sum())
+                       for m, neurons in zip(models, picks)
+                       for n in neurons)
+
         eps = 1e-6
         for j in range(4):
             xp = x.copy(); xp[0, j] += eps
             xm = x.copy(); xm[0, j] -= eps
-            numeric = (obj.value(xp) - obj.value(xm)) / (2 * eps)
+            numeric = (value(xp) - value(xm)) / (2 * eps)
             assert abs(grad[0, j] - numeric) < 1e-6
 
     def test_k_validation(self):

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ShapeError
-from repro.utils import (as_rng, clip01, derive_rng, l1_distance,
-                         render_table, rng_from_seed_sequence, save_pgm,
-                         save_ppm, spawn_rngs, spawn_seed_sequences,
-                         to_uint8)
+from repro.utils import (as_rng, clip01, l1_distance, render_table,
+                         rng_from_seed_sequence, save_pgm, save_ppm,
+                         spawn_seed_sequences, to_uint8)
 from repro.utils.atomicio import atomic_write_json
 
 
@@ -26,21 +25,6 @@ class TestRng:
         a = as_rng(7).random(5)
         b = as_rng(7).random(5)
         np.testing.assert_array_equal(a, b)
-
-    def test_derive_rng_label_dependent(self):
-        base = 99
-        a = derive_rng(as_rng(base), "weights").random(4)
-        b = derive_rng(as_rng(base), "data").random(4)
-        assert not np.array_equal(a, b)
-        # Deterministic given (seed, label).
-        a2 = derive_rng(as_rng(base), "weights").random(4)
-        np.testing.assert_array_equal(a, a2)
-
-    def test_spawn_rngs_independent(self):
-        children = spawn_rngs(as_rng(3), 4)
-        assert len(children) == 4
-        draws = [c.random() for c in children]
-        assert len(set(draws)) == 4
 
     def test_spawn_seed_sequences_deterministic(self):
         a = spawn_seed_sequences(11, 5)

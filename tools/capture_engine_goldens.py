@@ -20,9 +20,8 @@ config, how many ``x_sha256`` input hashes changed, then every other
 field that changed with its old and new value.  A change meant to keep
 the discrete outcomes should move input hashes only.
 
-All capture runs disable the engine's exhausted-tape folding
-(``absorb_exhausted=False``): the paper-exact accounting, in which only
-difference-inducing inputs fold into coverage.
+The coverage masks are the engine's accounting: exhausted seeds fold
+their final tapes in as well as difference-inducing inputs.
 """
 
 from __future__ import annotations
@@ -110,7 +109,7 @@ def _make_engine(models, hp, constraint, task, rng, driver, rule_spec):
     kind, beta = rule_spec
     cls = DeepXplore if driver == "sequential" else AscentEngine
     return cls(models, hp, constraint, task=task, rng=rng,
-               rule=make_rule(kind, beta=beta), absorb_exhausted=False)
+               rule=make_rule(kind, beta=beta))
 
 
 def _constraint_for(dataset_name, dataset):

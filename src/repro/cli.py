@@ -24,8 +24,7 @@ Commands
     stores, and inspect job state (see docs/FARM.md).
 ``join`` / ``peers``
     Federation (see docs/DISTRIBUTED.md): edit a farm root's persisted
-    peer list and show the live gossip from each peer.  ``generate
-    --peers HOST:PORT,...`` fans campaign shards across those daemons.
+    peer list and show the live gossip from each peer.
 ``experiment``
     Run one named experiment (table1..table12, figure8..figure10,
     pollution) and print its table.
@@ -110,11 +109,6 @@ def build_parser():
     gen.add_argument("--resume", action="store_true",
                      help="start from the coverage saved in --corpus "
                           "instead of from zero")
-    gen.add_argument("--peers", metavar="HOST:PORT,...",
-                     help="fan campaign shards across these farm "
-                          "daemons (campaign engine only; results are "
-                          "bit-identical to a local run, peers only "
-                          "add throughput)")
 
     fuzz = sub.add_parser(
         "fuzz", help="resumable coverage-guided fuzzing over a corpus")
@@ -248,7 +242,8 @@ def build_parser():
                       help="farm root whose peers.json to edit (the "
                            "daemon there gossips with these peers)")
     join.add_argument("peer", metavar="HOST:PORT",
-                      help="the other daemon's control endpoint")
+                      help="the other daemon's control endpoint: "
+                           "127.0.0.1 and the port in its daemon.json")
     join.add_argument("--remove", action="store_true",
                       help="remove the peer instead of adding it")
 
@@ -316,34 +311,12 @@ def _cmd_generate(args):
             for model, tracker in zip(models, trackers):
                 if model.name in persisted:
                     tracker.load_state_dict(persisted[model.name])
-    shard_runner = None
-    if args.peers:
-        if args.engine != "campaign":
-            print("error: --peers needs --engine campaign "
-                  "(shards are the unit of distribution)",
-                  file=sys.stderr)
-            return 2
-        from repro.dist import PeerShardRunner, parse_peer
-        shard_runner = PeerShardRunner(
-            [parse_peer(text) for text in args.peers.split(",")
-             if text.strip()],
-            args.dataset, constraint=args.constraint)
     engine = make_engine(
         args.engine, models, hp,
         constraint_for_dataset(dataset, kind=args.constraint),
         dataset.task, args.seed + 2, workers=args.workers,
         shard_size=args.shard_size, trackers=trackers, rule=rule)
-    if shard_runner is not None:
-        result = engine.run(seeds, shard_runner=shard_runner)
-        remote = sum(1 for place in shard_runner.placements.values()
-                     if place != "local")
-        print(f"peers                : {remote}/"
-              f"{len(shard_runner.placements)} shards ran remotely")
-        for peer, error in sorted(shard_runner.failures.items()):
-            print(f"  peer {peer[0]}:{peer[1]} retired: {error}",
-                  file=sys.stderr)
-    else:
-        result = engine.run(seeds)
+    result = engine.run(seeds)
     if store is not None:
         added = store.absorb(seeds, result, models, trackers)
         print(f"corpus               : {store.path} "

@@ -10,8 +10,7 @@ from repro.core.engine import (ASCENT_RULES, AdamRule, AdaptiveStepRule,
                                AscentContext, AscentEngine, AscentRule,
                                DeepFoolRule, DeepXplore, GeneratedTest,
                                GenerationResult, MomentumRule, NesterovRule,
-                               VanillaRule, make_rule, rule_from_identity,
-                               run_ascent)
+                               VanillaRule, make_rule, run_ascent)
 from repro.core.factory import make_engine, resolve_models
 from repro.core.objectives import CoverageObjective
 from repro.core.oracle import (ClassificationOracle, RegressionOracle,
@@ -21,7 +20,7 @@ __all__ = [
     "ASCENT_RULES", "AdamRule", "AdaptiveStepRule", "AscentContext",
     "AscentEngine", "AscentRule", "DeepFoolRule",
     "MomentumRule", "NesterovRule", "VanillaRule", "make_engine",
-    "make_rule", "resolve_models", "rule_from_identity", "run_ascent",
+    "make_rule", "resolve_models", "run_ascent",
     "Campaign", "CampaignShard", "shard_corpus",
     "Hyperparams", "PAPER_HYPERPARAMS",
     "Constraint", "DrebinConstraint", "LightingConstraint",

@@ -349,11 +349,11 @@ class Campaign:
         ``(campaign, tracker_states, shards) -> outcomes`` returning one
         ``_run_shard``-shaped dict per shard, in any order.  A
         :class:`CampaignPool` (from :meth:`make_pool`) is one, reusing
-        its worker processes across calls; the distribution layer fans
-        shards across hosts with others
-        (``repro.dist.shards.LedgerShardRunner``, peer RPC).  A runner
-        may only change where shards run, never what they compute,
-        because the merge below is order-independent.
+        its worker processes across calls; the distribution layer's
+        ``repro.dist.shards.LedgerShardRunner`` splits shards across
+        hosts that share a campaign directory.  A runner may only
+        change where shards run, never what they compute, because the
+        merge below is order-independent.
         """
         if seed_scales is not None and not self.rule.accepts_seed_scales:
             raise ConfigError(

@@ -54,8 +54,7 @@ from repro.core.oracle import make_oracle
 from repro.core.rules import (ASCENT_RULES, DEFAULT_MOMENTUM_BETA,
                               AdamRule, AdaptiveStepRule, AscentContext,
                               AscentRule, DeepFoolRule, MomentumRule,
-                              NesterovRule, VanillaRule, make_rule,
-                              rule_from_identity)
+                              NesterovRule, VanillaRule, make_rule)
 from repro.coverage import NeuronCoverageTracker
 from repro.errors import ConfigError
 from repro.nn.workspace import Workspace
@@ -63,7 +62,7 @@ from repro.utils.rng import as_rng
 
 __all__ = ["AscentRule", "AscentContext", "VanillaRule", "MomentumRule",
            "NesterovRule", "AdamRule", "DeepFoolRule", "AdaptiveStepRule",
-           "make_rule", "rule_from_identity", "ASCENT_RULES",
+           "make_rule", "ASCENT_RULES",
            "DEFAULT_MOMENTUM_BETA", "run_ascent", "AscentEngine",
            "DeepXplore", "GeneratedTest",
            "GenerationResult", "normalize_gradient"]

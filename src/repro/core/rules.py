@@ -28,8 +28,9 @@ docs/ARCHITECTURE.md):
   the engine slices ``x``, so a surviving seed's trajectory is
   bit-identical to ascending it alone.
 * **Identity** — :meth:`AscentRule.identity` is a deterministic string
-  that round-trips through :func:`rule_from_identity` and JSON; fuzz
-  corpora persist it as part of their resume contract.
+  that survives JSON, equal across :meth:`AscentRule.clone` and
+  different when a parameter differs; fuzz corpora persist it as part
+  of their resume contract and compare it, never parse it.
 * **Clone** — :meth:`AscentRule.clone` returns an independent copy
   (campaign shards and fuzz workers each ascend under their own);
   a bound :class:`AscentContext` is never carried into the copy.
@@ -55,7 +56,7 @@ from repro.errors import ConfigError
 
 __all__ = ["AscentRule", "AscentContext", "VanillaRule", "MomentumRule",
            "NesterovRule", "AdamRule", "DeepFoolRule", "AdaptiveStepRule",
-           "make_rule", "rule_from_identity", "ASCENT_RULES",
+           "make_rule", "ASCENT_RULES",
            "DEFAULT_MOMENTUM_BETA", "DEFAULT_DEEPFOOL_OVERSHOOT"]
 
 DEFAULT_MOMENTUM_BETA = 0.9
@@ -189,8 +190,7 @@ class AscentRule:
 
     def identity(self):
         """Deterministic-identity string (part of a fuzz corpus's
-        resume contract: resuming under a different rule is an error).
-        Round-trips through :func:`rule_from_identity`."""
+        resume contract: resuming under a different rule is an error)."""
         return self.name
 
     def state_dict(self):
@@ -601,58 +601,3 @@ def make_rule(ascent="vanilla", beta=None, overshoot=None):
                      else overshoot)
         return DeepFoolRule(overshoot)
     return _RULE_CLASSES[ascent]()
-
-
-def _split_args(text):
-    """Split ``a,b(c,d),e`` at top-level commas only."""
-    parts, depth, start = [], 0, 0
-    for i, char in enumerate(text):
-        if char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        elif char == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    tail = text[start:]
-    if tail:
-        parts.append(tail)
-    return parts
-
-
-def rule_from_identity(identity):
-    """Reconstruct a rule from its :meth:`AscentRule.identity` string.
-
-    The inverse of ``identity()`` for every registered rule:
-    ``rule_from_identity(rule.identity()).identity() ==
-    rule.identity()``.  Raises :class:`~repro.errors.ConfigError` on
-    unknown names or malformed arguments.
-    """
-    identity = str(identity).strip()
-    name, sep, rest = identity.partition("(")
-    if sep and not rest.endswith(")"):
-        raise ConfigError(f"malformed rule identity {identity!r}")
-    if name not in _RULE_CLASSES:
-        raise ConfigError(
-            f"unknown ascent rule identity {identity!r}; known: "
-            f"{', '.join(ASCENT_RULES)}")
-    args, kwargs = [], {}
-    for part in _split_args(rest[:-1]) if sep else []:
-        key, eq, value = part.partition("=")
-        if not eq or "(" in key:
-            # No top-level "=" means a positional inner rule, possibly
-            # with its own kwargs inside parens (e.g. momentum(beta=0.7)).
-            args.append(rule_from_identity(part))
-            continue
-        key = key.strip()
-        try:
-            kwargs[key] = float(value)
-        except ValueError:
-            raise ConfigError(
-                f"malformed rule identity {identity!r}: bad value for "
-                f"{key!r}") from None
-    try:
-        return _RULE_CLASSES[name](*args, **kwargs)
-    except TypeError:
-        raise ConfigError(
-            f"malformed rule identity {identity!r}") from None

@@ -10,17 +10,20 @@ Three layers, each useful alone (docs/DISTRIBUTED.md is the manual):
   publish results as atomic files; any host can run any shard and the
   merged campaign is bit-identical to a solo run.
 * :mod:`repro.dist.coordinator` — the federation surface: persisted
-  peer lists (``repro join`` / ``repro peers``), ledger-federated fuzz
-  sessions, and RPC shard fan-out for ``generate --peers``.
+  peer lists (``repro join`` / ``repro peers``) and ledger-federated
+  fuzz sessions.
+
+A daemon listens on ``127.0.0.1``, so the TCP verbs (gossip and
+``store-*`` pulls) reach daemons on the same machine; across machines
+the federation is the ledger on a shared filesystem.
 
 Imports are kept lazy toward :mod:`repro.farm` (the daemon imports this
-package for its ``federate`` job kind, and the RPC paths import the
+package for its ``federate`` job kind, and the TCP pull imports the
 farm client), so the two packages compose without an import cycle.
 """
 
 from repro.dist.coordinator import (MAX_GOSSIP_PEERS, PEERS_NAME,
-                                    FederatedSession, PeerList,
-                                    PeerShardRunner, parse_peer)
+                                    FederatedSession, PeerList, parse_peer)
 from repro.dist.shards import (LedgerShardRunner, ShardLedger,
                                decode_outcome, encode_outcome, round_key,
                                shard_digest, shard_hashes, shard_id)
@@ -30,7 +33,7 @@ from repro.dist.sync import (DEFAULT_BATCH, LocalSource, RemoteSource,
 
 __all__ = [
     "MAX_GOSSIP_PEERS", "PEERS_NAME", "FederatedSession", "PeerList",
-    "PeerShardRunner", "parse_peer",
+    "parse_peer",
     "LedgerShardRunner", "ShardLedger", "decode_outcome",
     "encode_outcome", "round_key", "shard_digest", "shard_hashes",
     "shard_id",

@@ -37,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
 import socket
 import time
@@ -61,10 +62,50 @@ LEDGER_VERSION = 1
 #: A ledger shard entry's states, in lifecycle order.
 SHARD_STATUSES = ("pending", "claimed", "done")
 
+#: Largest pid a claim may record (a C ``pid_t``; ``os.kill`` refuses
+#: anything past it).
+_MAX_PID = 2 ** 31 - 1
+
 #: Seconds after which another host's claim may be stolen.  Claims by a
 #: *local* dead pid are stolen immediately (pid liveness is checkable on
 #: the same machine); the lease is the cross-host fallback.
 DEFAULT_LEASE = 60.0
+
+
+def _finite_number(value):
+    """True for a JSON number that ``float()`` maps to a finite value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:       # an integer past the float range
+        return False
+
+
+def _entry_problem(entry):
+    """What is wrong with one ledger shard entry, or ``None``.
+
+    A claim's ``host``, ``pid``, ``claimed_at`` and ``hashes`` are
+    checked where present: :meth:`ShardLedger.claim` compares, kills,
+    subtracts and scores them.
+    """
+    if not (isinstance(entry, dict)
+            and isinstance(entry.get("digest"), str)
+            and entry.get("status") in SHARD_STATUSES):
+        return f"needs a string digest and a status in {SHARD_STATUSES}"
+    if "host" in entry and not isinstance(entry["host"], str):
+        return "has a host that is not a string"
+    pid = entry.get("pid", 1)      # absent: nothing to check
+    if isinstance(pid, bool) or not isinstance(pid, int) \
+            or not 1 <= pid <= _MAX_PID:
+        return f"has a pid that is not an integer in 1..{_MAX_PID}"
+    if "claimed_at" in entry and not _finite_number(entry["claimed_at"]):
+        return "has a claimed_at that is not a finite number"
+    hashes = entry.get("hashes", [])    # absent: nothing to check
+    if not (isinstance(hashes, list)
+            and all(isinstance(h, str) for h in hashes)):
+        return "has hashes that are not a list of strings"
+    return None
 
 
 def round_key(seed):
@@ -160,9 +201,9 @@ def encode_outcome(outcome):
 def decode_outcome(source):
     """Inverse of :func:`encode_outcome` (``source``: path or bytes).
 
-    Outcomes come from peers and from ledger result files, so bytes
-    that are not an outcome archive are a :class:`FarmError`, naming
-    the file when ``source`` is a path.
+    Outcomes come from ledger result files that other hosts wrote, so
+    bytes that are not an outcome archive are a :class:`FarmError`,
+    naming the file when ``source`` is a path.
     """
     what = ("outcome payload" if isinstance(source, (bytes, bytearray))
             else f"shard result {source}")
@@ -279,13 +320,15 @@ class ShardLedger:
         try:
             with open(self._lock_path, "r", encoding="utf-8") as handle:
                 holder = json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError, OSError):
+        except (OSError, ValueError, RecursionError):
             return True     # torn or already gone: race for it
+        if not (isinstance(holder, dict)
+                and _finite_number(holder.get("time"))):
+            return True     # garbled: a lease could never expire it
         if holder.get("host") == self.host \
                 and not _pid_alive(holder.get("pid")):
             return True     # local dead pid: the kill -9 aftermath
-        return float(self.clock()) - float(holder.get("time", 0)) \
-            > self.lease
+        return float(self.clock()) - float(holder["time"]) > self.lease
 
     # -- ledger state --------------------------------------------------
     def _load(self):
@@ -294,8 +337,10 @@ class ShardLedger:
         Writes replace the file atomically, so a file that is not a
         ledger (not UTF-8 JSON, not an object, or a ``shards`` that is
         not an object of entries with a string ``digest`` and a known
-        ``status``) is a :class:`FarmError` naming it, never a ledger
-        to rewrite from scratch.
+        ``status``, and whose claim fields, where present, are a string
+        ``host``, a ``pid`` in ``1..2**31-1``, a finite ``claimed_at``
+        and a list of string ``hashes``) is a :class:`FarmError` naming
+        it, never a ledger to rewrite from scratch.
         """
         try:
             with open(self.ledger_path, "rb") as handle:
@@ -313,13 +358,10 @@ class ShardLedger:
             raise FarmError(f"corrupt ledger {self.ledger_path}: expected "
                             "an object whose 'shards' is an object")
         for sid, entry in shards.items():
-            if not (isinstance(entry, dict)
-                    and isinstance(entry.get("digest"), str)
-                    and entry.get("status") in SHARD_STATUSES):
-                raise FarmError(
-                    f"corrupt ledger {self.ledger_path}: shard {sid!r} "
-                    f"needs a string digest and a status in "
-                    f"{SHARD_STATUSES}")
+            problem = _entry_problem(entry)
+            if problem is not None:
+                raise FarmError(f"corrupt ledger {self.ledger_path}: "
+                                f"shard {sid!r} {problem}")
         return state
 
     def _save(self, state):

@@ -16,7 +16,7 @@ Layered bottom-up (each layer unit-tested on its own in
 :mod:`repro.farm.server` / :mod:`repro.farm.client`
     JSON-lines control socket (``repro serve | submit | status``),
     plus the federation verbs :mod:`repro.dist` speaks
-    (:class:`PeerClient`, gossip, corpus sync, remote shards).
+    (:class:`PeerClient`, gossip, corpus sync).
 
 See docs/FARM.md for the operational story and docs/DISTRIBUTED.md
 for the multi-host fabric built on top.

@@ -7,8 +7,9 @@ Two addressing modes over the same JSON-lines protocol (see
   ``daemon.json`` endpoint, so local tooling never touches port
   numbers.  The submit/status half of the control protocol.
 * :class:`PeerClient` — addressed by *host:port*: what federation
-  peers use for gossip, corpus sync, and remote shard execution, where
-  the other daemon's root directory is on a different machine.
+  peers use for gossip and corpus sync.  A daemon binds ``127.0.0.1``,
+  so the host is this machine; the port is the one in the other
+  daemon's ``daemon.json``.
 
 Both keep one pooled connection per client: requests reuse the channel
 instead of paying a TCP dial per call.  A failure on a *reused* socket
@@ -213,11 +214,9 @@ class FarmClient(_ChannelClient):
 class PeerClient(_ChannelClient):
     """Host:port-addressed client for the federation verbs.
 
-    The transport behind :class:`~repro.dist.sync.RemoteSource`,
-    daemon gossip, and
-    :class:`~repro.dist.coordinator.PeerShardRunner`.  Same pooled
-    channel and typed errors as :class:`FarmClient`; only the
-    addressing differs.
+    The transport behind :class:`~repro.dist.sync.RemoteSource` and
+    daemon gossip.  Same pooled channel and typed errors as
+    :class:`FarmClient`; only the addressing differs.
     """
 
     def __init__(self, host, port, timeout=10.0):
@@ -229,8 +228,8 @@ class PeerClient(_ChannelClient):
     def _dial(self):
         # A reset/timeout mid-request must surface as the same typed
         # error as a refused connection: every consumer (peer gossip,
-        # sync, shard fan-out) treats FarmError as "this peer failed",
-        # and a raw OSError would crash them instead.
+        # sync) treats FarmError as "this peer failed", and a raw
+        # OSError would crash them instead.
         try:
             return socket.create_connection((self.host, self.port),
                                             timeout=self.timeout)
@@ -267,6 +266,3 @@ class PeerClient(_ChannelClient):
         """Fetch a batch of content-addressed inputs in one round-trip."""
         return self._request({"cmd": "store-entries", "store": store,
                               "hashes": [str(h) for h in hashes]})
-
-    def run_shard(self, request):
-        return self._request({"cmd": "run-shard", **request})

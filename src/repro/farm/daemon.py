@@ -31,11 +31,12 @@ failure, no attempt burned) with its progress in the store checkpoint.
 Beyond the job queue, a daemon is also a *federation peer* (see
 ``repro.dist`` and docs/DISTRIBUTED.md): it answers gossip (``peers``)
 and the read-only store verbs a puller uses (``store-manifest`` /
-``store-entry`` / ``store-entries``), executes single campaign shards
-for remote drivers (``run-shard``), runs ledger-federated fuzz jobs
-(kind ``federate``), and — when started with ``compact_every`` —
-keeps its tenant stores bounded by scheduling ``compact-distill`` jobs
-in the background.
+``store-entry`` / ``store-entries``) to clients on the same machine
+(the server binds ``127.0.0.1``), runs ledger-federated fuzz jobs
+(kind ``federate``) with hosts that share the campaign directory's
+filesystem, and — when started with ``compact_every`` — keeps its
+tenant stores bounded by scheduling ``compact-distill`` jobs in the
+background.
 
 No verb writes into a tenant store, so each store has one writer: the
 job the queue handed it to (the queue never runs two jobs on one
@@ -674,60 +675,3 @@ class FarmDaemon:
                             "data": encode_array(
                                 store.load_input(entry_hash))})
         return {"entries": entries}
-
-    def run_shard(self, request):
-        """Execute one campaign shard for a remote driver (RPC verb).
-
-        The request carries the campaign's full deterministic identity
-        — rule, constraint kind, task, dtype, tracker states, and the
-        shard itself with its SeedSequence identity — so the outcome is
-        bit-identical to the driver running the shard locally.  The
-        model fingerprint is validated first: a peer whose zoo resolves
-        a different trio (other scale, other seed) must refuse, not
-        compute garbage.
-        """
-        from repro.core import resolve_models, rule_from_identity
-        from repro.dist.coordinator import decode_shard
-        from repro.dist.shards import encode_outcome
-        from repro.dist.sync import decode_coverage
-        from repro.farm.wire import Blob
-        dataset_name = request.get("dataset")
-        if dataset_name not in PAPER_HYPERPARAMS:
-            raise FarmError(
-                f"unknown dataset {dataset_name!r}; want one of "
-                f"{sorted(PAPER_HYPERPARAMS)}")
-        models, dataset = self._models_for(dataset_name)
-        dtype = request.get("dtype")
-        if dtype not in (None, "float32", "float64"):
-            raise FarmError(f"run-shard dtype must be float32 or float64, "
-                            f"got {dtype!r}")
-        if dtype is not None and any(str(m.dtype) != dtype for m in models):
-            models = resolve_models(models, dtype=dtype)
-        kind = request.get("constraint", "default")
-        if not isinstance(kind, str):
-            raise FarmError(f"run-shard constraint must be a name, "
-                            f"got {kind!r}")
-        hp = PAPER_HYPERPARAMS[dataset_name]
-        task = request.get("task", dataset.task)
-        fingerprint = request.get("fingerprint")
-        mine = corpus_fingerprint(models, hp, task)
-        if fingerprint is not None and fingerprint != mine:
-            raise FarmError(
-                f"shard fingerprint mismatch: driver has {fingerprint!r}, "
-                f"this peer resolves {mine!r} — mixed scales or model "
-                "architectures cannot federate")
-        shard = decode_shard(request.get("shard"))
-        payloads = request.get("trackers")
-        if not isinstance(payloads, list) or len(payloads) != len(models):
-            raise FarmError(
-                f"run-shard needs a list of one tracker state per model "
-                f"({len(models)})")
-        tracker_states = [decode_coverage(payload) for payload in payloads]
-        campaign = Campaign(
-            models, hp, constraint_for_dataset(dataset, kind=kind),
-            task=task, workers=1,
-            shard_size=max(1, len(shard.seeds)),
-            rule=rule_from_identity(request.get("ascent", "vanilla")))
-        outcome = campaign.execute_shard(tracker_states, shard)
-        return {"shard_index": int(outcome["shard_index"]),
-                "outcome": Blob(encode_outcome(outcome))}

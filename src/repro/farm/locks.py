@@ -37,7 +37,7 @@ class StoreLockedError(FarmError):
 def _pid_alive(pid):
     try:
         os.kill(int(pid), 0)
-    except (ProcessLookupError, TypeError, ValueError):
+    except (ProcessLookupError, TypeError, ValueError, OverflowError):
         return False
     except PermissionError:
         return True     # exists, owned by someone else

@@ -15,11 +15,11 @@ port number::
 Commands: ``ping``, ``submit`` (spec → job record, or a typed
 rejection), ``status`` (all jobs or one ``job_id``), ``counts``, and
 ``drain`` (graceful shutdown) — plus the federation verbs from
-docs/DISTRIBUTED.md: ``peers`` (gossip), ``store-manifest`` /
+docs/DISTRIBUTED.md: ``peers`` (gossip) and ``store-manifest`` /
 ``store-entry`` / ``store-entries`` (corpus pull, with an optional
 ``have`` delta filter and batched fetch; these only read, and a
 malformed store name, hash list or ``have`` filter is a typed
-rejection), and ``run-shard`` (remote campaign shard execution).
+rejection).  Any other ``cmd`` is an ``unknown command`` rejection.
 Errors travel as ``{"ok": false, "error": ..., "kind": ...}`` with
 ``kind`` naming the error class so the client re-raises the right
 exception — saturation keeps its ``retry_after`` hint across the wire.
@@ -144,9 +144,6 @@ class FarmServer(socketserver.ThreadingTCPServer):
         if cmd == "store-entries":
             reply = self.farm.store_entries(request.get("store"),
                                             request.get("hashes"))
-            return {"ok": True, **reply}
-        if cmd == "run-shard":
-            reply = self.farm.run_shard(request)
             return {"ok": True, **reply}
         raise FarmError(f"unknown command {cmd!r}")
 

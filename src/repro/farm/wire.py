@@ -1,8 +1,8 @@
 """Message framing for the farm protocol: JSON lines + binary frames.
 
 Every message is one JSON object on one line.  Values that are raw
-bytes (``.npy`` arrays, ``.npz`` coverage snapshots, shard outcomes —
-anything wrapped in :class:`Blob`) travel as binary frames: the JSON
+bytes (``.npy`` arrays, ``.npz`` coverage snapshots — anything
+wrapped in :class:`Blob`) travel as binary frames: the JSON
 line carries ``{"__frame__": i}`` placeholders plus a
 ``"_frames": [len, ...]`` header, and the raw bytes follow the newline
 back to back, in order.  Only the JSON *header* is bounded by

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ShapeError
+from repro.errors import ConfigError, ShapeError
 
 __all__ = ["Loss", "CrossEntropy", "MeanSquaredError", "get_loss"]
 
@@ -71,4 +71,4 @@ def get_loss(spec):
         return mapping[spec]()
     except KeyError:
         known = ", ".join(sorted(mapping))
-        raise ShapeError(f"unknown loss {spec!r}; known: {known}") from None
+        raise ConfigError(f"unknown loss {spec!r}; known: {known}") from None

@@ -11,8 +11,8 @@ docs/ARCHITECTURE.md):
    retire-and-compact: a seed's update stream in a batch where *other*
    seeds retire at staggered iterations equals its solo stream,
    bit-for-bit.
-2. **Identity** — ``identity()`` round-trips through JSON and
-   :func:`~repro.core.rule_from_identity`.
+2. **Identity** — ``identity()`` is a JSON-stable string, equal across
+   ``clone()`` and different when a parameter differs.
 3. **State round-trip** — ``state_dict()`` survives JSON and
    ``load_state_dict`` mid-ascent, continuing bit-identically.
 4. **Clone** — ``clone()`` gives independent state and never carries a
@@ -40,7 +40,7 @@ from repro.core import (ASCENT_RULES, AdamRule, AdaptiveStepRule,
                         AscentContext, AscentEngine, Campaign, Constraint,
                         DeepFoolRule, DeepXplore, LightingConstraint,
                         MomentumRule, NesterovRule, PAPER_HYPERPARAMS,
-                        VanillaRule, rule_from_identity)
+                        VanillaRule)
 from repro.errors import ConfigError
 
 #: One representative (non-default where possible) instance per
@@ -241,23 +241,60 @@ def test_compact_slices_state_rows(name):
 @pytest.mark.parametrize("name", RULE_NAMES)
 def test_identity_roundtrips_through_json(name):
     rule = RULE_FACTORIES[name]()
-    identity = json.loads(json.dumps(rule.identity()))
-    revived = rule_from_identity(identity)
-    assert type(revived) is type(rule)
-    assert revived.identity() == rule.identity()
+    identity = rule.identity()
+    assert isinstance(identity, str)
+    assert json.loads(json.dumps(identity)) == identity
+    assert rule.clone().identity() == identity
+    assert RULE_FACTORIES[name]().identity() == identity
 
 
-def test_identity_rejects_garbage():
-    for bad in ("rmsprop", "momentum(beta=high)", "momentum(beta=0.9"):
-        with pytest.raises(ConfigError):
-            rule_from_identity(bad)
+#: Each registered rule's harness instance (or a rule of another kind)
+#: against one that differs in exactly one parameter.
+IDENTITY_NEIGHBOURS = {
+    "momentum-beta": (MomentumRule(0.8), MomentumRule(0.7)),
+    "nesterov-beta": (NesterovRule(0.8), NesterovRule(0.7)),
+    "momentum-vs-nesterov": (MomentumRule(0.8), NesterovRule(0.8)),
+    "adam-beta1": (AdamRule(beta1=0.9, beta2=0.99, eps=1e-8),
+                   AdamRule(beta1=0.8, beta2=0.99, eps=1e-8)),
+    "adam-beta2": (AdamRule(beta1=0.9, beta2=0.99, eps=1e-8),
+                   AdamRule(beta1=0.9, beta2=0.999, eps=1e-8)),
+    "adam-eps": (AdamRule(beta1=0.9, beta2=0.99, eps=1e-8),
+                 AdamRule(beta1=0.9, beta2=0.99, eps=1e-7)),
+    "deepfool-overshoot": (DeepFoolRule(overshoot=0.05),
+                           DeepFoolRule(overshoot=0.02)),
+    "adaptive-inner": (AdaptiveStepRule(MomentumRule(0.7), gamma=0.5,
+                                        max_scale=4.0),
+                       AdaptiveStepRule(MomentumRule(0.8), gamma=0.5,
+                                        max_scale=4.0)),
+    "adaptive-gamma": (AdaptiveStepRule(MomentumRule(0.7), gamma=0.5,
+                                        max_scale=4.0),
+                       AdaptiveStepRule(MomentumRule(0.7), gamma=0.25,
+                                        max_scale=4.0)),
+    "adaptive-max-scale": (AdaptiveStepRule(MomentumRule(0.7), gamma=0.5,
+                                            max_scale=4.0),
+                           AdaptiveStepRule(MomentumRule(0.7), gamma=0.5,
+                                            max_scale=2.0)),
+    # Past six significant digits, where a %g rendering would collide.
+    "momentum-beta-seventh-digit": (MomentumRule(0.8),
+                                    MomentumRule(0.8000001)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IDENTITY_NEIGHBOURS))
+def test_identity_differs_when_a_parameter_differs(case):
+    """A fuzz store compares identity strings to refuse a resume under
+    another rule, so no two differently-parameterised rules may share
+    one."""
+    rule, neighbour = IDENTITY_NEIGHBOURS[case]
+    assert rule.identity() != neighbour.identity()
 
 
 # -- law 3: state round-trip --------------------------------------------------
 @pytest.mark.parametrize("name", RULE_NAMES)
 def test_state_dict_roundtrips_midascent(name):
-    """Snapshot a rule mid-ascent through JSON, revive it from its
-    identity string, and continue: both continuations are bit-identical.
+    """Snapshot a rule mid-ascent through JSON, load the state into a
+    fresh rule from the same factory, and continue: both continuations
+    are bit-identical.
     """
     factory = RULE_FACTORIES[name]
     ids = [0, 1, 2]
@@ -273,7 +310,8 @@ def test_state_dict_roundtrips_midascent(name):
     original = _drive(factory(), ids, iterations=6, scales=SCALES,
                       record=record)
     data = json.loads(snapshots["blob"])
-    revived = rule_from_identity(data["identity"])
+    revived = factory()
+    assert revived.identity() == data["identity"]
     revived.load_state_dict(data["state"])
     # Continue the revived rule over iterations 4..6 by hand.
     x = snapshots["x"]

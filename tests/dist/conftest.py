@@ -105,7 +105,7 @@ def live_peer(tmp_path, model_source):
 
     Yields ``(daemon, server, port)``.  The server's accept loop runs
     on a background thread; the daemon's workers are NOT started — sync
-    and shard verbs are served directly by handler threads, and tests
+    and gossip verbs are served directly by handler threads, and tests
     that need job execution call ``daemon.start()`` themselves.
     """
     from repro.farm import FarmDaemon, FarmServer

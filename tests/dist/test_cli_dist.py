@@ -1,7 +1,7 @@
-"""CLI federation surface: ``repro join`` / ``repro peers`` /
-``generate --peers`` argument handling.
+"""CLI federation surface: ``repro join`` / ``repro peers`` argument
+handling.
 
-The heavy lifting (RPC correctness, ledger behavior) is covered by
+The heavy lifting (ledger behavior) is covered by
 tests/dist/test_federation.py; these tests pin the operator-facing
 contract: peers.json edits, exit codes, and the unreachable-peer and
 bad-argument error paths.
@@ -221,32 +221,3 @@ def test_peers_output_marks_discovered(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "[discovered]" not in lines[0]
     assert "[discovered]" in lines[1]
-
-
-# -- generate --peers ---------------------------------------------------------
-def test_generate_peers_needs_campaign_engine(capsys):
-    # Shards are the unit of distribution; any other engine with
-    # --peers is a usage error, exit 2, before any peer is contacted.
-    assert main(["--scale", "smoke", "generate", "mnist",
-                 "--engine", "batch", "--peers", "127.0.0.1:7001",
-                 "--seeds", "2"]) == 2
-    assert "--engine campaign" in capsys.readouterr().err
-
-
-def test_generate_peers_bad_address_is_user_error(capsys):
-    assert main(["--scale", "smoke", "generate", "mnist",
-                 "--engine", "campaign", "--peers", "nope",
-                 "--seeds", "2"]) == 1
-    assert "peer" in capsys.readouterr().err
-
-
-def test_generate_peers_falls_back_when_peer_down(tmp_path, capsys):
-    """A dead peer must not fail the run — shards fall back to local
-    execution and the retirement is reported on stderr."""
-    assert main(["--scale", "smoke", "generate", "mnist",
-                 "--engine", "campaign", "--peers", "127.0.0.1:1",
-                 "--seeds", "4", "--shard-size", "2",
-                 "--corpus", str(tmp_path / "corpus")]) == 0
-    captured = capsys.readouterr()
-    assert "0/2 shards ran remotely" in captured.out
-    assert "retired" in captured.err

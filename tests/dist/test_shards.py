@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import io
+import json
 import os
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -157,6 +160,13 @@ def test_ledger_lifecycle(tmp_path):
     assert sorted(ledger.load_results()) == [shard_id(0), shard_id(1)]
 
 
+def _claimed_entry(**fields):
+    """A one-shard ledger whose claimed entry has ``fields`` replaced."""
+    entry = {"digest": "d0", "status": "claimed", "host": "h1", "pid": 11,
+             "claimed_at": 1000.0, "hashes": ["a"], **fields}
+    return json.dumps({"shards": {shard_id(0): entry}}).encode("utf-8")
+
+
 NOT_A_LEDGER = {
     "list": b"[]",
     "no-shards": b'{"version": 1}',
@@ -168,6 +178,17 @@ NOT_A_LEDGER = {
                             b'{"digest": 7, "status": "pending"}}}'),
     "unknown-status": (b'{"shards": {"s000000": '
                        b'{"digest": "d0", "status": "lost"}}}'),
+    # A claim's fields, each garbled alone in an otherwise valid claim.
+    "host-not-a-string": _claimed_entry(host=5),
+    "pid-a-string": _claimed_entry(pid="11"),
+    "pid-a-bool": _claimed_entry(pid=True),
+    "pid-zero": _claimed_entry(pid=0),
+    "pid-past-pid-range": _claimed_entry(pid=10 ** 30),
+    "claimed-at-a-string": _claimed_entry(claimed_at="x"),
+    "claimed-at-nan": _claimed_entry(claimed_at=float("nan")),
+    "claimed-at-past-float-range": _claimed_entry(claimed_at=10 ** 400),
+    "hashes-an-int": _claimed_entry(hashes=5),
+    "hashes-not-strings": _claimed_entry(hashes=["a", 7]),
 }
 
 
@@ -253,6 +274,39 @@ def test_done_is_sticky(tmp_path):
     ledger.write_result(shard_id(0), _fake_outcome(0))  # double execution
     ledger.mark_done(shard_id(0))
     assert ledger.counts() == {"pending": 0, "claimed": 0, "done": 1}
+
+
+#: ``LEDGER_LOCK`` holders that no lease can expire, or that cannot be
+#: read as a holder at all: each must be broken like a torn one.
+GARBLED_LOCK_HOLDERS = {
+    "not-utf8": b"\xff\xfe",
+    "not-an-object": b"[1, 2]",
+    "time-a-string": b'{"host": "h0", "pid": 1, "time": "x"}',
+    "time-nan": b'{"host": "h0", "pid": 1, "time": NaN}',
+    "time-infinite": b'{"host": "h0", "pid": 1, "time": Infinity}',
+    "pid-past-pid-range": None,     # written with a fresh time below
+}
+
+
+@pytest.mark.parametrize("case", sorted(GARBLED_LOCK_HOLDERS))
+def test_garbled_lock_holder_is_broken(tmp_path, case):
+    """``claim()`` returns within a bounded time over a garbled lock."""
+    ledger = ShardLedger(tmp_path / "c", "seed0", host="h1", pid=11,
+                         lease=0.5)
+    ledger.ensure(_units(1))
+    holder = GARBLED_LOCK_HOLDERS[case]
+    if holder is None:
+        # Same host, so the pid is checked before the (fresh) lease.
+        holder = json.dumps({"host": "h1", "pid": 10 ** 30,
+                             "time": time.time()}).encode("utf-8")
+    with open(ledger._lock_path, "wb") as handle:
+        handle.write(holder)
+    claimed = []
+    thread = threading.Thread(target=lambda: claimed.append(ledger.claim()),
+                              daemon=True)
+    thread.start()
+    thread.join(timeout=5.0)
+    assert claimed == [shard_id(0)]
 
 
 def test_stale_lock_file_is_broken(tmp_path):

@@ -14,10 +14,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.campaign import shard_corpus
 from repro.corpus import CorpusStore
 from repro.dist import decode_array, decode_coverage
-from repro.dist.coordinator import encode_shard
 from repro.errors import FarmError
 from repro.farm import FarmClient, PeerClient
 from repro.farm.wire import (MAX_FRAME, READ_CHUNK, Blob, as_bytes,
@@ -320,10 +318,6 @@ _TRAVERSAL = "../" + "0" * 64
 #: An input file holding garbage, under a well-formed hash.
 _GARBAGE = "1" * 64
 
-#: A well-formed one-seed shard record, so a run-shard case reaches the
-#: field after it.
-_SHARD = encode_shard(shard_corpus(np.zeros((1, 1, 28, 28)), seed=0)[0])
-
 #: Requests a verb must refuse.
 MALFORMED_REQUESTS = {
     "entries-hashes-int": {"cmd": "store-entries", "store": "s",
@@ -338,16 +332,13 @@ MALFORMED_REQUESTS = {
                                  "store": "../outside"},
     "entries-garbage-npy": {"cmd": "store-entries", "store": "s",
                             "hashes": [_GARBAGE]},
-    "run-shard-no-shard": {"cmd": "run-shard", "dataset": "mnist"},
-    "run-shard-garbled-shard": {"cmd": "run-shard", "dataset": "mnist",
-                                "shard": {"entropy": "xyz",
-                                          "spawn_key": 7}},
-    "run-shard-dtype-garbage": {"cmd": "run-shard", "dataset": "mnist",
-                                "dtype": "garbage"},
-    "run-shard-trackers-int": {"cmd": "run-shard", "dataset": "mnist",
-                               "shard": _SHARD, "trackers": 5},
-    "run-shard-constraint-list": {"cmd": "run-shard", "dataset": "mnist",
-                                  "constraint": [1]},
+    # A request from a driver that still fans shards out over RPC: the
+    # verb is gone, so it is an unknown command like any other.
+    "run-shard-unknown-command": {
+        "cmd": "run-shard", "dataset": "mnist", "ascent": "vanilla",
+        "dtype": "float32", "trackers": [],
+        "shard": {"shard_index": 0, "indices": [0], "entropy": 0,
+                  "spawn_key": [0], "pool_size": 4}},
     "submit-seed-text": {"cmd": "submit",
                          "spec": {"store": "s", "seed": "abc"}},
     "submit-seed-list": {"cmd": "submit", "spec": {"store": "s", "seed": [1]}},
@@ -386,6 +377,10 @@ MALFORMED_REQUESTS = {
 }
 
 
+#: What a case's error reply must say, where more than "some error".
+_ERROR_TEXT = {"run-shard-unknown-command": "unknown command 'run-shard'"}
+
+
 def _plant_targets(daemon):
     """Create every store and file a malformed request points at, so a
     verb that skipped its checks would serve it."""
@@ -406,6 +401,7 @@ def test_server_answers_malformed_request_then_serves(live_server, name):
     try:
         reply = _ask(channel, dump_message(MALFORMED_REQUESTS[name]))
         assert reply["ok"] is False and reply["kind"] == "error"
+        assert _ERROR_TEXT.get(name, "") in reply["error"]
         # Same channel, next request: the handler thread survived.
         assert _ask(channel, dump_message({"cmd": "ping"}))["ok"] is True
     finally:

@@ -72,15 +72,6 @@ class TestOptimizers:
     def test_adam_converges(self):
         assert self._quadratic_descent(Adam(lr=0.3)) < 1e-3
 
-    def test_weight_decay_shrinks_weights(self):
-        param = Parameter(np.array([1.0]), "w")
-        opt = Adam(lr=0.1, weight_decay=0.5)
-        param.zero_grad()  # zero task gradient: only decay acts
-        opt.step([param])
-        # The decay is Adam's whole gradient, so the first bias-corrected
-        # step moves the weight by lr toward zero.
-        assert param.value[0] == pytest.approx(0.9)
-
     def test_invalid_lr(self):
         with pytest.raises(ConfigError):
             Adam(lr=0.0)
@@ -99,6 +90,8 @@ def test_loss_and_optimizer_lookup():
     assert isinstance(get_loss("mse"), MeanSquaredError)
     mse = MeanSquaredError()
     assert get_loss(mse) is mse
+    with pytest.raises(ConfigError, match="unknown loss 'hinge'"):
+        get_loss("hinge")
     trainer = Trainer(Network([Dense(2, 2, rng=0)], (2,)), loss="mse",
                       lr=0.01)
     assert isinstance(trainer.loss, MeanSquaredError)

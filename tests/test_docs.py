@@ -9,7 +9,7 @@ from repro.utils.docs import (broken_intra_repo_links, iter_markdown_links,
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
-from check_docs import unresolved_names  # noqa: E402
+from check_docs import unknown_cli_flags, unresolved_names  # noqa: E402
 
 
 def test_docs_files_exist():
@@ -50,3 +50,35 @@ def test_unresolved_name_reported_with_file_and_line(tmp_path):
     assert unresolved_names(str(tmp_path), [str(doc)]) == [
         ("API.md", 2, "repro.utils.rng.no_such_helper"),
         ("API.md", 2, "repro.no_such_module")]
+
+
+def test_docs_name_only_existing_cli_commands_and_options():
+    unknown = unknown_cli_flags(REPO_ROOT, markdown_files(REPO_ROOT))
+    assert unknown == [], f"docs name missing CLI: {unknown}"
+
+
+def test_unknown_cli_flag_reported_with_file_and_line(tmp_path):
+    doc = tmp_path / "CLI.md"
+    doc.write_text(
+        "Run `repro generate mnist --no-such-flag`, or\n"
+        "`python -m repro --scale smoke fuzz mnist --rounds=2`.\n"
+        "\n"
+        "```sh\n"
+        "PYTHONPATH=src python -m repro --no-such-global generate mnist\n"
+        "python -m repro fuzz mnist --corpus ./c \\\n"
+        "    --workers 2 --bogus 3   # a comment's --flag is not checked\n"
+        "repro no-such-command --workers 2\n"
+        "repro corpus info ./c && repro corpus merge --typo a b\n"
+        "repro serve --root r & repro join --root r 127.0.0.1:1 [--remove]\n"
+        "```\n"
+        "\n"
+        "A wrapped span: `repro generate\n"
+        "--wrapped-typo`; prose repro --not-code is not code.\n",
+        encoding="utf-8")
+    assert unknown_cli_flags(str(tmp_path), [str(doc)]) == [
+        ("CLI.md", 1, "repro generate --no-such-flag"),
+        ("CLI.md", 5, "repro --no-such-global"),
+        ("CLI.md", 7, "repro fuzz --bogus"),
+        ("CLI.md", 8, "repro no-such-command"),
+        ("CLI.md", 9, "repro corpus merge --typo"),
+        ("CLI.md", 14, "repro generate --wrapped-typo")]

@@ -77,11 +77,11 @@ def write_engine_records():
         handle.write("\n")
 
 
-def _scenario():
-    dataset = load_dataset("mnist", scale=SCALE, seed=SEED)
-    models = get_trio("mnist", scale=SCALE, seed=SEED, dataset=dataset)
+def _scenario(name="mnist"):
+    dataset = load_dataset(name, scale=SCALE, seed=SEED)
+    models = get_trio(name, scale=SCALE, seed=SEED, dataset=dataset)
     seeds, _ = dataset.sample_seeds(40, np.random.default_rng(71))
-    return models, seeds, PAPER_HYPERPARAMS["mnist"]
+    return models, seeds, PAPER_HYPERPARAMS[name]
 
 
 def test_unified_engine_no_regression(benchmark):
@@ -126,13 +126,20 @@ def test_unified_engine_no_regression(benchmark):
 
 def test_dtype_rule_throughput_matrix(benchmark):
     """seeds_per_sec per (dtype, ascent rule) cell, plus the
-    before/after substrate records the perf work is judged by."""
+    before/after substrate records the perf work is judged by.
+
+    The LeNet trio runs only stride-1 convs, so one more cell runs the
+    same 40-seed scenario on the Dave trio (float32, vanilla), whose
+    stride-2 convs no other cell reaches."""
     models, seeds, hp = _scenario()
     resolved = {
         "float64": resolve_models(models, dtype="float64"),
         "float32": resolve_models(models, dtype="float32"),
     }
     rules = (("vanilla", None), ("momentum", MomentumRule(0.9)))
+    driving_models, driving_seeds, driving_hp = _scenario("driving")
+    driving_models = resolve_models(driving_models, dtype="float32")
+    driving_seeds = driving_seeds.astype("float32")
 
     def run():
         samples, differences = {}, {}
@@ -153,6 +160,14 @@ def test_dtype_rule_throughput_matrix(benchmark):
                     samples.setdefault(key, []).append(
                         time.perf_counter() - start)
                     differences[key] = result.difference_count
+            engine = AscentEngine(driving_models, driving_hp,
+                                  LightingConstraint(), task="regression",
+                                  rng=73)
+            start = time.perf_counter()
+            result = engine.run(driving_seeds)
+            key = "float32-vanilla-driving"
+            samples.setdefault(key, []).append(time.perf_counter() - start)
+            differences[key] = result.difference_count
         return samples, differences
 
     samples, differences = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -49,7 +49,7 @@ from repro.core.engine import GeneratedTest, GenerationResult
 from repro.corpus.store import input_hash
 from repro.dist.sync import BAD_PAYLOAD
 from repro.errors import FarmError
-from repro.farm.locks import _pid_alive
+from repro.farm.locks import MAX_PID, _is_pid, _pid_alive
 from repro.utils.atomicio import atomic_write_bytes, atomic_write_json
 from repro.utils.faults import fault_point
 
@@ -61,10 +61,6 @@ LEDGER_VERSION = 1
 
 #: A ledger shard entry's states, in lifecycle order.
 SHARD_STATUSES = ("pending", "claimed", "done")
-
-#: Largest pid a claim may record (a C ``pid_t``; ``os.kill`` refuses
-#: anything past it).
-_MAX_PID = 2 ** 31 - 1
 
 #: Seconds after which another host's claim may be stolen.  Claims by a
 #: *local* dead pid are stolen immediately (pid liveness is checkable on
@@ -95,10 +91,8 @@ def _entry_problem(entry):
         return f"needs a string digest and a status in {SHARD_STATUSES}"
     if "host" in entry and not isinstance(entry["host"], str):
         return "has a host that is not a string"
-    pid = entry.get("pid", 1)      # absent: nothing to check
-    if isinstance(pid, bool) or not isinstance(pid, int) \
-            or not 1 <= pid <= _MAX_PID:
-        return f"has a pid that is not an integer in 1..{_MAX_PID}"
+    if not _is_pid(entry.get("pid", 1)):    # absent: nothing to check
+        return f"has a pid that is not an integer in 1..{MAX_PID}"
     if "claimed_at" in entry and not _finite_number(entry["claimed_at"]):
         return "has a claimed_at that is not a finite number"
     hashes = entry.get("hashes", [])    # absent: nothing to check
@@ -198,25 +192,21 @@ def encode_outcome(outcome):
     return buffer.getvalue()
 
 
-def decode_outcome(source):
-    """Inverse of :func:`encode_outcome` (``source``: path or bytes).
+def decode_outcome(path):
+    """Inverse of :func:`encode_outcome`, read from the file at ``path``.
 
     Outcomes come from ledger result files that other hosts wrote, so
-    bytes that are not an outcome archive are a :class:`FarmError`,
-    naming the file when ``source`` is a path.
+    a file that is not an outcome archive is a :class:`FarmError`
+    naming it.
     """
-    what = ("outcome payload" if isinstance(source, (bytes, bytearray))
-            else f"shard result {source}")
     try:
-        return _decode_outcome(source)
+        return _decode_outcome(path)
     except BAD_PAYLOAD as error:
-        raise FarmError(f"bad {what}: {error!r}") from None
+        raise FarmError(f"bad shard result {path}: {error!r}") from None
 
 
-def _decode_outcome(source):
-    if isinstance(source, (bytes, bytearray)):
-        source = io.BytesIO(bytes(source))
-    with np.load(source, allow_pickle=False) as data:
+def _decode_outcome(path):
+    with np.load(path, allow_pickle=False) as data:
         header = json.loads(str(data["header"][()]))
         tests = []
         for i, spec in enumerate(header["tests"]):

@@ -23,6 +23,10 @@ __all__ = ["StoreLock", "StoreLockedError", "lock_holder"]
 
 LOCK_NAME = "LOCK"
 
+#: Largest pid a holder may name (a C ``pid_t``; ``os.kill`` refuses
+#: anything past it).
+MAX_PID = 2 ** 31 - 1
+
 
 class StoreLockedError(FarmError):
     """The store is locked by a live process that is not us."""
@@ -32,6 +36,13 @@ class StoreLockedError(FarmError):
         super().__init__(
             f"store at {path} is locked by pid {holder.get('pid')} "
             f"({holder.get('owner', 'unknown')})")
+
+
+def _is_pid(value):
+    """True for a JSON value that can name a process: an int (not a
+    bool) in ``1..MAX_PID``."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and 1 <= value <= MAX_PID)
 
 
 def _pid_alive(pid):
@@ -47,18 +58,19 @@ def _pid_alive(pid):
 def lock_holder(store_path):
     """The live foreign holder of ``store_path``'s lock, or ``None``.
 
-    ``None`` means free: no lock file, an unreadable/torn one, a stale
-    one (dead pid), or our own.
+    ``None`` means free: no lock file, an unreadable or torn one, a
+    garbled one (not UTF-8 JSON, not an object, or a ``pid`` that is not
+    an int in ``1..MAX_PID``: no live process can hold it), a stale one
+    (dead pid), or our own.
     """
     path = os.path.join(store_path, LOCK_NAME)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             holder = json.load(handle)
-    except (FileNotFoundError, json.JSONDecodeError, OSError):
+    except (OSError, ValueError, RecursionError):  # UnicodeDecodeError too
         return None
-    if int(holder.get("pid", -1)) == os.getpid():
-        return None
-    if not _pid_alive(holder.get("pid")):
+    pid = holder.get("pid") if isinstance(holder, dict) else None
+    if not _is_pid(pid) or pid == os.getpid() or not _pid_alive(pid):
         return None
     return holder
 

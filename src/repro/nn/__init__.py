@@ -20,7 +20,7 @@ from repro.nn.config import (layer_from_config, layer_to_config,
                              load_network, network_from_config,
                              network_from_payload, network_to_config,
                              network_to_payload, save_network)
-from repro.nn.conv import Conv2D, col2im, conv_output_size, im2col
+from repro.nn.conv import Conv2D, conv_output_size, im2col
 from repro.nn.dense import Dense
 from repro.nn.dtypes import (DEFAULT_DTYPE, GOLDEN_DTYPE, default_dtype,
                              get_default_dtype, set_default_dtype)
@@ -48,7 +48,7 @@ from repro.nn.workspace import Workspace
 
 __all__ = [
     "Activation", "Atan", "Linear", "Relu", "Softmax", "get_activation",
-    "Conv2D", "col2im", "conv_output_size", "im2col",
+    "Conv2D", "conv_output_size", "im2col",
     "Dense", "Dropout",
     "get_initializer", "glorot_uniform", "he_normal", "row_normalized",
     "Layer",

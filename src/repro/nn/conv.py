@@ -1,8 +1,10 @@
 """2-D convolution via im2col.
 
 Array layout is ``(batch, channels, height, width)`` throughout.  The
-im2col/col2im pair turns convolution into a single matrix multiply, which
-is the only way a pure-numpy CNN is fast enough to train the model zoo.
+forward pass unfolds windows into columns (``im2col``) and the input
+gradient folds them back, so convolution is a single matrix multiply
+each way, which is the only way a pure-numpy CNN is fast enough to
+train the model zoo.
 
 Kernel notes:
 
@@ -11,20 +13,22 @@ Kernel notes:
   result is bit-identical to the historical per-offset Python loop.
 * The input gradient sums overlapping windows **in the same i,j order
   as always**: changing that order would change float rounding and
-  break the pinned float64 goldens.  Stride 1 (every LeNet conv, Dave's
-  and the ImageNet models' 3x3 convs) folds it without a scatter
-  (:func:`_fold_rows`): the ``W.T @ grad_z`` GEMM writes each
+  break the pinned float64 goldens.  It has no scatter step at any
+  stride (:func:`_fold_rows`).  Split by stride phase, the padded input
+  is ``s*s`` grids in which tap ``(i, j)`` is a whole-row shift by
+  ``(i // s, j // s)``: the ``W.T @ grad_z`` GEMM writes each
   ``(c, i, j)`` row, followed by a zero tail, into a buffer laid out
-  like the padded input, and ``kh*kw`` whole-row adds of shifted views
-  build the padded gradient.  Every cell gets the same values in the
-  same order; the extra adds read only zero tails or zero columns, and
-  adding ``±0.0`` to a sum that started at ``+0.0`` changes no bit.
-  On LeNet-5 at batch 12, float32, with a workspace, this took the
-  backward of ``conv1`` and of ``conv2`` from 580-690 µs to 310-330 µs
-  each (2-vCPU Xeon VM, one BLAS thread; docs/PERFORMANCE.md).
-  Stride > 1 keeps ``col2im``'s clipped per-offset scatter-adds: a
-  strided fold would need a dilated row layout, which measured slower
-  there.
+  like one phase grid, and one add of a strided view per shift adds
+  every tap with that shift, each into its own phase.  Every cell gets
+  the same values in the same order; the extra adds read only zero
+  tails or zero columns, and adding ``±0.0`` to a sum that started at
+  ``+0.0`` changes no bit.  A 5x5 kernel takes 25 whole-row adds at
+  stride 1 and 9 at stride 2.  On LeNet-5 at batch 12, float32, with a
+  workspace, the stride-1 fold took the backward of ``conv1`` and of
+  ``conv2`` from 580-690 µs to 310-330 µs each, and the stride-2 fold
+  took the backward of Dave's ``conv1`` and ``conv2`` to 0.43-0.59x of
+  the time of the clipped per-offset scatter-adds it replaced (2-vCPU
+  Xeon VM, one BLAS thread; docs/PERFORMANCE.md).
 * The kernels take caller-provided buffers or a
   :class:`~repro.nn.workspace.Workspace`, so the ascent loop can reuse
   its memory across iterations, and ``Conv2D.forward`` fuses bias +
@@ -45,7 +49,7 @@ from repro.nn.parameter import Parameter
 from repro.nn.workspace import Workspace
 from repro.utils.rng import as_rng
 
-__all__ = ["Conv2D", "im2col", "col2im", "conv_output_size"]
+__all__ = ["Conv2D", "im2col", "conv_output_size"]
 
 
 def conv_output_size(size, kernel, stride, pad):
@@ -90,61 +94,34 @@ def im2col(x, kernel_h, kernel_w, stride, pad, out=None, pad_buffer=None):
     return out
 
 
-def col2im(cols, input_shape, kernel_h, kernel_w, stride, pad, out=None):
-    """Fold columns back to input space, summing overlapping windows.
-
-    ``out`` is an optional unpadded buffer ``(N, C, H, W)``; it is
-    zeroed here.  Each kernel offset's scatter-add is clipped to the
-    valid (unpadded) region, so no padded scratch is materialized and
-    no work is spent on border cells that would be cropped anyway.  The
-    i,j accumulation order is load-bearing for bit-identical gradients
-    — do not reorder.
-    """
-    n, c, h, w = input_shape
-    out_h = conv_output_size(h, kernel_h, stride, pad)
-    out_w = conv_output_size(w, kernel_w, stride, pad)
-    cols = cols.reshape(n, c, kernel_h, kernel_w, out_h, out_w)
-    if out is None:
-        grad = np.zeros((n, c, h, w), dtype=cols.dtype)
-    else:
-        grad = out
-        grad.fill(0.0)
-    for i in range(kernel_h):
-        for j in range(kernel_w):
-            _scatter_add(grad, cols[:, :, i, j], i - pad, j - pad, stride,
-                         h, w, out_h, out_w)
-    return grad
-
-
-def _scatter_add(grad, col, row_off, col_off, stride, h, w, out_h, out_w):
-    """Add one kernel offset's columns into the valid region of ``grad``."""
-    t0 = -(row_off // stride) if row_off < 0 else 0
-    u0 = -(col_off // stride) if col_off < 0 else 0
-    t1 = min(out_h, (h - 1 - row_off) // stride + 1)
-    u1 = min(out_w, (w - 1 - col_off) // stride + 1)
-    if t0 >= t1 or u0 >= u1:
-        return
-    r0 = row_off + stride * t0
-    c0 = col_off + stride * u0
-    grad[:, :, r0:row_off + stride * (t1 - 1) + 1:stride,
-         c0:col_off + stride * (u1 - 1) + 1:stride] += col[:, :, t0:t1, u0:u1]
-
-
-def _fold_rows(weight, grad_z, input_shape, kernel_h, kernel_w, pad,
+def _fold_rows(weight, grad_z, input_shape, kernel_h, kernel_w, stride, pad,
                workspace, key):
-    """Stride-1 input gradient: ``col2im(weight.T @ grad_z)`` bit for bit.
+    """The input gradient of a conv layer: the GEMM ``weight.T @ grad_z``
+    folded back onto the input with the bytes of one clipped scatter-add
+    per tap ``(i, j)`` in row-major order (``col2im``, kept as the
+    reference in tests/nn/test_conv.py).
 
-    The GEMM runs on ``grad_z`` widened to the padded width ``wp`` (the
-    extra columns are zero) and writes row ``(c, i, j)`` of each sample
-    into a buffer with row length ``hp*wp + kw - 1``: the row's
-    ``out_h*wp`` GEMM cells, then a zero tail.  Read ``i*wp + j`` cells
-    early, row ``(c, i, j)`` lines up with the padded input, so offset
-    ``(i, j)``'s contribution is one whole-row add.  A read outside the
-    window lands on a zero column or in the previous row's zero tail,
-    which covers the longest shift, ``(kh-1)*wp + kw - 1``; the first
-    row is offset ``(0, 0)``, which reads unshifted.  Only the ``h``
-    unpadded grid rows are summed; the pad columns are cropped once at
-    the end.
+    Padded input row ``R = s*t + i`` (``s`` the stride, ``t`` the output
+    row, ``i`` the tap row) lies in row phase ``i % s`` at sub-row
+    ``t + i // s``, and columns split the same way.  So the padded
+    input is ``s*s`` phase grids ``gw = ceil((W+2p)/s)`` cells wide, and
+    within its phase tap ``(i, j)`` is a whole-row shift of its GEMM row
+    by ``(i // s, j // s)``.
+
+    The GEMM runs on ``grad_z`` widened to ``gw`` columns (the extra
+    columns are zero) and writes row ``(c, i, j)`` of each sample into
+    a buffer of rows that hold the ``out_h*gw`` GEMM cells, then a zero
+    tail at least as long as the longest shift.  Read
+    ``(i // s)*gw + j // s`` cells early, row ``(c, i, j)`` lines up with
+    its phase grid.  Taps that share a shift land in different phases,
+    so one add of a strided view carries them all, and the
+    ``ceil(kh/s)*ceil(kw/s)`` adds, in row-major shift order, hand every
+    cell its taps in ``i, j`` order, into a sum that starts at ``+0.0``.
+    A read outside the window lands on a zero column or in the previous
+    row's zero tail; the first row is tap ``(0, 0)``, which reads
+    unshifted.  Only the sub-rows that hold unpadded rows are summed.
+    One copy per phase crops the grids and interleaves them, unless the
+    one grid is the unpadded input (stride 1, no padding).
 
     The tails and the extra columns are zeroed only when their buffer
     is fresh (always, when ``workspace`` is None): later passes through
@@ -152,38 +129,64 @@ def _fold_rows(weight, grad_z, input_shape, kernel_h, kernel_w, pad,
     """
     n, c, h, w = input_shape
     f, out_h, out_w = grad_z.shape[1:]
-    wp = w + 2 * pad
+    s = stride
+    grid_w = -(-(w + 2 * pad) // s)
+    shifts_h, shifts_w = -(-kernel_h // s), -(-kernel_w // s)
     taps = kernel_h * kernel_w
-    row = (h + 2 * pad) * wp + kernel_w - 1
+    row = -(-(h + 2 * pad) // s) * grid_w + shifts_w - 1
+    first = pad // s    # the first sub-row that holds an unpadded row
+    cells = ((pad + h - 1) // s + 1 - first) * grid_w
     dtype = grad_z.dtype
     if workspace is None:
         workspace = Workspace()
     # The zero layout depends on the spatial size, so it is keyed.
     allocations = workspace.allocations
-    wide = workspace.get((key, "gzwide", h, w), (n, f, out_h, wp), dtype)
+    wide = workspace.get((key, "gzwide", h, w), (n, f, out_h, grid_w), dtype)
     rows = workspace.get((key, "gxrows", h, w), (n, c * taps, row), dtype)
     fresh = workspace.allocations != allocations
-    acc = workspace.get((key, "gxacc" if pad else "gx"), (n, c, h, wp), dtype)
+    direct = s == 1 and not pad
+    acc = workspace.get((key, "gx" if direct else "gxacc"),
+                        (n * c, s, s, cells), dtype)
     if fresh:
         wide[..., out_w:] = 0.0
-        rows[..., out_h * wp:] = 0.0
+        rows[..., out_h * grid_w:] = 0.0
     wide[..., :out_w] = grad_z
-    np.matmul(weight.T, wide.reshape(n, f, out_h * wp),
-              out=rows[..., :out_h * wp])
+    np.matmul(weight.T, wide.reshape(n, f, out_h * grid_w),
+              out=rows[..., :out_h * grid_w])
     item = rows.itemsize
+    # shifted[a, b][:, i, j] is tap (s*a + i, s*b + j) shifted by (a, b).
+    # Taps past the kernel are never read: the last shift row (column)
+    # takes only the kh % s (kw % s) phases that exist.
     shifted = as_strided(
-        rows.reshape(-1)[pad * wp:], shape=(kernel_h, kernel_w, n, c, h * wp),
-        strides=((kernel_w * row - wp) * item, (row - 1) * item,
-                 c * taps * row * item, taps * row * item, item))
-    flat = acc.reshape(n, c, h * wp)
-    flat.fill(0.0)
-    for i in range(kernel_h):
-        for j in range(kernel_w):
-            flat += shifted[i, j]
-    if not pad:
-        return acc
+        rows.reshape(-1)[first * grid_w:],
+        shape=(shifts_h, shifts_w, n * c, s, s, cells),
+        strides=((s * kernel_w * row - grid_w) * item, (s * row - 1) * item,
+                 taps * row * item, kernel_w * row * item, row * item,
+                 item))
+    full_h, part_h = divmod(kernel_h, s)
+    full_w, part_w = divmod(kernel_w, s)
+    acc.fill(0.0)
+    for a in range(full_h):
+        for b in range(full_w):
+            acc += shifted[a, b]
+        if part_w:
+            acc[:, :, :part_w] += shifted[a, full_w, :, :, :part_w]
+    if part_h:
+        for b in range(shifts_w):
+            phases_w = part_w if b == full_w else s
+            acc[:, :part_h, :phases_w] += \
+                shifted[full_h, b, :, :part_h, :phases_w]
+    if direct:
+        return acc.reshape(n, c, h, w)
     grad = workspace.get((key, "gx"), (n, c, h, w), dtype)
-    np.copyto(grad, acc[..., pad:pad + w])
+    grids = acc.reshape(n, c, s, s, -1, grid_w)
+    for r in range(s):          # unpadded rows r, r + s, ...: one phase
+        t = (r + pad) // s - first
+        for u in range(s):
+            out = grad[:, :, r::s, u::s]
+            v = (u + pad) // s
+            np.copyto(out, grids[:, :, (r + pad) % s, (u + pad) % s,
+                                 t:t + out.shape[2], v:v + out.shape[3]])
     return grad
 
 
@@ -266,28 +269,14 @@ class Conv2D(Layer):
                                   grad_out.dtype),
                 mask=workspace.get((id(self), "gzmask"), grad_out.shape,
                                    np.bool_))
-        n = grad_z.shape[0]
-        gz_flat = grad_z.reshape(n, self.out_channels, -1)
         if accumulate:
+            gz_flat = grad_z.reshape(grad_z.shape[0], self.out_channels, -1)
             self.weight.grad += np.tensordot(gz_flat, cols,
                                              axes=([0, 2], [0, 2]))
             self.bias.grad += gz_flat.sum(axis=(0, 2))
         kh, kw = self.kernel_size
-        if self.stride == 1:
-            return _fold_rows(self.weight.value, grad_z, input_shape, kh, kw,
-                              self.padding, workspace, id(self))
-        if workspace is None:
-            grad_cols = self.weight.value.T @ gz_flat
-            return col2im(grad_cols, input_shape, kh, kw, self.stride,
-                          self.padding)
-        grad_cols = workspace.get((id(self), "gcols"), cols.shape,
-                                  gz_flat.dtype)
-        np.matmul(self.weight.value.T, gz_flat, out=grad_cols)
-        _, c, h, w = input_shape
-        grad_x = workspace.get((id(self), "gx"), (n, c, h, w),
-                               gz_flat.dtype)
-        return col2im(grad_cols, input_shape, kh, kw, self.stride,
-                      self.padding, out=grad_x)
+        return _fold_rows(self.weight.value, grad_z, input_shape, kh, kw,
+                          self.stride, self.padding, workspace, id(self))
 
     def parameters(self):
         return [self.weight, self.bias]

@@ -89,9 +89,15 @@ def _fake_outcome(shard_index=0, n_tests=2):
             "coverage": coverage}
 
 
-def test_outcome_codec_roundtrip():
+def _roundtrip(outcome, path):
+    """``decode_outcome`` reads a file, as the ledger's result files."""
+    path.write_bytes(encode_outcome(outcome))
+    return decode_outcome(path)
+
+
+def test_outcome_codec_roundtrip(tmp_path):
     outcome = _fake_outcome(shard_index=2, n_tests=3)
-    got = decode_outcome(encode_outcome(outcome))
+    got = _roundtrip(outcome, tmp_path / "outcome.npz")
     assert got["shard_index"] == 2
     a, b = outcome["result"], got["result"]
     assert (a.seeds_processed, a.seeds_disagreed, a.seeds_exhausted) == \
@@ -108,8 +114,8 @@ def test_outcome_codec_roundtrip():
         assert cb["network"] == ca["network"]
 
 
-def test_outcome_codec_empty_tests():
-    got = decode_outcome(encode_outcome(_fake_outcome(n_tests=0)))
+def test_outcome_codec_empty_tests(tmp_path):
+    got = _roundtrip(_fake_outcome(n_tests=0), tmp_path / "outcome.npz")
     assert got["result"].tests == []
 
 
@@ -410,7 +416,8 @@ def test_any_claim_schedule_merges_identically(tmp_path_factory, data):
         label="haves")
     root = tmp_path_factory.mktemp("ledger")
 
-    reference = {shard_id(s): encode_outcome(_fake_outcome(s))
+    reference = {shard_id(s): _roundtrip(_fake_outcome(s),
+                                         root / f"reference{s}.npz")
                  for s in range(n_shards)}
 
     ledgers = [ShardLedger(root / "c", "seed0", host=f"h{h}",
@@ -437,7 +444,7 @@ def test_any_claim_schedule_merges_identically(tmp_path_factory, data):
         merged = ledger.load_results()
         assert sorted(merged) == sorted(reference)
         for sid, outcome in merged.items():
-            want = decode_outcome(reference[sid])
+            want = reference[sid]
             assert outcome["shard_index"] == want["shard_index"]
             for ta, tb in zip(want["result"].tests,
                               outcome["result"].tests):

@@ -62,6 +62,29 @@ def test_torn_lock_file_reads_as_free(tmp_path):
         pass
 
 
+#: ``LOCK`` bodies that name no process: each must read as free, like a
+#: torn one, and never raise out of ``acquire``.
+GARBLED_HOLDERS = {
+    "not-an-object": b"[1, 2]",
+    "pid-a-string": b'{"pid": "abc"}',
+    "not-utf8": b"\xff\xfe\x00",
+    "pid-past-float-range": b'{"pid": 1e400}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(GARBLED_HOLDERS))
+def test_garbled_lock_file_reads_as_free(tmp_path, case):
+    store = str(tmp_path / "s")
+    os.makedirs(store)
+    with open(os.path.join(store, LOCK_NAME), "wb") as handle:
+        handle.write(GARBLED_HOLDERS[case])
+    assert lock_holder(store) is None
+    with StoreLock(store) as lock:
+        with open(lock.lock_path, encoding="utf-8") as handle:
+            assert json.load(handle)["pid"] == os.getpid()
+    assert not os.path.exists(lock.lock_path)
+
+
 def test_release_is_idempotent(tmp_path):
     lock = StoreLock(str(tmp_path / "s"))
     lock.acquire()

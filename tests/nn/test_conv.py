@@ -1,6 +1,6 @@
-"""Conv2D and im2col/col2im: shapes, adjointness, gradient checks, and
-the input-gradient kernel pinned byte for byte to col2im on every zoo
-shape."""
+"""Conv2D and im2col: shapes, adjointness, gradient checks, and the
+input-gradient kernel pinned byte for byte to the reference ``col2im``
+on every zoo shape and on edge shapes the zoo lacks."""
 
 import numpy as np
 import pytest
@@ -14,9 +14,40 @@ from repro.models.lenet import build_lenet1, build_lenet4, build_lenet5
 from repro.models.resnet import build_resnet
 from repro.models.vgg import build_vgg16, build_vgg19
 from repro.nn import Conv2D, Residual, Workspace, dtypes
-from repro.nn.conv import col2im, conv_output_size, im2col
+from repro.nn.conv import conv_output_size, im2col
 
 from tests.nn.gradcheck import check_layer_gradients
+
+
+def col2im(cols, input_shape, kernel_h, kernel_w, stride, pad):
+    """Reference input-gradient fold: sum overlapping windows back into
+    input space, one clipped scatter-add per kernel offset in ``i, j``
+    order, into a sum that starts at ``+0.0``.  ``Conv2D.backward`` must
+    match it byte for byte."""
+    n, c, h, w = input_shape
+    out_h = conv_output_size(h, kernel_h, stride, pad)
+    out_w = conv_output_size(w, kernel_w, stride, pad)
+    cols = cols.reshape(n, c, kernel_h, kernel_w, out_h, out_w)
+    grad = np.zeros((n, c, h, w), dtype=cols.dtype)
+    for i in range(kernel_h):
+        for j in range(kernel_w):
+            _scatter_add(grad, cols[:, :, i, j], i - pad, j - pad, stride,
+                         h, w, out_h, out_w)
+    return grad
+
+
+def _scatter_add(grad, col, row_off, col_off, stride, h, w, out_h, out_w):
+    """Add one kernel offset's columns into the valid region of ``grad``."""
+    t0 = -(row_off // stride) if row_off < 0 else 0
+    u0 = -(col_off // stride) if col_off < 0 else 0
+    t1 = min(out_h, (h - 1 - row_off) // stride + 1)
+    u1 = min(out_w, (w - 1 - col_off) // stride + 1)
+    if t0 >= t1 or u0 >= u1:
+        return
+    r0 = row_off + stride * t0
+    c0 = col_off + stride * u0
+    grad[:, :, r0:row_off + stride * (t1 - 1) + 1:stride,
+         c0:col_off + stride * (u1 - 1) + 1:stride] += col[:, :, t0:t1, u0:u1]
 
 
 def test_conv_output_size():
@@ -124,6 +155,23 @@ def _zoo_conv_shapes():
 
 ZOO_CONV_SHAPES = _zoo_conv_shapes()
 
+#: Shapes no zoo model has, in the same layout: stride 3, kernels
+#: smaller than their stride, an asymmetric kernel, padding of at least
+#: the stride, and ragged edges, where ``(h + 2p - kh) % s`` or
+#: ``(w + 2p - kw) % s`` is not 0, so the last padded rows or columns
+#: take no window.
+EDGE_CONV_SHAPES = [
+    (2, 3, (3, 3), 3, 0, 9, 9),
+    (2, 3, (3, 3), 3, 1, 10, 11),
+    (1, 2, (4, 4), 3, 1, 10, 12),
+    (3, 4, (1, 1), 2, 0, 7, 8),
+    (2, 3, (2, 2), 3, 0, 10, 10),
+    (2, 3, (3, 5), 2, 1, 9, 12),
+    (2, 3, (5, 5), 2, 3, 8, 9),
+    (3, 4, (3, 3), 2, 0, 8, 10),
+    (3, 4, (5, 5), 2, 2, 11, 14),
+]
+
 
 def _shape_id(shape):
     c, f, (kh, kw), stride, pad, h, w = shape
@@ -146,12 +194,14 @@ def poisoned_empty(monkeypatch):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", ZOO_CONV_SHAPES, ids=_shape_id)
+@pytest.mark.parametrize("shape", ZOO_CONV_SHAPES + EDGE_CONV_SHAPES,
+                         ids=_shape_id)
 def test_input_gradient_is_col2im_bit_for_bit(shape, dtype, poisoned_empty):
     """Conv2D.backward's input gradient has the bytes of
     ``col2im(W.T @ grad_z)`` — signed zeros included — without a
     workspace and through one workspace whose batch shrinks (prefix
-    reuse) and then grows past its buffers (fresh zero tails)."""
+    reuse), down to one sample, and then grows past its buffers (fresh
+    zero tails)."""
     c, f, kernel, stride, pad, h, w = shape
     rng = np.random.default_rng(7)
     # A linear activation makes grad_z exactly the incoming gradient.
@@ -160,7 +210,7 @@ def test_input_gradient_is_col2im_bit_for_bit(shape, dtype, poisoned_empty):
                        activation="linear", rng=rng)
     workspace = Workspace()
     for n, ws in [(12, None), (12, workspace), (3, workspace),
-                  (16, workspace)]:
+                  (1, workspace), (16, workspace)]:
         x = rng.normal(size=(n, c, h, w)).astype(dtype)
         out, ctx = layer.forward(x, workspace=ws)
         grad_z = rng.normal(size=out.shape).astype(dtype)

@@ -35,6 +35,8 @@ Invariants:
 * **Lazy handle** — opening a store reads only ``MANIFEST.json``; the
   entry index (``meta.jsonl``) and the committed checkpoint load on
   first use, so a handle that only serves inputs parses neither.
+  :meth:`~CorpusStore.snapshot` reads every file again but decodes
+  only bytes its handle has not decoded before.
 * **Versioned commit point** — coverage snapshots are written under a
   fresh generation number *first*, then ``checkpoint.json`` flips to
   reference them in one atomic replace.  A crash between the two leaves
@@ -54,6 +56,7 @@ import hashlib
 import io
 import json
 import os
+import pickle
 import re
 import zipfile
 
@@ -160,14 +163,20 @@ def coverage_from_bytes(payload):
     return _coverage_from_npz(io.BytesIO(payload))
 
 
-def _load_coverage_file(path):
-    """One committed coverage snapshot.  A file that is not one (garbage,
-    empty, or an archive without ``config``/``tracked``/``covered``) is
-    a :class:`ConfigError` naming it; a missing file still raises
+def _load_coverage_file(path, last=None):
+    """``(bytes, state)`` of one committed coverage snapshot; ``last``,
+    an earlier result for the same model, is returned when the bytes
+    still match it.  A file that is not one (garbage, empty, or an
+    archive without ``config``/``tracked``/``covered``) is a
+    :class:`ConfigError` naming it; a missing file still raises
     :class:`FileNotFoundError`, which :meth:`CorpusStore.snapshot`
     retries."""
     try:
-        return _coverage_from_npz(path)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        if last is not None and last[0] == data:
+            return last
+        return data, coverage_from_bytes(data)
     except FileNotFoundError:
         raise
     except (OSError,) + BAD_PAYLOAD as error:
@@ -212,25 +221,31 @@ def merge_coverage_states(base, states):
     return merged
 
 
-def _read_json_object(path, default):
-    """The JSON object in ``path``, or ``default`` when there is no file.
+def _read_bytes(path):
+    """The bytes in ``path``, or ``None`` when there is no file."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except FileNotFoundError:
+        return None
 
-    A file that is not one JSON object is a :class:`ConfigError` naming
-    it, so a garbled store answers a read verb with a typed error.
+
+def _json_object(path, data):
+    """The JSON object in ``data``, the bytes of ``path``.
+
+    Bytes that are not one JSON object are a :class:`ConfigError` naming
+    the file, so a garbled store answers a read verb with a typed error.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except FileNotFoundError:
-        return default
+        obj = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as error:
         # ValueError covers bad UTF-8, bad JSON and integers past
         # Python's digit limit; RecursionError, nesting too deep.
         raise ConfigError(f"corrupt store file {path}: {error}") from None
-    if not isinstance(data, dict):
+    if not isinstance(obj, dict):
         raise ConfigError(f"corrupt store file {path}: expected a JSON "
-                          f"object, got {type(data).__name__}")
-    return data
+                          f"object, got {type(obj).__name__}")
+    return obj
 
 
 class CorpusStore:
@@ -260,58 +275,85 @@ class CorpusStore:
         # Version-check the manifest at open, before anything parses
         # meta/checkpoint: a future-format store must fail with this
         # clean ConfigError, not whatever the version-1 parsers hit first.
-        manifest = self._load_manifest()
-        if manifest.get("version", STORE_VERSION) != STORE_VERSION:
-            raise ConfigError(
-                f"corpus store at {self.path} has version "
-                f"{manifest.get('version')!r}; this build reads "
-                f"version {STORE_VERSION}")
-        self._config = manifest.get("config")
+        self._config = self._load_manifest().get("config")
+        # What this handle's last snapshot() decoded, kept with the
+        # bytes it came from so the next one decodes only what changed:
+        # meta.jsonl as _read_meta's ``seen``, the checkpoint's bytes with
+        # its generation and coverage references, and each model's
+        # coverage file bytes with its state.
+        self._seen_meta = None
+        self._seen_checkpoint = None
+        self._seen_coverage = {}
 
     # -- loading ------------------------------------------------------------
     @functools.cached_property
     def _entries(self):
         """``{hash: record}`` in insertion order, read on first use."""
-        return self._read_meta_records()
+        return self._read_meta()[0]
 
     @functools.cached_property
     def _checkpoint(self):
         """The committed checkpoint, read on first use."""
-        return self._load_checkpoint()
+        return self._parse_checkpoint(_read_bytes(self.checkpoint_path))
 
-    def _read_meta_records(self):
-        """Parse ``meta.jsonl`` from disk into ``{hash: record}``.
+    def _read_meta(self, seen=None):
+        """Decode ``meta.jsonl``; returns ``(records, seen)``.
 
-        The file content is captured in one read, so the result is a
-        point-in-time prefix of the append-only log even while another
-        process (or thread) is appending to it.  A line that is not
-        complete JSON (a crash or an in-flight append) is ignored — the
-        entry's ``.npy`` may exist but unreferenced files are harmless
-        and re-adding is idempotent.  A line that decodes to anything
-        but an entry record is a :class:`ConfigError` naming the file
-        and line: no torn append produces one.
+        ``records`` maps each entry's hash to its record, in file order.
+        The file is captured in one read, so it is a point-in-time
+        prefix of the append-only log even while another process (or
+        thread) appends to it.  ``seen`` is ``(prefix, lines, records)``
+        for the file's complete lines: passed back in, it makes the next
+        read decode only the lines after ``prefix``, or every line again
+        when the file no longer starts with those bytes (distill's
+        rewrite, a store deleted and recreated).  The text after the
+        last newline, a torn or in-flight append, is decoded on every
+        read and never kept in ``seen``.
         """
-        records = {}
+        data = _read_bytes(self.meta_path) or b""
+        prefix, lines, records = seen or (b"", 0, {})
+        if not data.startswith(prefix):
+            prefix, lines, records = b"", 0, {}
+        cut = data.rfind(b"\n") + 1
+        if cut > len(prefix):
+            new = {}
+            lines = self._decode_lines(data, len(prefix), cut, lines, new)
+            records.update(new)         # only once every line decoded
+            prefix = data[:cut]
+        tail = {}
+        self._decode_lines(data, cut, len(data), lines, tail)
+        return ({**records, **tail} if tail else records,
+                (prefix, lines, records))
+
+    def _decode_lines(self, data, start, end, number, records):
+        """Decode the lines of ``data[start:end]`` into ``records``; the
+        first one is line ``number + 1``.  Returns the last line's number.
+
+        A line that is not complete JSON (a crash or an in-flight
+        append) is skipped — the entry's ``.npy`` may exist but
+        unreferenced files are harmless and re-adding is idempotent.
+        Bytes that are not UTF-8, or a line that decodes to anything but
+        an entry record, are a :class:`ConfigError` naming the file (and
+        the byte or line): no torn append produces either.
+        """
         try:
-            with open(self.meta_path, "r", encoding="utf-8") as handle:
-                data = handle.read()
-        except FileNotFoundError:
-            return records
+            text = data[start:end].decode("utf-8")
         except UnicodeDecodeError as error:
-            raise ConfigError(f"corrupt store file {self.meta_path}: "
-                              f"{error}") from None
-        for number, line in enumerate(data.splitlines(), 1):
+            raise ConfigError(
+                f"corrupt store file {self.meta_path}: byte "
+                f"{start + error.start} is not UTF-8") from None
+        for number, line in enumerate(text.splitlines(), number + 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record, end = _decode_record(line)
+                record, stop = _decode_record(line)
             except json.JSONDecodeError:
                 continue
             except (ValueError, RecursionError) as error:
                 raise ConfigError(f"corrupt store file {self.meta_path} "
                                   f"line {number}: {error}") from None
-            if end != len(line):
+            if stop != len(line):
                 continue            # trailing bytes: not one JSON value
             if not (isinstance(record, dict)
                     and isinstance(record.get("hash"), str)
@@ -320,15 +362,17 @@ class CorpusStore:
                     f"corrupt store file {self.meta_path} line {number}: "
                     f"not an entry record with a hash and a kind")
             records[record["hash"]] = record
-        return records
+        return number
 
-    def _load_checkpoint(self):
-        """The committed checkpoint; a :class:`ConfigError` naming the
+    def _parse_checkpoint(self, data):
+        """The checkpoint in ``data``, the bytes of ``checkpoint.json``
+        (``None``: no commit yet).  A :class:`ConfigError` naming the
         file when a field has the wrong shape, so no reader joins a
         reference that leaves ``coverage/`` to the store path."""
-        checkpoint = _read_json_object(self.checkpoint_path, {
-            "version": STORE_VERSION, "coverage_gen": 0, "coverage": {},
-            "fuzz": None})
+        if data is None:
+            return {"version": STORE_VERSION, "coverage_gen": 0,
+                    "coverage": {}, "fuzz": None}
+        checkpoint = _json_object(self.checkpoint_path, data)
         coverage = checkpoint.get("coverage", {})
         gen = checkpoint.get("coverage_gen", 0)
         if not (isinstance(coverage, dict)
@@ -345,8 +389,18 @@ class CorpusStore:
             f"corrupt store file {self.checkpoint_path}: {problem}")
 
     def _load_manifest(self):
-        return _read_json_object(self.manifest_path, {
-            "version": STORE_VERSION, "config": None})
+        """``MANIFEST.json``; a store of another format version is a
+        :class:`ConfigError`."""
+        data = _read_bytes(self.manifest_path)
+        manifest = ({"version": STORE_VERSION, "config": None}
+                    if data is None else _json_object(self.manifest_path,
+                                                      data))
+        if manifest.get("version", STORE_VERSION) != STORE_VERSION:
+            raise ConfigError(
+                f"corpus store at {self.path} has version "
+                f"{manifest.get('version')!r}; this build reads "
+                f"version {STORE_VERSION}")
+        return manifest
 
     # -- config fingerprint -------------------------------------------------
     def bind_config(self, config):
@@ -358,6 +412,9 @@ class CorpusStore:
         corpus built for one model trio into another is a
         :class:`ConfigError`, not silently wrong coverage.
         """
+        if not isinstance(config, dict):
+            raise ConfigError(f"a corpus config must be an object, got "
+                              f"{type(config).__name__}")
         config = json.loads(json.dumps(config))  # normalize to JSON types
         if self._config is None:
             self._config = config
@@ -495,8 +552,8 @@ class CorpusStore:
         """The committed per-model coverage snapshots, ``{name: state}``."""
         states = {}
         for name, rel_path in self._checkpoint.get("coverage", {}).items():
-            states[name] = _load_coverage_file(os.path.join(self.path,
-                                                            rel_path))
+            states[name] = _load_coverage_file(
+                os.path.join(self.path, rel_path))[1]
         return states
 
     def fuzz_state(self):
@@ -573,10 +630,10 @@ class CorpusStore:
         and receives only what it lacks).  Coverage and config are
         always included — they merge, they don't dedup.
 
-        Everything is read from disk — never from this handle's caches —
-        so the snapshot observes entries and commits made by *other*
-        processes or threads since this handle was opened.  Ordering is
-        the consistency argument:
+        Every file is read from disk — never from this handle's entry
+        index or checkpoint — so the snapshot observes entries and
+        commits made by *other* processes or threads since this handle
+        was opened.  Ordering is the consistency argument:
 
         1. the checkpoint is captured first (one atomic file), pinning a
            coverage generation;
@@ -588,30 +645,52 @@ class CorpusStore:
            what the captured coverage has seen — never missing an entry
            the coverage refers to.
 
-        Returns ``{"config", "generation", "entries", "coverage",
-        "fuzz"}`` where ``entries`` is a list of plain record dicts.
+        What the handle's previous snapshot decoded is reused for bytes
+        that are still the same: the ``meta.jsonl`` lines before the end
+        of the prefix it decoded (:meth:`_read_meta`), an unchanged
+        checkpoint, and a model's coverage file whose bytes match.  So a
+        snapshot costs the reads plus a decode of what changed, and
+        returns exactly what a fresh handle's would: the result is a
+        function of the bytes on disk, and a torn tail or a bad line is
+        never kept.  Not thread-safe: a handle shared across threads
+        needs a lock around this call.
+
+        Returns ``{"config", "generation", "entries", "coverage"}``
+        where ``entries`` is a list of plain record dicts.  The caller
+        owns it: nothing in it is shared with the handle.
         """
         last_error = None
         for _ in range(_SNAPSHOT_RETRIES):
-            manifest = self._load_manifest()
-            checkpoint = self._load_checkpoint()
+            config = self._load_manifest().get("config")
+            data = _read_bytes(self.checkpoint_path)
+            if self._seen_checkpoint is None \
+                    or self._seen_checkpoint[0] != data:
+                checkpoint = self._parse_checkpoint(data)
+                self._seen_checkpoint = (
+                    data, checkpoint.get("coverage_gen", 0),
+                    checkpoint.get("coverage", {}))
+            _, generation, refs = self._seen_checkpoint
             try:
-                coverage = {
-                    name: _load_coverage_file(os.path.join(self.path, rel))
-                    for name, rel in checkpoint.get("coverage", {}).items()}
+                self._seen_coverage = {
+                    name: _load_coverage_file(os.path.join(self.path, rel),
+                                              self._seen_coverage.get(name))
+                    for name, rel in refs.items()}
             except FileNotFoundError as error:
                 last_error = error
                 continue
-            entries = list(self._read_meta_records().values())
-            if exclude_hashes:
-                exclude = {str(h) for h in exclude_hashes}
-                entries = [entry for entry in entries
-                           if entry["hash"] not in exclude]
-            return {"config": manifest.get("config"),
-                    "generation": int(checkpoint.get("coverage_gen", 0)),
-                    "entries": entries,
-                    "coverage": coverage,
-                    "fuzz": checkpoint.get("fuzz")}
+            records, self._seen_meta = self._read_meta(self._seen_meta)
+            exclude = {str(h) for h in exclude_hashes or ()}
+            snap = {"config": config, "generation": generation,
+                    "entries": [entry for entry in records.values()
+                                if entry["hash"] not in exclude],
+                    "coverage": {name: state for name, (_, state)
+                                 in self._seen_coverage.items()}}
+            # A deep copy, so a caller that edits what it got cannot
+            # change what the next snapshot returns.  The records are
+            # plain JSON values and the states hold arrays, which a
+            # pickle round trip copies exactly, about four times faster
+            # than copy.deepcopy; it costs what the filter lets through.
+            return pickle.loads(pickle.dumps(snap, pickle.HIGHEST_PROTOCOL))
         raise ConfigError(
             f"could not take a consistent snapshot of {self.path} after "
             f"{_SNAPSHOT_RETRIES} attempts: a writer kept committing over "

@@ -135,7 +135,12 @@ class LocalSource:
 
 
 class RemoteSource:
-    """TCP source: a named store behind a farm daemon's ``store-*`` verbs."""
+    """TCP source: a named store behind a farm daemon's ``store-*`` verbs.
+
+    Replies come from another process, so their shape is checked before
+    :func:`pull` reads them; a wrong one is a :class:`FarmError` naming
+    the source.
+    """
 
     def __init__(self, host, port, store, timeout=10.0):
         from repro.farm.client import PeerClient
@@ -147,20 +152,42 @@ class RemoteSource:
 
     def manifest(self, have=None):
         reply = self.client.store_manifest(self.store, have=have)
-        return {"config": reply.get("config"),
-                "entries": reply.get("entries", []),
-                "coverage": {name: decode_coverage(payload)
-                             for name, payload
-                             in reply.get("coverage", {}).items()}}
+        config = reply.get("config")
+        entries = reply.get("entries", [])
+        coverage = reply.get("coverage", {})
+        if not isinstance(config, (dict, type(None))):
+            problem = "config must be null or an object"
+        elif not (isinstance(entries, list) and all(
+                isinstance(entry, dict)
+                and isinstance(entry.get("hash"), str)
+                and isinstance(entry.get("kind"), str)
+                for entry in entries)):
+            problem = "entries must be records with a string hash and kind"
+        elif not isinstance(coverage, dict):
+            problem = "coverage must be an object"
+        else:
+            return {"config": config, "entries": entries,
+                    "coverage": {name: decode_coverage(payload)
+                                 for name, payload in coverage.items()}}
+        raise FarmError(f"bad store-manifest reply from "
+                        f"{self.describe()}: {problem}")
 
     def fetch(self, entry_hash):
         return decode_array(
             self.client.store_entry(self.store, entry_hash)["data"])
 
     def fetch_many(self, hashes):
-        reply = self.client.store_entries(self.store, hashes)
-        return [decode_array(record["data"])
-                for record in reply["entries"]]
+        hashes = [str(h) for h in hashes]
+        records = self.client.store_entries(self.store, hashes).get(
+            "entries")
+        if not (isinstance(records, list) and len(records) == len(hashes)
+                and all(isinstance(record, dict)
+                        and record.get("hash") == entry_hash
+                        for record, entry_hash in zip(records, hashes))):
+            raise FarmError(f"bad store-entries reply from "
+                            f"{self.describe()}: want one entry per "
+                            f"requested hash, in order")
+        return [decode_array(record.get("data")) for record in records]
 
 
 def _as_source(source):

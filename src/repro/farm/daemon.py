@@ -41,7 +41,12 @@ background.
 No verb writes into a tenant store, so each store has one writer: the
 job the queue handed it to (the queue never runs two jobs on one
 store).  The read verbs go through :meth:`CorpusStore.snapshot`, which
-is safe against that writer.
+is safe against that writer, on one read handle per store that the
+daemon keeps until the store is gone: a handle's next snapshot decodes
+only what changed on disk since its last, so a warm re-pull costs the
+reads, not a parse of the whole store.  Each handle holds the store's
+parsed entry index and the bytes it compares against (about 2.7 MB at
+2720 entries).
 """
 
 from __future__ import annotations
@@ -144,6 +149,10 @@ class FarmDaemon:
         #: One pooled PeerClient per peer — the gossip housekeeper
         #: reuses channels across ticks instead of redialing.
         self._peer_clients = {}
+        #: Store name -> (read handle, its lock) for the store verbs.
+        #: FarmServer answers each connection on its own thread, and a
+        #: snapshot updates what its handle has decoded.
+        self._readers = {}
         self._daemon_lock = StoreLock(self.root,
                                       owner=f"farm-daemon:{os.getpid()}")
         self._daemon_lock.acquire()
@@ -600,22 +609,33 @@ class FarmDaemon:
             return dict(self._peer_state)
 
     def _sync_store(self, name):
-        """Check a store verb's store name; returns ``(name, path)``.
+        """Check a store verb's store name; returns ``(name, store,
+        lock)``: the store's long-lived read handle and its lock.
 
         The name must be a path-safe store name (the rule job specs
-        use) naming an existing tenant store.  A store a live foreign
-        process has locked is a retryable :class:`StoreLockedError`.
+        use) naming an existing tenant store; the handle of a store
+        that is gone is dropped.  A store a live foreign process has
+        locked is a retryable :class:`StoreLockedError`.
         """
         if name is None:
             raise FarmError("store verb needs a store name")
         name = check_store_name(name)
         store_path = self.store_path(name)
         if not os.path.isdir(store_path):
+            with self._lock:
+                self._readers.pop(name, None)
             raise FarmError(f"no store named {name!r} on this farm")
         holder = lock_holder(store_path)
         if holder is not None:
             raise StoreLockedError(store_path, holder)
-        return name, store_path
+        with self._lock:
+            reader = self._readers.get(name)
+        if reader is None:
+            opened = (CorpusStore(store_path, create=False),
+                      threading.Lock())
+            with self._lock:
+                reader = self._readers.setdefault(name, opened)
+        return (name, *reader)
 
     def store_manifest(self, name, have=None):
         """Crash-consistent manifest of one tenant store (read verb).
@@ -626,7 +646,7 @@ class FarmDaemon:
         than dedup.
         """
         from repro.dist.sync import encode_coverage
-        name, store_path = self._sync_store(name)
+        name, store, lock = self._sync_store(name)
         # Only a set filter, so any strings will do: a warm re-pull
         # sends every hash the puller holds, too many to regex each.
         if have is not None and not (
@@ -634,8 +654,8 @@ class FarmDaemon:
                 and all(isinstance(h, str) for h in have)):
             raise FarmError("store-manifest have must be a list of "
                             "entry hashes")
-        snap = CorpusStore(store_path, create=False).snapshot(
-            exclude_hashes=have)
+        with lock:
+            snap = store.snapshot(exclude_hashes=have)
         return {"config": snap["config"],
                 "generation": snap["generation"],
                 "entries": snap["entries"],
@@ -659,13 +679,12 @@ class FarmDaemon:
         digest is refused before any input is read.
         """
         from repro.dist.sync import encode_array
-        name, store_path = self._sync_store(name)
+        name, store, _ = self._sync_store(name)
         if not isinstance(hashes, list) or not all(
                 isinstance(h, str) and _ENTRY_HASH.fullmatch(h)
                 for h in hashes):
             raise FarmError("store-entries hashes must be a list of "
                             "64-digit lowercase hex entry hashes")
-        store = CorpusStore(store_path, create=False)
         entries = []
         for entry_hash in hashes:
             if not os.path.exists(store.input_path(entry_hash)):

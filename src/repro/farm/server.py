@@ -35,7 +35,7 @@ import threading
 
 from repro.errors import FarmError, ReproError
 from repro.farm import wire
-from repro.farm.locks import StoreLockedError
+from repro.farm.locks import StoreLockedError, _is_pid, _pid_alive
 from repro.farm.queue import QueueSaturatedError, UnknownJobError
 from repro.utils.atomicio import atomic_write_json
 
@@ -171,19 +171,25 @@ class FarmServer(socketserver.ThreadingTCPServer):
 
 
 def read_endpoint(root):
-    """Load ``<root>/daemon.json`` if it names a live process."""
+    """Load ``<root>/daemon.json`` if it names a live process.
+
+    ``None`` when there is no daemon to reach: no file, a torn one, a
+    garbled one (not UTF-8 JSON, not an object, a ``pid`` that is not an
+    int in ``1..MAX_PID``, a ``host`` that is not a string or a ``port``
+    outside ``1..65535``), or a stale one from a killed daemon.
+    """
     path = os.path.join(os.path.abspath(root), ENDPOINT_NAME)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             endpoint = json.load(handle)
-    except (FileNotFoundError, json.JSONDecodeError, OSError):
+    except (OSError, ValueError, RecursionError):  # UnicodeDecodeError too
         return None
-    try:
-        os.kill(int(endpoint.get("pid", -1)), 0)
-    except (ProcessLookupError, TypeError, ValueError):
-        return None     # stale endpoint from a killed daemon
-    except PermissionError:
-        pass
+    if not (isinstance(endpoint, dict) and _is_pid(endpoint.get("pid"))
+            and isinstance(endpoint.get("host"), str)
+            and type(endpoint.get("port")) is int
+            and 1 <= endpoint["port"] <= 65535
+            and _pid_alive(endpoint["pid"])):
+        return None
     return endpoint
 
 

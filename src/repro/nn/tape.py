@@ -103,17 +103,6 @@ class ForwardPass:
             acts = scale_layerwise(acts, entries)
         return acts
 
-    def neuron_value(self, flat_neuron_index):
-        """One neuron's scalar output per batch element.
-
-        Unlike :meth:`neuron_activations`, only the owning layer's neuron
-        outputs are computed and the requested column sliced out.
-        """
-        entry, local = self.network.neuron_layer_of(flat_neuron_index)
-        layer = self.network.layers[entry.layer_index]
-        return layer.neuron_outputs(
-            self._layer_outputs[entry.layer_index])[:, local]
-
     # -- backward views -----------------------------------------------------
     def _backward_from(self, layer_index, grad, accumulate=False,
                        inject=None):

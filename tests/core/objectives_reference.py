@@ -13,6 +13,7 @@ entry per model, ``None``, a flat neuron id, or a list of ids.
 import numpy as np
 
 from repro.errors import ConfigError
+from tests.nn.gradcheck import neuron_value
 
 
 def _neuron_ids(pick):
@@ -27,7 +28,7 @@ def coverage_value(trackers, picks, x):
     for tracker, pick in zip(trackers, picks):
         tape = tracker.network.run(x)
         for neuron in _neuron_ids(pick):
-            total += float(tape.neuron_value(neuron).sum())
+            total += float(neuron_value(tape, neuron).sum())
     return total
 
 

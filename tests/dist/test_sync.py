@@ -288,6 +288,64 @@ def test_batched_pull_crash_mid_batch_converges(tmp_path, make_store,
                             tmp_path / "local")
 
 
+class _StubPeer:
+    """A PeerClient stand-in that answers the store verbs with fixed
+    replies."""
+
+    host, port = "stub", 7
+
+    def __init__(self, manifest, entries):
+        self.manifest, self.entries = manifest, entries
+
+    def store_manifest(self, store, have=None):
+        return self.manifest
+
+    def store_entries(self, store, hashes):
+        return self.entries(hashes)
+
+
+def _good_replies(src):
+    """The manifest and store-entries replies a daemon serving ``src``
+    would send."""
+    manifest = {"config": src.config, "generation": 1,
+                "entries": src.entries(),
+                "coverage": {name: coverage_to_bytes(state) for name, state
+                             in src.coverage_states().items()}}
+
+    def entries(hashes):
+        return {"entries": [{"hash": h,
+                             "data": bytes(encode_array(src.load_input(h)))}
+                            for h in hashes]}
+    return manifest, entries
+
+
+BAD_PEER_REPLIES = {
+    "entries-int-list": ({"entries": [1]}, None),
+    "entries-int": ({"entries": 5}, None),
+    "entry-without-hash": ({"entries": [{"kind": "seed"}]}, None),
+    "coverage-list": ({"coverage": [1]}, None),
+    "config-int": ({"config": 3}, None),
+    "entries-reply-short": ({}, lambda hashes: {"entries": []}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PEER_REPLIES))
+def test_pull_refuses_a_wrong_shaped_peer_reply(tmp_path, make_store, case):
+    """What another process replies is typed before it is read: a
+    wrong-shaped manifest or a batch without one array per requested
+    hash is a ReproError naming the peer, and nothing lands."""
+    manifest, entries = _good_replies(make_store(tmp_path / "src", 3))
+    patch, short = BAD_PEER_REPLIES[case]
+    source = RemoteSource("127.0.0.1", 7, "s")
+    source.client = _StubPeer(dict(manifest, **patch), short or entries)
+    dest = CorpusStore(tmp_path / "dest")
+    with pytest.raises(ReproError, match=re.escape("stub:7/s")):
+        pull(dest, source)
+    dest = CorpusStore(tmp_path / "dest")
+    assert len(dest) == 0
+    assert dest.config in (None, manifest["config"])    # never poisoned
+
+
 def test_remote_verbs_reject_unknown_store(live_peer):
     _daemon, _server, port = live_peer
     client = PeerClient("127.0.0.1", port)

@@ -3,6 +3,9 @@ validation for the new kinds, federate jobs, and the housekeeper."""
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -148,6 +151,77 @@ def test_compact_distill_shrinks_after_generate(tmp_path, model_source,
     store = CorpusStore(daemon.store_path("t"))
     assert len(store) == before - record["result"]["dropped"]
     assert len(store.entries(kind="test")) == record["result"]["kept_tests"]
+    assert daemon.drain(timeout=30)
+
+
+def test_compact_distill_shows_in_the_next_store_manifest(
+        tmp_path, model_source, wait_for):
+    """The daemon serves store verbs from one long-lived read handle per
+    store; a distill's rewrite of the entry log is in the next reply."""
+    from repro.corpus.store import coverage_to_bytes
+    daemon = make_daemon(tmp_path, model_source).start()
+    gen = daemon.submit({"store": "t", "kind": "generate", "seeds": 40,
+                         "shard_size": 8, "seed": 3})
+    assert wait_for(finished(daemon, gen.job_id))
+    before = daemon.store_manifest("t")
+    job = daemon.submit({"store": "t", "kind": "compact-distill",
+                         "dataset": "mnist"})
+    assert wait_for(finished(daemon, job.job_id))
+    record = daemon.status(job.job_id)
+    assert record["status"] == "done", record["error"]
+    assert record["result"]["dropped"] > 0
+    after = daemon.store_manifest("t")
+    fresh = CorpusStore(daemon.store_path("t"), create=False).snapshot()
+    assert after["entries"] == fresh["entries"]
+    assert len(after["entries"]) == \
+        len(before["entries"]) - record["result"]["dropped"]
+    assert after["generation"] == fresh["generation"]
+    assert {name: bytes(blob) for name, blob in after["coverage"].items()} \
+        == {name: coverage_to_bytes(state)
+            for name, state in fresh["coverage"].items()}
+    assert daemon.drain(timeout=30)
+
+
+def test_concurrent_store_manifests_each_see_a_whole_snapshot(
+        tmp_path, model_source):
+    """FarmServer answers each connection on its own thread, and they
+    share the store's read handle: every reply is a complete prefix of
+    the log while a writer appends to it.  Threads switch every
+    microsecond here, so an unlocked handle fails this reliably."""
+    daemon = make_daemon(tmp_path, model_source)
+    store = _seed_store(daemon.store_path("t"), 400)
+    hashes = [entry["hash"] for entry in store.entries()]
+    replies, errors = [], []
+
+    def ask():
+        try:
+            for _ in range(25):
+                replies.append(daemon.store_manifest("t"))
+        except Exception as error:      # noqa: BLE001 — reported below
+            errors.append(error)
+
+    threads = [threading.Thread(target=ask) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        rng = np.random.default_rng(9)
+        for i in range(150):
+            hashes.append(store.add_entry(rng.normal(size=(4, 4)), "seed",
+                                          origin=1000 + i)[0])
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert len(replies) == 200
+    for reply in replies:
+        got = [entry["hash"] for entry in reply["entries"]]
+        assert len(got) >= 400 and got == hashes[:len(got)]
+    assert [entry["hash"] for entry
+            in daemon.store_manifest("t")["entries"]] == hashes
     assert daemon.drain(timeout=30)
 
 

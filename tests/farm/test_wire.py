@@ -281,6 +281,34 @@ def test_farm_client_survives_daemon_restart(tmp_path, model_source):
 
 
 
+_LIVE = {"host": "127.0.0.1", "port": 1}
+
+GARBLED_ENDPOINTS = {
+    "no-pid": json.dumps(_LIVE).encode(),
+    "pid-zero": json.dumps(dict(_LIVE, pid=0)).encode(),
+    "pid-minus-one": json.dumps(dict(_LIVE, pid=-1)).encode(),
+    "pid-true": json.dumps(dict(_LIVE, pid=True)).encode(),
+    "list": b"[1, 2]",
+    "pid-overflows": b'{"host": "127.0.0.1", "port": 1, "pid": 1e400}',
+    "not-utf8": b'{"host": "\xff", "port": 1, "pid": 1}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(GARBLED_ENDPOINTS))
+def test_garbled_endpoint_file_reads_as_no_daemon(tmp_path, case):
+    """A ``daemon.json`` that cannot name a live daemon is no daemon: a
+    client gets the typed error instead of whatever a bad field raises,
+    and pid 0, -1 or true never reach ``os.kill`` as a live process."""
+    from repro.farm.server import ENDPOINT_NAME, connect, read_endpoint
+    with open(tmp_path / ENDPOINT_NAME, "wb") as handle:
+        handle.write(GARBLED_ENDPOINTS[case])
+    assert read_endpoint(tmp_path) is None
+    with pytest.raises(FarmError, match="no farm daemon running"):
+        connect(tmp_path)
+    with pytest.raises(FarmError, match="no farm daemon running"):
+        FarmClient(tmp_path, timeout=1.0).ping()
+
+
 # -- a live server answers malformed input ------------------------------------
 @pytest.fixture
 def live_server(tmp_path, model_source):

@@ -4,7 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["numeric_input_gradient", "check_layer_gradients"]
+__all__ = ["numeric_input_gradient", "check_layer_gradients",
+           "neuron_value"]
+
+
+def neuron_value(tape, flat_neuron_index):
+    """One neuron's scalar output per batch element of a recorded
+    :class:`~repro.nn.tape.ForwardPass`: the value whose finite
+    differences the neuron-gradient checks compare against.
+
+    Only the owning layer's neuron outputs are computed and the
+    requested column sliced out.
+    """
+    entry, local = tape.network.neuron_layer_of(flat_neuron_index)
+    layer = tape.network.layers[entry.layer_index]
+    return layer.neuron_outputs(
+        tape._layer_outputs[entry.layer_index])[:, local]
 
 
 def numeric_input_gradient(func, x, indices, eps=1e-6):

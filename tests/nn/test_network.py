@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import CoverageError, ShapeError
 from repro.nn import (Conv2D, Dense, Flatten, MaxPool2D, Network)
+from tests.nn.gradcheck import neuron_value
 
 
 @pytest.fixture
@@ -80,8 +81,8 @@ def test_neuron_gradient_matches_numeric(small_cnn, rng):
         idx = (1, 0, 4, 4)
         xp = x.copy(); xp[idx] += eps
         xm = x.copy(); xm[idx] -= eps
-        numeric = (small_cnn.run(xp).neuron_value(neuron)[1]
-                   - small_cnn.run(xm).neuron_value(neuron)[1]) / (2 * eps)
+        numeric = (neuron_value(small_cnn.run(xp), neuron)[1]
+                   - neuron_value(small_cnn.run(xm), neuron)[1]) / (2 * eps)
         assert abs(grad[idx] - numeric) < 1e-6, neuron
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.nn import (AvgPool2D, BatchNorm, Conv2D, Dense, Flatten,
                       MaxPool2D, Network)
+from tests.nn.gradcheck import neuron_value
 
 
 @st.composite
@@ -67,8 +68,8 @@ def test_neuron_gradient_matches_numeric(net_rng):
     idx = tuple([0] + [int(rng.integers(0, s)) for s in net.input_shape])
     xp = x.copy(); xp[idx] += eps
     xm = x.copy(); xm[idx] -= eps
-    numeric = (net.run(xp).neuron_value(neuron)[0]
-               - net.run(xm).neuron_value(neuron)[0]) / (2 * eps)
+    numeric = (neuron_value(net.run(xp), neuron)[0]
+               - neuron_value(net.run(xm), neuron)[0]) / (2 * eps)
     assert abs(grad[idx] - numeric) < 1e-6
 
 

@@ -13,6 +13,7 @@ import pytest
 from repro.nn import (AvgPool2D, BatchNorm, Conv2D, Dense, Dropout,
                       FixedScale, Flatten, GlobalAvgPool2D, MaxPool2D,
                       Network, Residual, dtypes)
+from tests.nn.gradcheck import neuron_value
 
 #: Gradcheck settings per compute dtype.  The central difference at
 #: float32 carries ~eps_machine/eps of relative noise, so the step and
@@ -126,8 +127,8 @@ def test_gradient_of_neuron_matches_finite_difference(kind, dtype):
         idx = _probe_indices(net, rng, n=2)[0]
         xp = x.copy(); xp[idx] += eps
         xm = x.copy(); xm[idx] -= eps
-        numeric = (float(net.run(xp).neuron_value(neuron)[idx[0]])
-                   - float(net.run(xm).neuron_value(neuron)[idx[0]])) / (2 * eps)
+        numeric = (float(neuron_value(net.run(xp), neuron)[idx[0]])
+                   - float(neuron_value(net.run(xm), neuron)[idx[0]])) / (2 * eps)
         assert abs(grad[idx] - numeric) < tol["atol"], neuron
 
 
@@ -172,7 +173,7 @@ def test_tape_outputs_and_activations_consistent():
     acts = tape.neuron_activations()
     np.testing.assert_allclose(acts, net.neuron_activations(x))
     for neuron in [0, 3, acts.shape[1] - 1]:
-        np.testing.assert_allclose(tape.neuron_value(neuron), acts[:, neuron])
+        np.testing.assert_allclose(neuron_value(tape, neuron), acts[:, neuron])
     scaled = tape.neuron_activations(scaled=True)
     assert scaled.min() >= 0.0 and scaled.max() <= 1.0
 
@@ -219,7 +220,7 @@ def test_no_recorded_state_survives_any_public_call(kind):
     net.predict(x)
     net.neuron_activations(x)
     tape = net.run(x)
-    tape.neuron_value(0)
+    neuron_value(tape, 0)
     tape.gradient_of_neuron(net.total_neurons - 1)
     tape.gradient_of_class(1)
     assert state_keys() == before

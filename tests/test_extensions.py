@@ -12,6 +12,7 @@ from repro.extensions import (MultiNeuronCoverageObjective,
                               SoftBoxConstraint, class_balanced_seeds,
                               low_confidence_seeds, select_seeds)
 from repro.nn import Dense, Network
+from tests.nn.gradcheck import neuron_value
 
 
 def _models(n=2, seed=0):
@@ -51,7 +52,7 @@ class TestMultiNeuron:
                    for m, neurons in zip(models, picks))
 
         def value(x_probe):
-            return sum(float(m.run(x_probe).neuron_value(n).sum())
+            return sum(float(neuron_value(m.run(x_probe), n).sum())
                        for m, neurons in zip(models, picks)
                        for n in neurons)
 

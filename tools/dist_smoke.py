@@ -24,7 +24,12 @@ the middle:
    batched ``store-entries`` verb), the warm re-pull exactly one (the
    ``have``-filtered delta manifest), and the no-op re-pull must not
    bump the mirror's checkpoint generation;
-6. the same federated campaign is timed at hosts=1 and hosts=2 and the
+6. a ``compact-distill`` job rewrites host A's store under the read
+   handle its daemon keeps for the store verbs: a cold pull into a
+   fresh mirror must then hold exactly what a fresh read of A's store
+   holds, and re-pulling the old mirror must still add nothing in one
+   round trip;
+7. the same federated campaign is timed at hosts=1 and hosts=2 and the
    seeds/sec — plus the ``hosts=2 / hosts=1`` speedup ratio — written
    to ``BENCH_dist.json`` (gated in CI by ``tools/bench_compare.py``).
 
@@ -218,6 +223,33 @@ def main():
               f"{source.client.bytes_sent} up on one pooled connection")
         compare_stores(solo_path, mirror.path, "TCP mirror vs solo",
                        fuzz_state=False)    # pulls never move fuzz state
+
+        # -- distill under the daemon's read handle ---------------------
+        job = client_a.submit({"store": "fed", "kind": "compact-distill",
+                               "dataset": "mnist"})
+        record = client_a.wait(job["job_id"], timeout=420)
+        if record["status"] != "done":
+            raise SystemExit(f"host A compact-distill failed: "
+                             f"{record.get('error')}")
+        distilled = CorpusStore(os.path.join(tmp, "mirror-distilled"))
+        pull(distilled, RemoteSource("127.0.0.1", port_a, "fed"))
+        source_entries = CorpusStore(os.path.join(root_a, "stores", "fed"),
+                                     create=False).entries()
+        if distilled.entries() != source_entries:
+            raise SystemExit(
+                f"a pull after compact-distill holds {len(distilled)} "
+                f"entries, not the {len(source_entries)} host A's store "
+                f"holds: the daemon served a stale read")
+        trips = source.client.requests
+        again = pull(mirror, source)
+        if again != 0 or source.client.requests - trips != 1:
+            raise SystemExit(
+                f"re-pull of the old mirror after compact-distill added "
+                f"{again} entries in {source.client.requests - trips} "
+                f"round-trips, want 0 in 1")
+        print(f"compact-distill on host A: {record['result']}; a fresh "
+              f"mirror holds its {len(source_entries)} entries, the old "
+              f"mirror re-pulls as a no-op")
         benchmarks = [{
             "name": "dist-sync[pull]",
             "entries": added, "batch": DEFAULT_BATCH,

@@ -22,9 +22,6 @@ Commands
     (``--compact-every`` adds background compaction), submit
     generate/fuzz/federate/compact jobs against its named tenant
     stores, and inspect job state (see docs/FARM.md).
-``join`` / ``peers``
-    Federation (see docs/DISTRIBUTED.md): edit a farm root's persisted
-    peer list and show the live gossip from each peer.
 ``experiment``
     Run one named experiment (table1..table12, figure8..figure10,
     pollution) and print its table.
@@ -235,21 +232,6 @@ def build_parser():
     status.add_argument("--root", required=True, metavar="DIR")
     status.add_argument("job_id", nargs="?",
                         help="show one job in detail")
-
-    join = sub.add_parser(
-        "join", help="add (or remove) a peer in a farm root's peer list")
-    join.add_argument("--root", required=True, metavar="DIR",
-                      help="farm root whose peers.json to edit (the "
-                           "daemon there gossips with these peers)")
-    join.add_argument("peer", metavar="HOST:PORT",
-                      help="the other daemon's control endpoint: "
-                           "127.0.0.1 and the port in its daemon.json")
-    join.add_argument("--remove", action="store_true",
-                      help="remove the peer instead of adding it")
-
-    peers = sub.add_parser(
-        "peers", help="show a farm root's peer list with live gossip")
-    peers.add_argument("--root", required=True, metavar="DIR")
 
     exp = sub.add_parser("experiment", help="run one paper experiment")
     exp.add_argument("experiment_id", choices=sorted(EXPERIMENTS))
@@ -489,48 +471,6 @@ def _cmd_status(args):
     return 0
 
 
-def _cmd_join(args):
-    from repro.dist import PeerList, parse_peer
-    host, port = parse_peer(args.peer)
-    peer_list = PeerList(args.root)
-    if args.remove:
-        removed = peer_list.remove(host, port)
-        print(f"{'removed' if removed else 'not a peer:'} {host}:{port}")
-        return 0 if removed else 1
-    if peer_list.add(host, port):
-        print(f"joined {host}:{port}")
-    else:
-        print(f"already a peer: {host}:{port}")
-    return 0
-
-
-def _cmd_peers(args):
-    from repro.dist import PeerList
-    from repro.farm import PeerClient
-    peer_list = PeerList(args.root)
-    records = peer_list.records()
-    if not records:
-        print("no peers configured (add one with `repro join`)")
-        return 0
-    for record in records:
-        host, port = record["host"], record["port"]
-        # Peers learned via gossip (auto-discovery) vs `repro join`.
-        tag = " [discovered]" if record["via"] == "gossip" else ""
-        try:
-            gossip = PeerClient(host, port, timeout=2.0).peers()["gossip"]
-        except ReproError as error:
-            print(f"{host}:{port:<6} unreachable ({error}){tag}")
-            continue
-        stores = gossip.get("stores", {})
-        store_bits = " ".join(
-            f"{name}[{info['entries']}e g{info['coverage_gen']}]"
-            for name, info in sorted(stores.items())) or "-"
-        print(f"{host}:{port:<6} queue={gossip.get('queue_depth', '?')} "
-              f"draining={gossip.get('draining')} stores: {store_bits}"
-              f"{tag}")
-    return 0
-
-
 def _cmd_experiment(args):
     result = EXPERIMENTS[args.experiment_id](scale=args.scale,
                                              seed=args.seed)
@@ -555,8 +495,6 @@ _COMMANDS = {
     "serve": _cmd_serve,
     "submit": _cmd_submit,
     "status": _cmd_status,
-    "join": _cmd_join,
-    "peers": _cmd_peers,
     "experiment": _cmd_experiment,
     "report": _cmd_report,
 }

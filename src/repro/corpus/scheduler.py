@@ -31,8 +31,6 @@ checkpointed session resumes with bit-identical scheduling decisions.
 
 from __future__ import annotations
 
-import hashlib
-
 from repro.errors import ConfigError
 
 __all__ = ["SeedScheduler", "INITIAL_ENERGY", "VISIT_DECAY",
@@ -101,33 +99,6 @@ class SeedScheduler:
             if not stats["retired"] and stats["energy"] >= ENERGY_EPSILON]
         candidates.sort(key=lambda c: (-c[0], c[1]))
         return [entry_hash for _, _, entry_hash in candidates[:wave_size]]
-
-    @staticmethod
-    def shard_plan(wave, shard_size):
-        """Deterministic partition of a scheduled wave into shard units.
-
-        The distribution layer's ledger keys (``repro.dist.shards``)
-        are defined by this plan: contiguous ``shard_size`` chunks in
-        wave order — the exact slicing
-        :func:`repro.core.campaign.shard_corpus` applies to the loaded
-        inputs — each with a SHA-256 digest over its member entry
-        hashes.  Because entry hashes are content addresses, a shard's
-        digest equals the digest a host computes from the seed *arrays*
-        it is about to execute, so two hosts that scheduled the same
-        wave agree on every shard id and digest, and a host whose
-        scheduler diverged is caught by a digest mismatch instead of
-        silently corrupting the merged campaign.
-        """
-        if shard_size < 1:
-            raise ConfigError(f"shard_size must be >= 1, got {shard_size}")
-        plan = []
-        for index, start in enumerate(range(0, len(wave), int(shard_size))):
-            hashes = list(wave[start:start + int(shard_size)])
-            digest = hashlib.sha256(
-                "|".join(hashes).encode("utf-8")).hexdigest()
-            plan.append({"shard_index": index, "hashes": hashes,
-                         "digest": digest})
-        return plan
 
     def record_wave(self, wave, yielded, novelty_fraction):
         """Fold one executed wave back into the pool.

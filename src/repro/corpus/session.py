@@ -101,8 +101,8 @@ class FuzzSession:
         persisted in the store and validated on resume.  ``rule`` is the
         :class:`~repro.core.engine.AscentRule` every wave's campaign
         ascends under (default vanilla).
-    workers, mp_start_method:
-        Campaign fan-out; changing them never changes results.
+    workers:
+        Campaign fan-out; changing it never changes results.
     dataset, seed_strategy, initial_seed_count, initial_seeds:
         Where the first seed pool comes from when the store is empty:
         either an explicit ``initial_seeds`` array, or
@@ -119,7 +119,7 @@ class FuzzSession:
                  shard_size=DEFAULT_SHARD_SIZE, seed=0, rule=None,
                  dataset=None,
                  seed_strategy="random", initial_seed_count=64,
-                 initial_seeds=None, mp_start_method=None):
+                 initial_seeds=None):
         self.store = store if isinstance(store, CorpusStore) \
             else CorpusStore(store)
         if len(models) < 2:
@@ -137,7 +137,6 @@ class FuzzSession:
         self.rule = rule if rule is not None else VanillaRule()
         if not isinstance(self.rule, AscentRule):
             raise ConfigError("rule must be an AscentRule instance")
-        self.mp_start_method = mp_start_method
 
         self.store.bind_config(
             corpus_fingerprint(self.models, self.hp, self.task))
@@ -297,7 +296,7 @@ class FuzzSession:
                     self.models, self.hp, self.constraint, task=self.task,
                     trackers=self.trackers, workers=self.workers,
                     shard_size=self.shard_size, seed=children[round_index],
-                    rule=self.rule, mp_start_method=self.mp_start_method)
+                    rule=self.rule)
                 if shard_runner is None and self.workers > 1:
                     shard_runner = pool = campaign.make_pool()
                 scales = None

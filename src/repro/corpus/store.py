@@ -9,7 +9,7 @@ per-model coverage reached so far, and any later run (``repro fuzz``,
 Layout (everything under one directory)::
 
     corpus/
-      MANIFEST.json            # store version + config fingerprint + counters
+      MANIFEST.json            # store version + config fingerprint
       checkpoint.json          # commit point: coverage generation + fuzz state
       meta.jsonl               # one JSON record per entry, append-only
       inputs/<hash>.npy        # content-addressed input arrays
@@ -390,7 +390,9 @@ class CorpusStore:
 
     def _load_manifest(self):
         """``MANIFEST.json``; a store of another format version is a
-        :class:`ConfigError`."""
+        :class:`ConfigError`.  Only ``version`` and ``config`` are read:
+        the entry and generation counters earlier builds also wrote are
+        ignored."""
         data = _read_bytes(self.manifest_path)
         manifest = ({"version": STORE_VERSION, "config": None}
                     if data is None else _json_object(self.manifest_path,
@@ -418,7 +420,8 @@ class CorpusStore:
         config = json.loads(json.dumps(config))  # normalize to JSON types
         if self._config is None:
             self._config = config
-            self._write_manifest()
+            atomic_write_json(self.manifest_path, {
+                "version": STORE_VERSION, "config": config})
         elif self._config != config:
             raise ConfigError(
                 f"corpus at {self.path} was built with config "
@@ -592,7 +595,6 @@ class CorpusStore:
         atomic_write_json(self.checkpoint_path, checkpoint)
         self._checkpoint = checkpoint
         self._gc_coverage()
-        self._write_manifest()
 
     def _gc_coverage(self):
         """Remove snapshots the committed checkpoint no longer references."""
@@ -608,18 +610,6 @@ class CorpusStore:
         Models without a committed snapshot pass through unchanged.
         """
         return merge_coverage_states(self.coverage_states(), states)
-
-    def _write_manifest(self):
-        kinds = {}
-        for entry in self._entries.values():
-            kinds[entry["kind"]] = kinds.get(entry["kind"], 0) + 1
-        atomic_write_json(self.manifest_path, {
-            "version": STORE_VERSION,
-            "config": self._config,
-            "entries": len(self._entries),
-            "by_kind": kinds,
-            "coverage_gen": self._checkpoint.get("coverage_gen", 0),
-        })
 
     # -- consistent reads ---------------------------------------------------
     def snapshot(self, exclude_hashes=None):

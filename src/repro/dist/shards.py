@@ -8,8 +8,9 @@ claim shards from the ledger via lock-protected compare-and-swap, run
 them through :meth:`Campaign.execute_shard`, and publish the outcome as
 an ``.npz`` result file next to the ledger.  The scheme is
 coordinator-less and work-stealing by construction: an idle host claims
-whatever is unclaimed, and a claim whose owner died (dead pid on the
-same host, expired lease otherwise) is stolen by the next claimer.
+the first unclaimed shard in shard-id order, and a claim whose owner
+died (dead pid on the same host, expired lease otherwise) is stolen by
+the next claimer.
 
 Why this preserves bit-identity with a solo run (docs/DISTRIBUTED.md
 has the full argument):
@@ -30,6 +31,12 @@ has the full argument):
 Ledger keys are derived from the campaign's seed via :func:`round_key`,
 so one campaign directory serves every round of a multi-round fuzz
 session without collisions.
+
+Across machines the federation is :class:`FederatedSession`: every host
+runs the same fuzz session against its own store replica and routes
+each wave's shards through a :class:`LedgerShardRunner` over the shared
+campaign directory.  Since every host merges every shard result, the
+stores never need explicit syncing to stay identical.
 """
 
 from __future__ import annotations
@@ -53,8 +60,8 @@ from repro.farm.locks import MAX_PID, _is_pid, _pid_alive
 from repro.utils.atomicio import atomic_write_bytes, atomic_write_json
 from repro.utils.faults import fault_point
 
-__all__ = ["ShardLedger", "LedgerShardRunner", "round_key", "shard_id",
-           "shard_digest", "shard_hashes", "encode_outcome",
+__all__ = ["ShardLedger", "LedgerShardRunner", "FederatedSession",
+           "round_key", "shard_id", "shard_digest", "encode_outcome",
            "decode_outcome", "DEFAULT_LEASE"]
 
 LEDGER_VERSION = 1
@@ -81,9 +88,10 @@ def _finite_number(value):
 def _entry_problem(entry):
     """What is wrong with one ledger shard entry, or ``None``.
 
-    A claim's ``host``, ``pid``, ``claimed_at`` and ``hashes`` are
-    checked where present: :meth:`ShardLedger.claim` compares, kills,
-    subtracts and scores them.
+    A claim's ``host``, ``pid`` and ``claimed_at`` are checked where
+    present: :meth:`ShardLedger.claim` compares, kills and subtracts
+    them.  Any other field (the ``hashes`` earlier builds wrote) is
+    ignored.
     """
     if not (isinstance(entry, dict)
             and isinstance(entry.get("digest"), str)
@@ -95,10 +103,6 @@ def _entry_problem(entry):
         return f"has a pid that is not an integer in 1..{MAX_PID}"
     if "claimed_at" in entry and not _finite_number(entry["claimed_at"]):
         return "has a claimed_at that is not a finite number"
-    hashes = entry.get("hashes", [])    # absent: nothing to check
-    if not (isinstance(hashes, list)
-            and all(isinstance(h, str) for h in hashes)):
-        return "has hashes that are not a list of strings"
     return None
 
 
@@ -125,27 +129,16 @@ def shard_id(shard_index):
     return f"s{int(shard_index):05d}"
 
 
-def shard_hashes(shard):
-    """The shard's seeds' content hashes, in shard order.
-
-    These are exactly the corpus entry hashes of the seeds (entry
-    hashes *are* ``input_hash`` of the seed arrays), which is what lets
-    the ledger score a shard's locality against a host's store
-    manifest without touching the arrays.
-    """
-    return [input_hash(x) for x in shard.seeds]
-
-
 def shard_digest(shard):
-    """Content digest of a shard: SHA-256 over its seeds' content hashes.
+    """Content digest of a shard: SHA-256 over its seeds' content hashes,
+    joined by ``|`` in shard order.
 
-    Chunk-for-chunk identical to what
-    :meth:`repro.corpus.scheduler.SeedScheduler.shard_plan` computes
-    from entry hashes, because entry hashes *are* ``input_hash`` of the
-    seed arrays.  Two hosts only agree to share a shard when they agree
-    on its exact content.
+    The seeds' content hashes are their corpus entry hashes (entry
+    hashes *are* ``input_hash`` of the seed arrays), so the digest is a
+    function of the scheduled wave's entry hashes alone.  Two hosts only
+    agree to share a shard when they agree on its exact content.
     """
-    hashes = shard_hashes(shard)
+    hashes = [input_hash(x) for x in shard.seeds]
     return hashlib.sha256("|".join(hashes).encode("utf-8")).hexdigest()
 
 
@@ -328,9 +321,9 @@ class ShardLedger:
         ledger (not UTF-8 JSON, not an object, or a ``shards`` that is
         not an object of entries with a string ``digest`` and a known
         ``status``, and whose claim fields, where present, are a string
-        ``host``, a ``pid`` in ``1..2**31-1``, a finite ``claimed_at``
-        and a list of string ``hashes``) is a :class:`FarmError` naming
-        it, never a ledger to rewrite from scratch.
+        ``host``, a ``pid`` in ``1..2**31-1`` and a finite
+        ``claimed_at``) is a :class:`FarmError` naming it, never a
+        ledger to rewrite from scratch.
         """
         try:
             with open(self.ledger_path, "rb") as handle:
@@ -360,14 +353,11 @@ class ShardLedger:
     def ensure(self, units):
         """Register this round's shards (idempotent, digest-validated).
 
-        ``units`` is ``[{"shard_id", "digest"}]``, each optionally
-        carrying ``"hashes"`` — the shard's seed content hashes, which
-        :meth:`claim` scores locality against.  Every participating
+        ``units`` is ``[{"shard_id", "digest"}]``.  Every participating
         host calls this with the plan *it* computed; the first writer
-        creates the entries, later hosts validate against them (and
-        backfill hashes an earlier writer omitted).  A digest mismatch
-        means a host's scheduler diverged — that host must not run
-        anything, so it is an error, not a merge.
+        creates the entries, later hosts validate against them.  A
+        digest mismatch means a host's scheduler diverged — that host
+        must not run anything, so it is an error, not a merge.
         """
         with self._locked():
             state = self._load()
@@ -375,13 +365,9 @@ class ShardLedger:
             changed = False
             for unit in units:
                 sid, digest = unit["shard_id"], unit["digest"]
-                hashes = unit.get("hashes")
                 existing = shards.get(sid)
                 if existing is None:
-                    entry = {"digest": digest, "status": "pending"}
-                    if hashes:
-                        entry["hashes"] = [str(h) for h in hashes]
-                    shards[sid] = entry
+                    shards[sid] = {"digest": digest, "status": "pending"}
                     changed = True
                 elif existing["digest"] != digest:
                     raise FarmError(
@@ -390,11 +376,6 @@ class ShardLedger:
                         f"{existing['digest'][:12]}… but this host "
                         f"computed {digest[:12]}… — its campaign state "
                         f"has diverged from the federation")
-                elif hashes and not existing.get("hashes"):
-                    # Same digest ⇒ same content; adopt the hashes so
-                    # later claimers can score affinity.
-                    existing["hashes"] = [str(h) for h in hashes]
-                    changed = True
             if changed:
                 self._save(state)
 
@@ -405,31 +386,17 @@ class ShardLedger:
         return float(self.clock()) - float(entry.get("claimed_at", 0)) \
             > self.lease
 
-    def claim(self, have=None):
-        """CAS-claim the best available shard; returns its id or None.
+    def claim(self):
+        """CAS-claim the first available shard; returns its id or None.
 
         Available: ``pending``, or ``claimed`` with a stale owner (work
-        stealing).  With no ``have`` hint the scan is sorted shard-id
-        order, so claim behavior is deterministic given the ledger
-        state.  ``have`` — the set of corpus entry hashes this host's
-        store already holds — turns the scan locality-aware: shards are
-        ranked by how many of their seed hashes the claimer holds
-        (affinity score, descending), ties broken by shard id
-        (ascending), so the ordering is still a pure function of
-        ``(ledger state, have)`` and the bit-identity argument above is
-        untouched — affinity only permutes *who* runs a shard, never
-        what the shard computes.
+        stealing).  The scan runs in shard-id order, so claim behavior
+        is deterministic given the ledger state; which host runs a
+        shard never changes what the shard computes.
         """
-        have = frozenset(str(h) for h in have) if have else frozenset()
         with self._locked():
             state = self._load()
-            candidates = sorted(state["shards"])
-            if have:
-                def score(sid):
-                    hashes = state["shards"][sid].get("hashes") or []
-                    return sum(h in have for h in hashes)
-                candidates.sort(key=lambda sid: (-score(sid), sid))
-            for sid in candidates:
+            for sid in sorted(state["shards"]):
                 entry = state["shards"][sid]
                 if entry["status"] == "done":
                     continue
@@ -505,18 +472,13 @@ class LedgerShardRunner:
     """
 
     def __init__(self, campaign_dir, host=None, pid=None,
-                 lease=DEFAULT_LEASE, poll=0.005, clock=time.time,
-                 have=None):
+                 lease=DEFAULT_LEASE, poll=0.005, clock=time.time):
         self.campaign_dir = os.path.abspath(campaign_dir)
         self.host = host
         self.pid = pid
         self.lease = float(lease)
         self.poll = float(poll)
         self.clock = clock
-        #: Locality hint for claims: this host's :class:`CorpusStore`
-        #: (claims prefer shards whose seeds it already holds), or None
-        #: for plain sorted claims.
-        self.have = have
         os.makedirs(self.campaign_dir, exist_ok=True)
 
     def ledger_for(self, seed):
@@ -524,25 +486,15 @@ class LedgerShardRunner:
                            host=self.host, pid=self.pid, lease=self.lease,
                            clock=self.clock)
 
-    def _affinity(self):
-        if self.have is None:
-            return frozenset()
-        return frozenset(e["hash"] for e in self.have.entries())
-
     def __call__(self, campaign, tracker_states, shards):
         if not shards:
             return []
         ledger = self.ledger_for(campaign.seed)
         by_id = {shard_id(s.shard_index): s for s in shards}
-        ledger.ensure([{"shard_id": sid, "digest": shard_digest(s),
-                        "hashes": shard_hashes(s)}
+        ledger.ensure([{"shard_id": sid, "digest": shard_digest(s)}
                        for sid, s in sorted(by_id.items())])
-        # Affinity is resolved once per wave: the claim preference of
-        # one host over one ledger should not wobble mid-wave as its
-        # own absorbs land.
-        have = self._affinity()
         while True:
-            sid = ledger.claim(have=have)
+            sid = ledger.claim()
             if sid is not None:
                 # The canonical mid-wave crash address: this host owns a
                 # claimed, unfinished shard.  A kill here is exactly the
@@ -568,3 +520,34 @@ class LedgerShardRunner:
                 f"round {ledger.round_key} finished without results for "
                 f"{missing} — ledger and shard plan disagree")
         return [outcomes[sid] for sid in sorted(outcomes)]
+
+
+class FederatedSession:
+    """One host's handle on a ledger-federated fuzz campaign.
+
+    Wraps a regular :class:`~repro.corpus.session.FuzzSession` (each
+    host builds its own, over its own store replica, with the *same*
+    deterministic identity) and routes every wave's shards through a
+    :class:`LedgerShardRunner` over the shared ``campaign_dir``.  Any
+    number of hosts may run concurrently, join late, crash, or restart:
+    each one ends at the same bit-identical store, because each one
+    merges the complete shard-result set of every round it completes.
+    """
+
+    def __init__(self, session, campaign_dir, host=None,
+                 lease=DEFAULT_LEASE, poll=0.005, clock=time.time):
+        self.session = session
+        self.runner = LedgerShardRunner(campaign_dir, host=host,
+                                        lease=lease, poll=poll,
+                                        clock=clock)
+
+    @property
+    def store(self):
+        return self.session.store
+
+    @property
+    def completed_rounds(self):
+        return self.session.completed_rounds
+
+    def run(self, rounds):
+        return self.session.run(rounds, shard_runner=self.runner)

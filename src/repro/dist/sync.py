@@ -27,9 +27,9 @@ to run at any time, from any side, any number of times:
 * **idempotent** — entries are content-addressed (SHA-256), so a
   re-transferred entry dedups to a no-op; coverage merges with
   :func:`repro.coverage.merge_state_dicts` (OR), so replaying a
-  snapshot changes nothing.  A sync that lands no entry and changes
-  no coverage skips the commit entirely — idle mirror syncs leave the
-  checkpoint generation (and the ``.npz`` snapshots) untouched.
+  snapshot changes nothing.  A sync that changes no coverage skips the
+  commit entirely — idle mirror syncs leave the checkpoint generation
+  (and the ``.npz`` snapshots) untouched.
 * **commutative** — A⊔B = B⊔A for both entries (set union, insertion
   order only affects iteration order, never content addressing) and
   coverage masks.
@@ -203,14 +203,14 @@ def pull(dest, source, batch=DEFAULT_BATCH):
     Order is the crash-safety contract: bind the config, OR-merge the
     coverage in memory, land the entries (content-addressed,
     idempotent, ``batch`` per round-trip, each re-hashed before it is
-    written), then commit once.  The commit carries the merged coverage
-    only when the join changed it, so the generation moves only then,
-    and it is skipped when nothing landed either — a no-op mirror sync
-    leaves the checkpoint alone.  A crash mid-pull leaves entries
-    without their coverage — harmless, the store's invariants hold —
-    and re-pulling converges because the already-present prefix dedups
-    away (it is excluded server-side by the manifest's ``have``
-    filter, and re-checked here).
+    written), then commit the merged coverage once — only when the join
+    changed it, so the generation moves only then.  A landed entry is
+    durable without a commit (its ``meta.jsonl`` record is the entry),
+    so a pull that brings entries but no new coverage commits nothing.
+    A crash mid-pull leaves entries without their coverage — harmless,
+    the store's invariants hold — and re-pulling converges because the
+    already-present prefix dedups away (it is excluded server-side by
+    the manifest's ``have`` filter, and re-checked here).
     """
     if not isinstance(dest, CorpusStore):
         dest = CorpusStore(dest)
@@ -239,12 +239,10 @@ def pull(dest, source, batch=DEFAULT_BATCH):
             # story at entry granularity.
             fault_point("dist.pull.entry")
             added += int(dest.add_record(entry, x))
-    # Entries are durable; one commit publishes them (the manifest's
-    # entry count) together with any coverage the join added.
+    # Entries are durable; the commit publishes the coverage the join
+    # added, if any.
     fault_point("dist.sync.mid")
-    changed = not coverage_states_equal(existing, merged)
-    if added or changed:
-        dest.commit(coverage_states=merged if changed else None,
-                    fuzz_state=dest.fuzz_state())
+    if not coverage_states_equal(existing, merged):
+        dest.commit(coverage_states=merged, fuzz_state=dest.fuzz_state())
     return added
 

@@ -15,8 +15,8 @@ Layered bottom-up (each layer unit-tested on its own in
     stores under one farm root.
 :mod:`repro.farm.server` / :mod:`repro.farm.client`
     JSON-lines control socket (``repro serve | submit | status``),
-    plus the federation verbs :mod:`repro.dist` speaks
-    (:class:`PeerClient`, gossip, corpus sync).
+    plus the corpus-pull verbs :mod:`repro.dist` speaks
+    (:class:`PeerClient`).
 
 See docs/FARM.md for the operational story and docs/DISTRIBUTED.md
 for the multi-host fabric built on top.

@@ -6,10 +6,10 @@ Two addressing modes over the same JSON-lines protocol (see
 * :class:`FarmClient` — addressed by *farm root*: reads the published
   ``daemon.json`` endpoint, so local tooling never touches port
   numbers.  The submit/status half of the control protocol.
-* :class:`PeerClient` — addressed by *host:port*: what federation
-  peers use for gossip and corpus sync.  A daemon binds ``127.0.0.1``,
-  so the host is this machine; the port is the one in the other
-  daemon's ``daemon.json``.
+* :class:`PeerClient` — addressed by *host:port*: the transport of a
+  TCP corpus pull (:class:`~repro.dist.sync.RemoteSource`).  A daemon
+  binds ``127.0.0.1``, so the host is this machine; the port is the
+  one in the other daemon's ``daemon.json``.
 
 Both keep one pooled connection per client: requests reuse the channel
 instead of paying a TCP dial per call.  A failure on a *reused* socket
@@ -186,10 +186,6 @@ class FarmClient(_ChannelClient):
     def drain(self):
         return self._request({"cmd": "drain"})
 
-    def peers(self):
-        """This daemon's own gossip plus its cached view of its peers."""
-        return self._request({"cmd": "peers"})
-
     def wait(self, job_id, timeout=120.0, poll=0.2):
         """Block until a job finishes; returns its final record.
 
@@ -212,11 +208,11 @@ class FarmClient(_ChannelClient):
 
 
 class PeerClient(_ChannelClient):
-    """Host:port-addressed client for the federation verbs.
+    """Host:port-addressed client for the corpus-pull verbs.
 
-    The transport behind :class:`~repro.dist.sync.RemoteSource` and
-    daemon gossip.  Same pooled channel and typed errors as
-    :class:`FarmClient`; only the addressing differs.
+    The transport behind :class:`~repro.dist.sync.RemoteSource`.  Same
+    pooled channel and typed errors as :class:`FarmClient`; only the
+    addressing differs.
     """
 
     def __init__(self, host, port, timeout=10.0):
@@ -227,9 +223,8 @@ class PeerClient(_ChannelClient):
 
     def _dial(self):
         # A reset/timeout mid-request must surface as the same typed
-        # error as a refused connection: every consumer (peer gossip,
-        # sync) treats FarmError as "this peer failed", and a raw
-        # OSError would crash them instead.
+        # error as a refused connection: a pull treats FarmError as
+        # "this peer failed", and a raw OSError would crash it instead.
         try:
             return socket.create_connection((self.host, self.port),
                                             timeout=self.timeout)
@@ -246,9 +241,6 @@ class PeerClient(_ChannelClient):
 
     def ping(self):
         return self._request({"cmd": "ping"})
-
-    def peers(self):
-        return self._request({"cmd": "peers"})
 
     def store_manifest(self, store, have=None):
         payload = {"cmd": "store-manifest", "store": store}

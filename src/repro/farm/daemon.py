@@ -29,14 +29,14 @@ boundary*; the interrupted job is released back to queued (not a
 failure, no attempt burned) with its progress in the store checkpoint.
 
 Beyond the job queue, a daemon is also a *federation peer* (see
-``repro.dist`` and docs/DISTRIBUTED.md): it answers gossip (``peers``)
-and the read-only store verbs a puller uses (``store-manifest`` /
-``store-entry`` / ``store-entries``) to clients on the same machine
-(the server binds ``127.0.0.1``), runs ledger-federated fuzz jobs
-(kind ``federate``) with hosts that share the campaign directory's
-filesystem, and — when started with ``compact_every`` — keeps its
-tenant stores bounded by scheduling ``compact-distill`` jobs in the
-background.
+``repro.dist`` and docs/DISTRIBUTED.md): it answers the read-only store
+verbs a puller uses (``store-manifest`` / ``store-entry`` /
+``store-entries``) to clients on the same machine (the server binds
+``127.0.0.1``), runs ledger-federated fuzz jobs (kind ``federate``)
+with hosts that share the campaign directory's filesystem, and — only
+when started with ``compact_every`` — runs a housekeeper thread that
+keeps its tenant stores bounded by scheduling ``compact-distill`` jobs
+in the background.  It opens no outbound connections.
 
 No verb writes into a tenant store, so each store has one writer: the
 job the queue handed it to (the queue never runs two jobs on one
@@ -51,7 +51,6 @@ parsed entry index and the bytes it compares against (about 2.7 MB at
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import socket
@@ -75,10 +74,6 @@ __all__ = ["FarmDaemon"]
 #: How long an idle worker sleeps before re-checking the queue; also
 #: bounds how late a backoff-gated retry can start.
 _POLL_INTERVAL = 0.1
-
-#: Housekeeper cadence when no compaction schedule is set: how often
-#: peer gossip (and the auto-discovery it feeds) refreshes.
-_GOSSIP_INTERVAL = 5.0
 
 #: A content address as the store writes it (``input_hash``).
 _ENTRY_HASH = re.compile(r"[0-9a-f]{64}")
@@ -114,10 +109,11 @@ class FarmDaemon:
         tests inject session-scoped fixtures here so the daemon never
         trains.
     compact_every:
-        Seconds between background compaction sweeps (``None``
-        disables).  Each sweep submits a ``compact-distill`` job per
-        tenant store that has grown since its last distillation, so an
-        unattended farm root stays bounded without an operator.
+        Seconds between background compaction sweeps (``None``, the
+        default, starts no housekeeper thread).  Each sweep submits a
+        ``compact-distill`` job per tenant store that has grown since
+        its last distillation, so an unattended farm root stays bounded
+        without an operator.
     """
 
     def __init__(self, root, workers=2, capacity=8, max_attempts=3,
@@ -143,12 +139,6 @@ class FarmDaemon:
         if self.compact_every is not None and self.compact_every <= 0:
             raise FarmError(
                 f"compact_every must be > 0, got {self.compact_every}")
-        #: Latest gossip heard from each configured peer (the ``peers``
-        #: verb returns it alongside our own).
-        self._peer_state = {}
-        #: One pooled PeerClient per peer — the gossip housekeeper
-        #: reuses channels across ticks instead of redialing.
-        self._peer_clients = {}
         #: Store name -> (read handle, its lock) for the store verbs.
         #: FarmServer answers each connection on its own thread, and a
         #: snapshot updates what its handle has decoded.
@@ -212,21 +202,19 @@ class FarmDaemon:
 
     # -- worker pool --------------------------------------------------------
     def start(self):
-        """Spawn the worker threads (and housekeeper); returns self."""
+        """Spawn the worker threads (and, under ``compact_every``, the
+        housekeeper); returns self."""
         for index in range(self.workers):
             thread = threading.Thread(target=self._worker_loop,
                                       name=f"farm-worker-{index}",
                                       daemon=True)
             thread.start()
             self._threads.append(thread)
-        # The housekeeper always runs — peer gossip (and the auto-
-        # discovery it feeds) must not depend on opting into
-        # compaction; only the compaction sweep is gated on
-        # ``compact_every``.
-        self._housekeeper = threading.Thread(
-            target=self._housekeeping_loop, name="farm-housekeeper",
-            daemon=True)
-        self._housekeeper.start()
+        if self.compact_every is not None:
+            self._housekeeper = threading.Thread(
+                target=self._housekeeping_loop, name="farm-housekeeper",
+                daemon=True)
+            self._housekeeper.start()
         return self
 
     def drain(self, timeout=None):
@@ -323,7 +311,7 @@ class FarmDaemon:
                     job, models, dataset, store_path), True
             return self._run_fuzz(job, models, dataset, store_path)
 
-    def _federate_runner(self, job, store):
+    def _federate_runner(self, job):
         """Ledger runner for a federate job's shared campaign dir."""
         # Imported lazily: repro.dist imports the farm client for its
         # RPC transports, so a top-level import here would be a cycle.
@@ -333,11 +321,7 @@ class FarmDaemon:
                                  host=f"{socket.gethostname()}"
                                       f"/{job.job_id}",
                                  lease=(DEFAULT_LEASE if lease is None
-                                        else float(lease)),
-                                 # Locality-aware claiming: prefer
-                                 # shards whose seeds this tenant store
-                                 # already holds.
-                                 have=store)
+                                        else float(lease)))
 
     def _run_fuzz(self, job, models, dataset, store_path):
         """Advance the store to the job's target rounds, wave by wave.
@@ -358,7 +342,7 @@ class FarmDaemon:
             rule=make_rule(spec["ascent"], beta=spec["beta"],
                            overshoot=spec["overshoot"]),
             dataset=dataset, initial_seed_count=spec["seeds"])
-        shard_runner = (self._federate_runner(job, session.store)
+        shard_runner = (self._federate_runner(job)
                         if spec["kind"] == "federate" else None)
         new_tests = 0
         while session.completed_rounds < spec["rounds"]:
@@ -451,23 +435,16 @@ class FarmDaemon:
                 "entries": len(store)}
 
     def _housekeeping_loop(self):
-        """Periodic background sweeps: compaction + peer gossip refresh."""
+        """A compaction sweep every ``compact_every`` seconds."""
         while True:
             with self._wake:
-                self._wake.wait(self.compact_every
-                                if self.compact_every is not None
-                                else _GOSSIP_INTERVAL)
+                self._wake.wait(self.compact_every)
                 if self._draining:
                     return
-            if self.compact_every is not None:
-                try:
-                    self._compact_sweep()
-                except Exception:   # noqa: BLE001 — a sweep must never
-                    pass            # kill the housekeeper; next tick retries
             try:
-                self.poll_peers()
-            except Exception:       # noqa: BLE001
-                pass
+                self._compact_sweep()
+            except Exception:   # noqa: BLE001 — a sweep must never
+                pass            # kill the housekeeper; next tick retries
 
     def _dataset_for_store(self, name):
         """Infer which dataset a tenant store was built against.
@@ -527,87 +504,6 @@ class FarmDaemon:
         return submitted
 
     # -- federation surface (the dist-layer RPC verbs) -----------------------
-    def gossip(self):
-        """What this daemon tells its peers: load + store generations."""
-        stores = {}
-        for name in self.store_names():
-            manifest_path = os.path.join(self.store_path(name),
-                                         "MANIFEST.json")
-            try:
-                with open(manifest_path, "r", encoding="utf-8") as handle:
-                    manifest = json.load(handle)
-            except (FileNotFoundError, ValueError):
-                continue
-            stores[name] = {
-                "entries": int(manifest.get("entries", 0)),
-                "coverage_gen": int(manifest.get("coverage_gen", 0))}
-        counts = self.counts()
-        from repro.dist.coordinator import PeerList
-        return {"root": self.root,
-                "pid": os.getpid(),
-                "draining": bool(self._draining),
-                "counts": counts,
-                "queue_depth": counts["queued"] + counts["running"],
-                "stores": stores,
-                "peers": [f"{host}:{port}" for host, port
-                          in PeerList(self.root).peers()]}
-
-    def _peer_client(self, host, port):
-        key = (str(host), int(port))
-        with self._lock:
-            client = self._peer_clients.get(key)
-            if client is None:
-                from repro.farm.client import PeerClient
-                client = PeerClient(host, port, timeout=2.0)
-                self._peer_clients[key] = client
-            return client
-
-    def poll_peers(self):
-        """Refresh gossip from every configured peer; returns the map.
-
-        Unreachable peers record their error string instead of gossip —
-        the federation tolerates them by design, so this never raises.
-        Peers-of-peers heard in gossip are folded into the persisted
-        :class:`~repro.dist.coordinator.PeerList` (capped, dedup'd,
-        never ourselves), so a fleet needs one ``repro join`` per new
-        host, not one per pair.
-        """
-        from repro.dist.coordinator import PeerList, parse_peer
-        from repro.farm.server import read_endpoint
-        peer_list = PeerList(self.root)
-        state = {}
-        heard = []
-        for host, port in peer_list.peers():
-            key = f"{host}:{port}"
-            client = self._peer_client(host, port)
-            try:
-                reply = client.peers()
-                state[key] = {"ok": True, "gossip": reply["gossip"]}
-                heard.extend(reply["gossip"].get("peers") or [])
-            except Exception as error:      # noqa: BLE001 — down peers
-                state[key] = {"ok": False, "error": str(error)}
-        endpoint = read_endpoint(self.root)
-        ourselves = (set() if endpoint is None
-                     else {f"{endpoint['host']}:{endpoint['port']}"})
-        known = {f"{host}:{port}" for host, port in peer_list.peers()}
-        for text in heard:
-            try:
-                host, port = parse_peer(text)
-            except ReproError:
-                continue        # a peer gossiped garbage; skip it
-            key = f"{host}:{port}"
-            if key in ourselves or key in known:
-                continue
-            if peer_list.add(host, port, via="gossip"):
-                known.add(key)
-        with self._lock:
-            self._peer_state = state
-        return state
-
-    def peer_state(self):
-        with self._lock:
-            return dict(self._peer_state)
-
     def _sync_store(self, name):
         """Check a store verb's store name; returns ``(name, store,
         lock)``: the store's long-lived read handle and its lock.

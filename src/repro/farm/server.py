@@ -14,12 +14,12 @@ port number::
 
 Commands: ``ping``, ``submit`` (spec → job record, or a typed
 rejection), ``status`` (all jobs or one ``job_id``), ``counts``, and
-``drain`` (graceful shutdown) — plus the federation verbs from
-docs/DISTRIBUTED.md: ``peers`` (gossip) and ``store-manifest`` /
-``store-entry`` / ``store-entries`` (corpus pull, with an optional
-``have`` delta filter and batched fetch; these only read, and a
-malformed store name, hash list or ``have`` filter is a typed
-rejection).  Any other ``cmd`` is an ``unknown command`` rejection.
+``drain`` (graceful shutdown) — plus the corpus-pull verbs from
+docs/DISTRIBUTED.md: ``store-manifest`` / ``store-entry`` /
+``store-entries`` (with an optional ``have`` delta filter and batched
+fetch; these only read, and a malformed store name, hash list or
+``have`` filter is a typed rejection).  Any other ``cmd`` is an
+``unknown command`` rejection.
 Errors travel as ``{"ok": false, "error": ..., "kind": ...}`` with
 ``kind`` naming the error class so the client re-raises the right
 exception — saturation keeps its ``retry_after`` hint across the wire.
@@ -129,10 +129,7 @@ class FarmServer(socketserver.ThreadingTCPServer):
         if cmd == "drain":
             self._drain_requested.set()
             return {"ok": True, "draining": True}
-        # -- federation verbs (repro.dist; docs/DISTRIBUTED.md) -----------
-        if cmd == "peers":
-            return {"ok": True, "gossip": self.farm.gossip(),
-                    "peers": self.farm.peer_state()}
+        # -- corpus-pull verbs (repro.dist.sync; docs/DISTRIBUTED.md) -----
         if cmd == "store-manifest":
             reply = self.farm.store_manifest(request.get("store"),
                                              have=request.get("have"))

@@ -271,6 +271,34 @@ def test_bind_config_pins_and_validates(tmp_path):
         reopened.bind_config({"models": ["a", "z"], "threshold": 0.0})
 
 
+def test_manifest_is_written_at_bind_and_read_for_version_and_config(
+        tmp_path):
+    """``MANIFEST.json`` holds the store version and config, written
+    when the config first binds; a commit leaves it alone.  A manifest
+    from an earlier build that still carries entry counters opens as
+    before."""
+    store = CorpusStore(tmp_path / "c")
+    store.bind_config({"models": ["a", "b"]})
+    with open(store.manifest_path, "rb") as handle:
+        written = handle.read()
+    assert json.loads(written) == {"version": 1,
+                                   "config": {"models": ["a", "b"]}}
+    store.add_entry(np.zeros(3), "seed", origin=0)
+    store.commit(fuzz_state=None)
+    with open(store.manifest_path, "rb") as handle:
+        assert handle.read() == written
+    with open(store.manifest_path, "w", encoding="utf-8") as handle:
+        json.dump({"version": 1, "config": {"models": ["a", "b"]},
+                   "entries": 7, "by_kind": {"seed": 7},
+                   "coverage_gen": 3}, handle)
+    reopened = CorpusStore(tmp_path / "c")
+    assert reopened.config == {"models": ["a", "b"]}
+    reopened.bind_config({"models": ["a", "b"]})
+    assert len(reopened) == 1
+    # The generation is the checkpoint's, not the stale counter's.
+    assert reopened.snapshot()["generation"] == 0
+
+
 def test_open_missing_store_without_create_raises(tmp_path):
     """Read-only callers must not fabricate a store at a typo'd path."""
     with pytest.raises(ConfigError):
@@ -283,7 +311,7 @@ def test_open_missing_store_without_create_raises(tmp_path):
 
 def test_version_mismatch_is_config_error(tmp_path):
     store = CorpusStore(tmp_path / "c")
-    store.commit(fuzz_state=None)
+    store.bind_config({"models": ["A", "B"]})
     with open(store.manifest_path, "r", encoding="utf-8") as handle:
         manifest = json.load(handle)
     manifest["version"] = 99

@@ -104,8 +104,8 @@ def live_peer(tmp_path, model_source):
     """An in-process daemon + server pair, torn down after the test.
 
     Yields ``(daemon, server, port)``.  The server's accept loop runs
-    on a background thread; the daemon's workers are NOT started — sync
-    and gossip verbs are served directly by handler threads, and tests
+    on a background thread; the daemon's workers are NOT started — the
+    store verbs are served directly by handler threads, and tests
     that need job execution call ``daemon.start()`` themselves.
     """
     from repro.farm import FarmDaemon, FarmServer

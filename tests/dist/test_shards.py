@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -16,11 +17,9 @@ from hypothesis import strategies as st
 
 from repro.core.campaign import shard_corpus
 from repro.core.engine import GeneratedTest, GenerationResult
-from repro.corpus.scheduler import SeedScheduler
 from repro.corpus.store import input_hash
-from repro.dist import (LedgerShardRunner, ShardLedger, decode_outcome,
-                        encode_outcome, round_key, shard_digest,
-                        shard_hashes, shard_id)
+from repro.dist import (ShardLedger, decode_outcome, encode_outcome,
+                        round_key, shard_digest, shard_id)
 from repro.errors import FarmError, ReproError
 
 
@@ -43,27 +42,48 @@ def test_shard_id_sorts():
     assert ids == sorted(ids)
 
 
+def shard_plan(wave, shard_size):
+    """The digest law's reference: a scheduled wave of entry hashes,
+    split into contiguous ``shard_size`` chunks in wave order (the
+    slicing :func:`repro.core.campaign.shard_corpus` applies to the
+    loaded inputs), each with a SHA-256 digest over its member hashes
+    joined by ``|``."""
+    plan = []
+    for index, start in enumerate(range(0, len(wave), shard_size)):
+        hashes = list(wave[start:start + shard_size])
+        digest = hashlib.sha256("|".join(hashes).encode("utf-8"))
+        plan.append({"shard_index": index, "hashes": hashes,
+                     "digest": digest.hexdigest()})
+    return plan
+
+
 def test_shard_hashes_are_entry_hashes():
+    """A shard's digest is taken over its seeds' entry hashes, in shard
+    order: nothing but the content of the seeds enters it."""
     rng = np.random.default_rng(8)
     seeds = rng.normal(size=(5, 4, 4))
     shards = shard_corpus(seeds, shard_size=2, seed=0)
     for shard in shards:
-        assert shard_hashes(shard) == [input_hash(x) for x in shard.seeds]
+        hashes = [input_hash(x) for x in shard.seeds]
+        digest = hashlib.sha256("|".join(hashes).encode("utf-8"))
+        assert shard_digest(shard) == digest.hexdigest()
 
 
 def test_shard_digest_matches_scheduler_plan():
     """The cross-layer determinism law: the digest a host computes from
-    its shard's seed arrays equals the digest the scheduler computes
-    from the corresponding entry hashes — because entry hashes ARE
-    ``input_hash`` of the seeds."""
+    its shard's seed arrays equals the digest of the corresponding
+    entry hashes in the scheduled wave — because entry hashes ARE
+    ``input_hash`` of the seeds, so two hosts that scheduled the same
+    wave agree on every shard's digest."""
     rng = np.random.default_rng(5)
     seeds = rng.normal(size=(7, 4, 4))
     shards = shard_corpus(seeds, shard_size=3, seed=0)
     wave = [input_hash(x) for x in seeds]
-    plan = SeedScheduler.shard_plan(wave, 3)
+    plan = shard_plan(wave, 3)
     assert len(plan) == len(shards)
     for unit, shard in zip(plan, shards):
         assert unit["shard_index"] == shard.shard_index
+        assert unit["hashes"] == [input_hash(x) for x in shard.seeds]
         assert unit["digest"] == shard_digest(shard)
 
 
@@ -169,7 +189,7 @@ def test_ledger_lifecycle(tmp_path):
 def _claimed_entry(**fields):
     """A one-shard ledger whose claimed entry has ``fields`` replaced."""
     entry = {"digest": "d0", "status": "claimed", "host": "h1", "pid": 11,
-             "claimed_at": 1000.0, "hashes": ["a"], **fields}
+             "claimed_at": 1000.0, **fields}
     return json.dumps({"shards": {shard_id(0): entry}}).encode("utf-8")
 
 
@@ -193,8 +213,6 @@ NOT_A_LEDGER = {
     "claimed-at-a-string": _claimed_entry(claimed_at="x"),
     "claimed-at-nan": _claimed_entry(claimed_at=float("nan")),
     "claimed-at-past-float-range": _claimed_entry(claimed_at=10 ** 400),
-    "hashes-an-int": _claimed_entry(hashes=5),
-    "hashes-not-strings": _claimed_entry(hashes=["a", 7]),
 }
 
 
@@ -325,66 +343,23 @@ def test_stale_lock_file_is_broken(tmp_path):
     assert ledger.claim() == shard_id(0)
 
 
-# -- locality-aware claiming --------------------------------------------------
-def _units_with_hashes(hashes_per_shard):
-    return [{"shard_id": shard_id(i), "digest": f"d{i}",
-             "hashes": list(hashes)}
-            for i, hashes in enumerate(hashes_per_shard)]
-
-
-def test_claim_prefers_shards_this_host_holds(tmp_path):
-    """Affinity law: claims rank shards by how many of their seed
-    hashes the claimer's store holds, descending."""
+def test_ledger_from_an_earlier_build_with_hashes_loads(tmp_path):
+    """Earlier builds wrote each shard's seed ``hashes`` into the ledger
+    and ranked claims by them.  The field is ignored now, whatever its
+    shape: such a ledger loads, and claims run in shard-id order."""
     ledger = ShardLedger(tmp_path / "c", "seed0", host="h1")
-    ledger.ensure(_units_with_hashes([["a", "b"], ["c", "d"],
-                                      ["e", "f"]]))
-    have = {"e", "f", "c"}      # all of shard 2, half of shard 1
-    assert ledger.claim(have=have) == shard_id(2)
-    assert ledger.claim(have=have) == shard_id(1)
-    assert ledger.claim(have=have) == shard_id(0)
-    assert ledger.claim(have=have) is None
-
-
-def test_claim_affinity_ties_break_by_shard_id(tmp_path):
-    ledger = ShardLedger(tmp_path / "c", "seed0", host="h1")
-    ledger.ensure(_units_with_hashes([["a"], ["b"], ["c"]]))
-    # Equal scores everywhere (1 each): plain sorted order, i.e. the
-    # exact pre-affinity behavior.
-    assert ledger.claim(have={"a", "b", "c"}) == shard_id(0)
-    # And an empty/absent hint is byte-for-byte the old claim.
-    assert ledger.claim(have=frozenset()) == shard_id(1)
-    assert ledger.claim() == shard_id(2)
-
-
-def test_claim_tolerates_units_without_hashes(tmp_path):
-    """Ledgers written by pre-affinity hosts (no hashes field) still
-    claim fine — every shard scores zero."""
-    ledger = ShardLedger(tmp_path / "c", "seed0", host="h1")
-    ledger.ensure(_units(2))
-    assert ledger.claim(have={"anything"}) == shard_id(0)
-
-
-def test_ensure_backfills_hashes_for_later_claimers(tmp_path):
-    """A pre-affinity host registered the round; an affinity-aware host
-    re-ensuring the same plan (same digests) adopts its hashes."""
-    old = ShardLedger(tmp_path / "c", "seed0", host="h1")
-    new = ShardLedger(tmp_path / "c", "seed0", host="h2")
-    old.ensure(_units(2))
-    new.ensure(_units_with_hashes([["a"], ["b"]]))
-    assert new.claim(have={"b"}) == shard_id(1)
-
-
-def test_runner_affinity_resolves_store_paths(tmp_path, make_store):
-    """LedgerShardRunner's ``have`` is the host's open store (or None):
-    each wave's affinity is the entry hashes that store holds by then,
-    read without re-opening it."""
-    assert LedgerShardRunner(tmp_path / "c")._affinity() == frozenset()
-    store = make_store(tmp_path / "store", 3)
-    runner = LedgerShardRunner(tmp_path / "c", have=store)
-    assert runner._affinity() == {e["hash"] for e in store.entries()}
-    added, _ = store.add_entry(np.full((4, 4), 0.5), "seed")
-    assert added in runner._affinity()
-    assert len(runner._affinity()) == 4
+    shards = {shard_id(0): {"digest": "d0", "status": "pending",
+                            "hashes": ["a"]},
+              shard_id(1): {"digest": "d1", "status": "pending",
+                            "hashes": 5},
+              shard_id(2): {"digest": "d2", "status": "pending",
+                            "hashes": ["b", 7]}}
+    with open(ledger.ledger_path, "w", encoding="utf-8") as handle:
+        json.dump({"version": 1, "round": "seed0", "shards": shards},
+                  handle)
+    ledger.ensure(_units(3))
+    assert [ledger.claim() for _ in range(4)] == [
+        shard_id(0), shard_id(1), shard_id(2), None]
 
 
 # -- the permutation/partition property --------------------------------------
@@ -406,14 +381,6 @@ def test_any_claim_schedule_merges_identically(tmp_path_factory, data):
     schedule = data.draw(
         st.permutations([(s, s % n_hosts) for s in range(n_shards)]),
         label="schedule")
-    # Each host holds an arbitrary subset of the seeds, so claims are
-    # affinity-ordered — the property must hold over those schedules
-    # too, because affinity only permutes placement.
-    haves = data.draw(
-        st.lists(st.sets(st.sampled_from(
-            [f"x{s}" for s in range(n_shards)])),
-            min_size=n_hosts, max_size=n_hosts),
-        label="haves")
     root = tmp_path_factory.mktemp("ledger")
 
     reference = {shard_id(s): _roundtrip(_fake_outcome(s),
@@ -424,8 +391,7 @@ def test_any_claim_schedule_merges_identically(tmp_path_factory, data):
                            pid=100 + h, lease=10_000.0)
                for h in range(n_hosts)]
     for ledger in ledgers:
-        ledger.ensure([{"shard_id": shard_id(s), "digest": f"d{s}",
-                        "hashes": [f"x{s}"]}
+        ledger.ensure([{"shard_id": shard_id(s), "digest": f"d{s}"}
                        for s in range(n_shards)])
     # Replay the drawn schedule: each (shard, host) step has that host
     # claim whatever the ledger offers it and execute it.  The ledger,
@@ -433,7 +399,7 @@ def test_any_claim_schedule_merges_identically(tmp_path_factory, data):
     # the decision cannot matter.
     for _shard, host in schedule:
         ledger = ledgers[host]
-        sid = ledger.claim(have=haves[host])
+        sid = ledger.claim()
         if sid is None:
             continue
         index = int(sid[1:])

@@ -170,23 +170,28 @@ def test_pull_names_an_unreadable_source_input(tmp_path, make_store):
                  tmp_path / spoil.__name__)
 
 
-def test_gossip_counts_entries_landed_without_new_coverage(tmp_path,
-                                                           make_store,
-                                                           live_peer):
-    """A pull that lands entries but no new coverage still commits
-    (coverage generation unchanged), so the manifest count that gossip
-    reports matches the store."""
-    daemon, _server, _port = live_peer
-    shared = daemon.store_path("shared")
-    make_store(shared, 2, seed=1, covered_idx=(0,))
-    gen = daemon.gossip()["stores"]["shared"]["coverage_gen"]
+def test_pull_bringing_no_new_coverage_commits_nothing(tmp_path,
+                                                      make_store):
+    """A pull that lands entries but no new coverage does not commit: a
+    landed entry is durable without one, and a fresh handle sees it."""
+    dest = make_store(tmp_path / "dest", 2, seed=1, covered_idx=(0,))
+    gen = dest.snapshot()["generation"]
     # Same rng seed: the source extends the store by a suffix and
     # covers nothing the store has not covered.
-    make_store(tmp_path / "more", 4, seed=1, covered_idx=(0,))
-    assert pull(shared, tmp_path / "more") == 2
-    gossip = daemon.gossip()["stores"]["shared"]
-    assert gossip["entries"] == len(CorpusStore(shared)) == 4
-    assert gossip["coverage_gen"] == gen
+    source = make_store(tmp_path / "more", 4, seed=1, covered_idx=(0,))
+    commits = []
+    commit = dest.commit
+
+    def counted_commit(*args, **kwargs):
+        commits.append(kwargs)
+        return commit(*args, **kwargs)
+
+    dest.commit = counted_commit
+    assert pull(dest, tmp_path / "more") == 2
+    assert commits == []
+    fresh = CorpusStore(tmp_path / "dest")
+    assert fresh.entries() == source.entries()
+    assert fresh.snapshot()["generation"] == gen
 
 
 def test_pull_commits_when_coverage_is_new(tmp_path, make_store):

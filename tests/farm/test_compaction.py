@@ -247,25 +247,20 @@ def test_housekeeper_schedules_distill(tmp_path, model_source, wait_for):
     assert daemon.drain(timeout=30)
 
 
-def test_housekeeper_gossips_without_compaction(tmp_path, model_source,
-                                                wait_for, monkeypatch):
-    """Peer gossip — and the auto-discovery it feeds — must not require
-    opting into compaction: a daemon with no ``compact_every`` still
-    runs its housekeeper, just without the compaction sweep."""
+def test_daemon_without_compact_every_runs_no_housekeeper(tmp_path,
+                                                          model_source):
+    """The housekeeper exists for the compaction sweep alone: a daemon
+    started without ``compact_every`` starts its workers and nothing
+    else, and still drains."""
     import threading
-
-    import repro.farm.daemon as daemon_mod
-    monkeypatch.setattr(daemon_mod, "_GOSSIP_INTERVAL", 0.05)
-    daemon = make_daemon(tmp_path, model_source)
-    polled = threading.Event()
-    monkeypatch.setattr(daemon, "poll_peers", polled.set)
-    sweeps = []
-    monkeypatch.setattr(daemon, "_compact_sweep",
-                        lambda: sweeps.append(1))
-    daemon.start()
+    before = set(threading.enumerate())
+    daemon = make_daemon(tmp_path, model_source).start()
     try:
-        assert wait_for(polled.is_set)
-        assert not sweeps           # compaction stayed opt-in
+        started = set(threading.enumerate()) - before
+        assert daemon._housekeeper is None
+        assert sorted(t.name for t in started
+                      if t.name.startswith("farm-")) == [
+            f"farm-worker-{i}" for i in range(daemon.workers)]
     finally:
         assert daemon.drain(timeout=30)
 

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import socket
+import struct
 import threading
 import tracemalloc
 
@@ -218,29 +219,69 @@ def test_stale_pooled_connection_reconnects_transparently():
         stop()
 
 
+def _serve_one(sock, misbehave):
+    misbehave(sock.accept()[0])
+
+
+def _close_without_answering(conn):
+    conn.recv(65536)
+    conn.close()
+
+
+def _reset_mid_request(conn):
+    # Consume the request so the client is committed (blocked reading
+    # the answer), then close with SO_LINGER zero, which sends RST: the
+    # in-flight read fails with ECONNRESET rather than a clean EOF.
+    conn.recv(65536)
+    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                    struct.pack("ii", 1, 0))
+    conn.close()
+
+
+def _first_exchange_fails(misbehave, message):
+    """Bind a loopback port and hand its first connection to
+    ``misbehave`` on a thread (with ``misbehave`` None the port is
+    bound but never listening, so the connect is refused at once); a
+    fresh ``PeerClient``'s first ping must raise FarmError matching
+    ``message`` without trying a reconnect."""
+    sock = socket.socket()
+    sock.bind(("127.0.0.1", 0))
+    port = sock.getsockname()[1]
+    thread = None
+    if misbehave is not None:
+        sock.listen(1)
+        thread = threading.Thread(target=_serve_one,
+                                  args=(sock, misbehave), daemon=True)
+        thread.start()
+    try:
+        client = PeerClient("127.0.0.1", port, timeout=5.0)
+        with pytest.raises(FarmError, match=message):
+            client.ping()
+        assert client.reconnects == 0
+        if thread is not None:
+            thread.join(timeout=5)
+    finally:
+        sock.close()
+
+
 def test_fresh_connection_failure_still_raises(tmp_path):
     """Reconnect-once is only for reused sockets: a peer that fails the
     very first exchange surfaces as FarmError, same as before pooling."""
-    sock = socket.socket()
-    sock.bind(("127.0.0.1", 0))
-    sock.listen(1)
-    port = sock.getsockname()[1]
+    _first_exchange_fails(_close_without_answering, "closed the connection")
 
-    def close_without_answering():
-        conn, _ = sock.accept()
-        conn.recv(65536)
-        conn.close()
 
-    thread = threading.Thread(target=close_without_answering, daemon=True)
-    thread.start()
-    try:
-        client = PeerClient("127.0.0.1", port, timeout=5.0)
-        with pytest.raises(FarmError, match="closed the connection"):
-            client.ping()
-        assert client.reconnects == 0
-        thread.join(timeout=5)
-    finally:
-        sock.close()
+def test_unreachable_peer_raises_farm_error():
+    """A closed port is one FarmError naming the peer, not a raw
+    ConnectionRefusedError."""
+    _first_exchange_fails(None, "not answering")
+
+
+def test_peer_reset_mid_request_raises_farm_error():
+    """A peer that accepts the connection and then dies mid-request
+    (RST, not a clean close) is a FarmError, not a raw
+    ConnectionResetError."""
+    _first_exchange_fails(_reset_mid_request,
+                          "dropped the connection mid-request")
 
 
 def test_farm_client_survives_daemon_restart(tmp_path, model_source):
@@ -360,6 +401,9 @@ MALFORMED_REQUESTS = {
                                  "store": "../outside"},
     "entries-garbage-npy": {"cmd": "store-entries", "store": "s",
                             "hashes": [_GARBAGE]},
+    # A request from a client that still asks for peer gossip: the verb
+    # is gone, so it is an unknown command like any other.
+    "peers-unknown-command": {"cmd": "peers"},
     # A request from a driver that still fans shards out over RPC: the
     # verb is gone, so it is an unknown command like any other.
     "run-shard-unknown-command": {
@@ -406,7 +450,8 @@ MALFORMED_REQUESTS = {
 
 
 #: What a case's error reply must say, where more than "some error".
-_ERROR_TEXT = {"run-shard-unknown-command": "unknown command 'run-shard'"}
+_ERROR_TEXT = {"peers-unknown-command": "unknown command 'peers'",
+               "run-shard-unknown-command": "unknown command 'run-shard'"}
 
 
 def _plant_targets(daemon):
@@ -431,20 +476,6 @@ def test_server_answers_malformed_request_then_serves(live_server, name):
         assert reply["ok"] is False and reply["kind"] == "error"
         assert _ERROR_TEXT.get(name, "") in reply["error"]
         # Same channel, next request: the handler thread survived.
-        assert _ask(channel, dump_message({"cmd": "ping"}))["ok"] is True
-    finally:
-        for handle in reversed(channel):
-            handle.close()
-
-
-def test_peers_verb_answers_wrong_shaped_peer_list_then_serves(live_server):
-    with open(os.path.join(live_server.farm.root, "peers.json"), "w",
-              encoding="utf-8") as handle:
-        handle.write('{"peers": "xyz"}')
-    channel = _channel(live_server)
-    try:
-        reply = _ask(channel, dump_message({"cmd": "peers"}))
-        assert reply["ok"] is False and "peers.json" in reply["error"]
         assert _ask(channel, dump_message({"cmd": "ping"}))["ok"] is True
     finally:
         for handle in reversed(channel):

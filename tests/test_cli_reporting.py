@@ -37,6 +37,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["generate", "mnist", "--engine", "warp"])
 
+    @pytest.mark.parametrize("argv", [
+        ["join", "--root", "farm", "127.0.0.1:7001"],
+        ["peers", "--root", "farm"]])
+    def test_peer_list_commands_are_gone(self, argv):
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(argv)
+        assert exited.value.code == 2
+
     def test_fuzz_and_corpus_registered(self):
         parser = build_parser()
         args = parser.parse_args(["fuzz", "mnist", "--corpus", "/tmp/c",

@@ -69,7 +69,7 @@ def test_unknown_cli_flag_reported_with_file_and_line(tmp_path):
         "    --workers 2 --bogus 3   # a comment's --flag is not checked\n"
         "repro no-such-command --workers 2\n"
         "repro corpus info ./c && repro corpus merge --typo a b\n"
-        "repro serve --root r & repro join --root r 127.0.0.1:1 [--remove]\n"
+        "repro serve --root r & repro submit --root r --store s [--wait]\n"
         "```\n"
         "\n"
         "A wrapped span: `repro generate\n"

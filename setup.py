@@ -1,9 +1,12 @@
-"""Legacy setup shim.
+"""Setup shim: ``python setup.py develop`` installs ``repro`` from ``src/``.
 
-The execution environment is offline and has no ``wheel`` package, so PEP
-660 editable installs fail; keeping a ``setup.py`` (and no
-``[build-system]`` table) lets ``pip install -e .`` use the legacy
-``setup.py develop`` path.  All metadata lives in ``pyproject.toml``.
+The repository has no ``pyproject.toml`` and this file names no
+metadata: setuptools finds the package through its ``src/`` layout.
+``pip install -e .`` needs the ``wheel`` package; where it is missing
+(an offline machine), ``pip install --no-build-isolation --no-index -e .``
+fails with ``invalid command 'bdist_wheel'``.  Use
+``python setup.py develop`` there, or run from the checkout with
+``PYTHONPATH=src``.
 """
 
 from setuptools import setup

@@ -80,9 +80,6 @@ class SeedScheduler:
         return sum(1 for s in self._stats.values()
                    if not s["retired"] and s["energy"] >= ENERGY_EPSILON)
 
-    def retired_count(self):
-        return sum(1 for s in self._stats.values() if s["retired"])
-
     # -- scheduling ---------------------------------------------------------
     def next_wave(self, wave_size):
         """The next wave: up to ``wave_size`` hashes, hottest first.

@@ -446,7 +446,8 @@ class FarmDaemon:
             except Exception:   # noqa: BLE001 — a sweep must never
                 pass            # kill the housekeeper; next tick retries
 
-    def _dataset_for_store(self, name):
+    @staticmethod
+    def _dataset_for_config(config):
         """Infer which dataset a tenant store was built against.
 
         The store's config fingerprint records its model trio; the trio
@@ -454,11 +455,6 @@ class FarmDaemon:
         store has no config yet (nothing committed) or the models are
         not a registry trio.
         """
-        try:
-            config = CorpusStore(self.store_path(name),
-                                 create=False).config
-        except ReproError:
-            return None
         if not config:
             return None
         from repro.models import TRIOS
@@ -471,7 +467,8 @@ class FarmDaemon:
         """Submit one ``compact-distill`` per distillable tenant store.
 
         Skips stores that already have a compaction queued or running,
-        stores another job is using, and stores whose dataset cannot be
+        stores another job is using, stores that fail to open or to
+        list their entries, and stores whose dataset cannot be
         inferred; queue saturation just means this sweep waits for the
         next tick.  Returns the job ids it submitted.
         """
@@ -486,11 +483,11 @@ class FarmDaemon:
                 continue
             try:
                 store = CorpusStore(self.store_path(name), create=False)
+                if not store.entries(kind="test"):
+                    continue        # nothing distillable yet
             except ReproError:
-                continue
-            if not store.entries(kind="test"):
-                continue            # nothing distillable yet
-            dataset_name = self._dataset_for_store(name)
+                continue            # garbled: a distill would fail too
+            dataset_name = self._dataset_for_config(store.config)
             if dataset_name is None or dataset_name not in \
                     PAPER_HYPERPARAMS:
                 continue

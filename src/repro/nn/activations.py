@@ -62,13 +62,13 @@ class Activation:
     def backward(self, grad, z, a):
         raise NotImplementedError
 
-    def backward_into(self, grad, z, a, out, mask=None):
+    def backward_into(self, grad, z, a, out, mask):
         """Backward pass into a preallocated ``out`` buffer.
 
-        ``mask`` is an optional preallocated bool scratch of the same
-        shape; activations that can use it avoid every temporary.  The
-        default falls back to :meth:`backward` plus a copy, so values
-        are bit-identical either way.
+        ``mask`` is a preallocated bool scratch of the same shape;
+        activations that can use it avoid every temporary.  The default
+        falls back to :meth:`backward` plus a copy, so values are
+        bit-identical either way.
         """
         result = self.backward(grad, z, a)
         if result is not out:
@@ -113,9 +113,7 @@ class Relu(Activation):
         # a = max(z, 0) makes (a > 0) ⟺ (z > 0): identical either way.
         return grad * (a > 0.0)
 
-    def backward_into(self, grad, z, a, out, mask=None):
-        if mask is None:
-            return super().backward_into(grad, z, a, out)
+    def backward_into(self, grad, z, a, out, mask):
         np.greater(a, 0.0, out=mask)
         return np.multiply(grad, mask, out=out)
 

@@ -29,11 +29,12 @@ Kernel notes:
   took the backward of Dave's ``conv1`` and ``conv2`` to 0.43-0.59x of
   the time of the clipped per-offset scatter-adds it replaced (2-vCPU
   Xeon VM, one BLAS thread; docs/PERFORMANCE.md).
-* The kernels take caller-provided buffers or a
-  :class:`~repro.nn.workspace.Workspace`, so the ascent loop can reuse
-  its memory across iterations, and ``Conv2D.forward`` fuses bias +
-  activation into the GEMM epilogue (in-place on the output buffer)
-  whenever the activation's backward does not need the pre-activation.
+* The kernels draw every buffer from the pass's
+  :class:`~repro.nn.workspace.Workspace`, so the ascent loop and the
+  trainer reuse their memory across iterations, and ``Conv2D.forward``
+  fuses bias + activation into the GEMM epilogue (in-place on the output
+  buffer) whenever the activation's backward does not need the
+  pre-activation.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from repro.nn.activations import get_activation
 from repro.nn.initializers import get_initializer
 from repro.nn.layer import Layer
 from repro.nn.parameter import Parameter
-from repro.nn.workspace import Workspace
 from repro.utils.rng import as_rng
 
 __all__ = ["Conv2D", "im2col", "conv_output_size"]
@@ -62,34 +62,32 @@ def conv_output_size(size, kernel, stride, pad):
     return out
 
 
-def im2col(x, kernel_h, kernel_w, stride, pad, out=None, pad_buffer=None):
+def im2col(x, kernel_h, kernel_w, stride, pad, workspace, key):
     """Unfold ``x`` (N, C, H, W) into columns (N, C*kh*kw, out_h*out_w).
 
-    ``out`` (column buffer) and ``pad_buffer`` (padded-input scratch,
-    shape ``(N, C, H+2p, W+2p)``) are optional preallocated arrays.
+    The columns, and the padded copy of ``x`` when ``pad`` is nonzero,
+    are ``workspace`` buffers under ``(key, "cols")`` and ``(key, "pad")``.
     """
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel_h, stride, pad)
     out_w = conv_output_size(w, kernel_w, stride, pad)
     if pad:
-        if pad_buffer is None:
-            x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        else:
-            # The interior is overwritten below, so only the border
-            # frame needs zeroing when the buffer is recycled.
-            pad_buffer[:, :, :pad, :].fill(0.0)
-            pad_buffer[:, :, -pad:, :].fill(0.0)
-            pad_buffer[:, :, pad:-pad, :pad].fill(0.0)
-            pad_buffer[:, :, pad:-pad, -pad:].fill(0.0)
-            pad_buffer[:, :, pad:-pad, pad:-pad] = x
-            x = pad_buffer
+        padded = workspace.get((key, "pad"), (n, c, h + 2 * pad, w + 2 * pad),
+                               x.dtype)
+        # The interior is overwritten below, so only the border frame
+        # needs zeroing when the buffer is recycled.
+        padded[:, :, :pad, :].fill(0.0)
+        padded[:, :, -pad:, :].fill(0.0)
+        padded[:, :, pad:-pad, :pad].fill(0.0)
+        padded[:, :, pad:-pad, -pad:].fill(0.0)
+        padded[:, :, pad:-pad, pad:-pad] = x
+        x = padded
     sn, sc, sh, sw = x.strides
     windows = as_strided(
         x, shape=(n, c, kernel_h, kernel_w, out_h, out_w),
         strides=(sn, sc, sh, sw, stride * sh, stride * sw))
-    if out is None:
-        out = np.empty((n, c * kernel_h * kernel_w, out_h * out_w),
-                       dtype=x.dtype)
+    out = workspace.get((key, "cols"),
+                        (n, c * kernel_h * kernel_w, out_h * out_w), x.dtype)
     np.copyto(out.reshape(n, c, kernel_h, kernel_w, out_h, out_w), windows)
     return out
 
@@ -124,8 +122,8 @@ def _fold_rows(weight, grad_z, input_shape, kernel_h, kernel_w, stride, pad,
     one grid is the unpadded input (stride 1, no padding).
 
     The tails and the extra columns are zeroed only when their buffer
-    is fresh (always, when ``workspace`` is None): later passes through
-    a workspace overwrite just the GEMM cells and ``grad_z``'s columns.
+    is fresh: later passes through the workspace overwrite just the GEMM
+    cells and ``grad_z``'s columns.
     """
     n, c, h, w = input_shape
     f, out_h, out_w = grad_z.shape[1:]
@@ -137,8 +135,6 @@ def _fold_rows(weight, grad_z, input_shape, kernel_h, kernel_w, stride, pad,
     first = pad // s    # the first sub-row that holds an unpadded row
     cells = ((pad + h - 1) // s + 1 - first) * grid_w
     dtype = grad_z.dtype
-    if workspace is None:
-        workspace = Workspace()
     # The zero layout depends on the spatial size, so it is keyed.
     allocations = workspace.allocations
     wide = workspace.get((key, "gzwide", h, w), (n, f, out_h, grid_w), dtype)
@@ -222,7 +218,7 @@ class Conv2D(Layer):
         self.weight = Parameter(weight, f"{self.name}.weight")
         self.bias = Parameter(np.zeros(self.out_channels), f"{self.name}.bias")
 
-    def forward(self, x, training=False, workspace=None):
+    def forward(self, x, training=False, *, workspace):
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ShapeError(
                 f"{self.name}: expected (batch, {self.in_channels}, H, W), "
@@ -231,25 +227,11 @@ class Conv2D(Layer):
         n = x.shape[0]
         out_h = conv_output_size(x.shape[2], kh, self.stride, self.padding)
         out_w = conv_output_size(x.shape[3], kw, self.stride, self.padding)
-        cols = pad_buffer = None
-        if workspace is not None:
-            if self.padding:
-                pad_buffer = workspace.get(
-                    (id(self), "pad"),
-                    (n, self.in_channels, x.shape[2] + 2 * self.padding,
-                     x.shape[3] + 2 * self.padding), x.dtype)
-            cols = workspace.get(
-                (id(self), "cols"),
-                (n, self.in_channels * kh * kw, out_h * out_w), x.dtype)
-        cols = im2col(x, kh, kw, self.stride, self.padding, out=cols,
-                      pad_buffer=pad_buffer)
-        if workspace is None:
-            z_flat = self.weight.value @ cols  # (N, F, out_h*out_w)
-        else:
-            z_flat = workspace.get((id(self), "z"),
-                                   (n, self.out_channels, out_h * out_w),
-                                   x.dtype)
-            np.matmul(self.weight.value, cols, out=z_flat)
+        cols = im2col(x, kh, kw, self.stride, self.padding, workspace,
+                      id(self))
+        z_flat = workspace.get((id(self), "z"),
+                               (n, self.out_channels, out_h * out_w), x.dtype)
+        np.matmul(self.weight.value, cols, out=z_flat)
         z_flat += self.bias.value[None, :, None]
         z = z_flat.reshape(n, self.out_channels, out_h, out_w)
         if self.activation.needs_preactivation:
@@ -260,15 +242,12 @@ class Conv2D(Layer):
 
     def backward(self, ctx, grad_out, accumulate=True):
         input_shape, cols, z, a, workspace = ctx
-        if workspace is None:
-            grad_z = self.activation.backward(grad_out, z, a)
-        else:
-            grad_z = self.activation.backward_into(
-                grad_out, z, a,
-                out=workspace.get((id(self), "gz"), grad_out.shape,
-                                  grad_out.dtype),
-                mask=workspace.get((id(self), "gzmask"), grad_out.shape,
-                                   np.bool_))
+        grad_z = self.activation.backward_into(
+            grad_out, z, a,
+            out=workspace.get((id(self), "gz"), grad_out.shape,
+                              grad_out.dtype),
+            mask=workspace.get((id(self), "gzmask"), grad_out.shape,
+                               np.bool_))
         if accumulate:
             gz_flat = grad_z.reshape(grad_z.shape[0], self.out_channels, -1)
             self.weight.grad += np.tensordot(gz_flat, cols,

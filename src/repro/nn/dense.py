@@ -38,17 +38,14 @@ class Dense(Layer):
         self.weight = Parameter(weight, f"{self.name}.weight")
         self.bias = Parameter(np.zeros(self.out_features), f"{self.name}.bias")
 
-    def forward(self, x, training=False, workspace=None):
+    def forward(self, x, training=False, *, workspace):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(
                 f"{self.name}: expected (batch, {self.in_features}), got {x.shape}")
-        if workspace is None:
-            z = x @ self.weight.value.T + self.bias.value
-        else:
-            z = workspace.get((id(self), "z"),
-                              (x.shape[0], self.out_features), x.dtype)
-            np.matmul(x, self.weight.value.T, out=z)
-            z += self.bias.value
+        z = workspace.get((id(self), "z"), (x.shape[0], self.out_features),
+                          x.dtype)
+        np.matmul(x, self.weight.value.T, out=z)
+        z += self.bias.value
         if self.activation.needs_preactivation:
             a = self.activation.forward(z)
             return a, (x, z, a, workspace)
@@ -61,8 +58,6 @@ class Dense(Layer):
         if accumulate:
             self.weight.grad += grad_z.T @ x
             self.bias.grad += grad_z.sum(axis=0)
-        if workspace is None:
-            return grad_z @ self.weight.value
         grad_x = workspace.get((id(self), "gx"), x.shape, grad_z.dtype)
         return np.matmul(grad_z, self.weight.value, out=grad_x)
 

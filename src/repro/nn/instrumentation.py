@@ -35,15 +35,14 @@ _ACTIVE_PAYLOAD = []
 def record_forward(network, batch_size):
     """Notify active counters that ``network`` ran one forward pass."""
     for counter in _ACTIVE:
-        counter._record(counter.forwards, counter.forward_samples,
-                        network.name, batch_size)
+        counter.forwards[network.name] += 1
+        counter.forward_samples[network.name] += int(batch_size)
 
 
-def record_backward(network, batch_size):
+def record_backward(network):
     """Notify active counters that one backward was derived on ``network``."""
     for counter in _ACTIVE:
-        counter._record(counter.backwards, counter.backward_samples,
-                        network.name, batch_size)
+        counter.backwards[network.name] += 1
 
 
 def record_deserialization(name):
@@ -64,25 +63,19 @@ class PassCounter:
     ----------
     forwards / backwards:
         ``Counter`` mapping network name to number of passes.
-    forward_samples / backward_samples:
-        Same keys, but summing the batch sizes of those passes.
+    forward_samples:
+        Same keys, but summing the batch sizes of the forward passes.
     """
 
     def __init__(self):
         self.forwards = Counter()
         self.backwards = Counter()
         self.forward_samples = Counter()
-        self.backward_samples = Counter()
-
-    def _record(self, passes, samples, name, batch_size):
-        passes[name] += 1
-        samples[name] += int(batch_size)
 
     def reset(self):
         self.forwards.clear()
         self.backwards.clear()
         self.forward_samples.clear()
-        self.backward_samples.clear()
 
     def total_forwards(self):
         return int(sum(self.forwards.values()))

@@ -43,11 +43,12 @@ class Layer:
         context (``None`` when the backward needs nothing).  The context
         must be treated as immutable by :meth:`backward`.
 
-        ``workspace`` is an optional :class:`repro.nn.workspace.Workspace`
-        the layer may draw scratch/output buffers from.  Workspace-backed
+        ``workspace`` is the pass's :class:`repro.nn.workspace.Workspace`
+        (:meth:`repro.nn.network.Network.run` always passes one).  Layers
+        that need output or scratch buffers draw them from it and take
+        it as a required keyword; the rest ignore it.  Workspace-backed
         outputs and contexts are only valid until the next pass that
-        shares the workspace; callers that keep tapes alive across
-        forwards must not pass one.  Layers never store the workspace.
+        shares the workspace.  Layers never store the workspace.
         """
         raise NotImplementedError
 
@@ -61,11 +62,6 @@ class Layer:
         Must not mutate ``ctx`` or any other layer state.
         """
         raise NotImplementedError
-
-    def apply(self, x, training=False):
-        """Inference convenience: :meth:`forward` without the context."""
-        out, _ = self.forward(x, training=training)
-        return out
 
     def parameters(self):
         """Trainable :class:`~repro.nn.parameter.Parameter` objects."""

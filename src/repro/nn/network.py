@@ -8,7 +8,7 @@ gave the original authors three capabilities:
    (:meth:`Network.neuron_activations`);
 3. ``K.gradients(objective, input)`` — the derivative of any scalar built
    from output probabilities and hidden-neuron outputs with respect to the
-   *input* (:meth:`~repro.nn.tape.ForwardPass.gradient_of_class`,
+   *input* (:meth:`~repro.nn.tape.ForwardPass.gradient_of_output`,
    :meth:`~repro.nn.tape.ForwardPass.gradient_of_neuron`,
    :meth:`~repro.nn.tape.ForwardPass.gradient_joint`).
 
@@ -31,6 +31,7 @@ import numpy as np
 from repro.errors import CoverageError, ShapeError
 from repro.nn import dtypes, instrumentation
 from repro.nn.tape import ForwardPass
+from repro.nn.workspace import Workspace
 
 __all__ = ["Network", "LayerNeurons"]
 
@@ -141,13 +142,17 @@ class Network:
         oracle check, coverage update, and all input-gradients of one
         ascent iteration derive from this single execution.
 
-        ``workspace`` (a :class:`~repro.nn.workspace.Workspace`) makes the
-        layers draw output/scratch buffers from a reusable pool: the
-        returned tape is then only valid until the next pass that shares
-        the workspace.  The ascent loop passes one workspace per model;
-        callers that hold tapes across forwards should pass ``None``.
+        Every layer draws its output and scratch buffers from
+        ``workspace`` (a :class:`~repro.nn.workspace.Workspace`), so the
+        returned tape is only valid until the next pass that shares it.
+        The ascent loop passes one workspace per model and
+        ``Trainer.fit`` one per fit; with ``None`` the pass gets a fresh
+        workspace of its own, which is what callers that hold tapes
+        across forwards want.
         """
         x = self._check_input(x)
+        if workspace is None:
+            workspace = Workspace()
         outputs = []
         contexts = []
         out = x
@@ -157,8 +162,7 @@ class Network:
             outputs.append(out)
             contexts.append(ctx)
         instrumentation.record_forward(self, x.shape[0])
-        return ForwardPass(self, x, outputs, contexts, training,
-                           workspace=workspace)
+        return ForwardPass(self, x, outputs, contexts, training)
 
     def forward(self, x, training=False):
         """Run the network and return only its final output."""

@@ -32,19 +32,16 @@ class MaxPool2D(Layer):
             pool_size = (pool_size, pool_size)
         self.pool_size = tuple(int(p) for p in pool_size)
 
-    def forward(self, x, training=False, workspace=None):
+    def forward(self, x, training=False, *, workspace):
         _check_divisible(x.shape, self.pool_size)
         n, c, h, w = x.shape
         ph, pw = self.pool_size
-        shape = (n, c, h // ph, w // pw)
         # Strided-slice max over the ph*pw window positions: no
         # transpose/reshape copies, no argmax.  np.maximum of the same
         # elements is the same max, so outputs are bit-identical to the
         # historical windowed argmax implementation.
-        if workspace is None:
-            out = np.empty(shape, dtype=x.dtype)
-        else:
-            out = workspace.get((id(self), "out"), shape, x.dtype)
+        out = workspace.get((id(self), "out"), (n, c, h // ph, w // pw),
+                            x.dtype)
         np.copyto(out, x[:, :, 0::ph, 0::pw])
         for a in range(ph):
             for b in range(pw):
@@ -74,11 +71,8 @@ class MaxPool2D(Layer):
                     masks.append(mask)
             memo.append(masks)
         masks = memo[0]
-        if workspace is None:
-            grad_x = np.empty((n, c, h, w), dtype=grad_out.dtype)
-        else:
-            grad_x = workspace.get((id(self), "gx"), (n, c, h, w),
-                                   grad_out.dtype)
+        grad_x = workspace.get((id(self), "gx"), (n, c, h, w),
+                               grad_out.dtype)
         k = 0
         for a in range(ph):
             for b in range(pw):

@@ -30,7 +30,7 @@ class Residual(Layer):
         self.shortcut = list(shortcut) if shortcut else []
         self.activation = Relu()
 
-    def forward(self, x, training=False, workspace=None):
+    def forward(self, x, training=False, *, workspace):
         out = x
         body_ctxs = []
         for layer in self.body:

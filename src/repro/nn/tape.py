@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ShapeError
 from repro.nn import instrumentation
 
 __all__ = ["ForwardPass", "scale_layerwise"]
@@ -54,17 +53,14 @@ class ForwardPass:
     used by training).
     """
 
-    __slots__ = ("network", "x", "training", "_layer_outputs", "_contexts",
-                 "_workspace")
+    __slots__ = ("network", "x", "training", "_layer_outputs", "_contexts")
 
-    def __init__(self, network, x, layer_outputs, contexts, training,
-                 workspace=None):
+    def __init__(self, network, x, layer_outputs, contexts, training):
         self.network = network
         self.x = x
         self.training = bool(training)
         self._layer_outputs = tuple(layer_outputs)
         self._contexts = tuple(contexts)
-        self._workspace = workspace
 
     @property
     def dtype(self):
@@ -114,25 +110,11 @@ class ForwardPass:
                 grad = grad + inject[i]
             grad = layers[i].backward(self._contexts[i], grad,
                                       accumulate=accumulate)
-        instrumentation.record_backward(self.network, self.batch_size)
-        if self._workspace is not None:
-            # Workspace-backed layers may return views into reusable
-            # buffers; hand the caller an owned copy so the gradient
-            # survives the next pass.
-            grad = np.array(grad, copy=True)
-        return grad
-
-    def backward(self, grad_outputs, accumulate=True):
-        """Full backward from the network output (the training path).
-
-        ``grad_outputs`` is the gradient of a scalar loss with respect to
-        :meth:`outputs`; returns the gradient with respect to the input.
-        Parameter gradients are accumulated unless ``accumulate=False``.
-        """
-        if not self._layer_outputs:
-            return np.asarray(grad_outputs, dtype=self.dtype)
-        return self._backward_from(len(self._layer_outputs) - 1,
-                                   grad_outputs, accumulate=accumulate)
+        instrumentation.record_backward(self.network)
+        # Layers return views into the pass's workspace buffers; hand
+        # the caller an owned copy so the gradient survives the next
+        # pass that shares them.
+        return np.array(grad, copy=True)
 
     def gradient_of_output(self, seed, accumulate=False):
         """d(seed . output)/dx for the recorded input.
@@ -140,7 +122,9 @@ class ForwardPass:
         ``seed`` is broadcast against the network output, so it can be a
         single unbatched seed shared by the batch or a full per-sample
         seed array (one backward computes per-sample functionals of the
-        output — e.g. each sample's own class score).
+        output — e.g. each sample's own class score).  Training passes
+        the loss gradient with ``accumulate=True``, which adds every
+        parameter's gradient into ``Parameter.grad``.
         """
         out = self.outputs()
         grad = np.broadcast_to(np.asarray(seed, dtype=self.dtype),
@@ -149,17 +133,6 @@ class ForwardPass:
             return grad
         return self._backward_from(len(self._layer_outputs) - 1, grad,
                                    accumulate=accumulate)
-
-    def gradient_of_class(self, class_index, accumulate=False):
-        """Gradient of ``output[:, class_index]`` with respect to the input."""
-        network = self.network
-        if network.output_shape != (int(np.prod(network.output_shape)),):
-            raise ShapeError(
-                f"{network.name}: class gradients need a flat output, "
-                f"got {network.output_shape}")
-        seed = np.zeros(network.output_shape, dtype=self.dtype)
-        seed[class_index] = 1.0
-        return self.gradient_of_output(seed, accumulate=accumulate)
 
     def gradient_joint(self, seed, neuron=None, scale=1.0,
                        accumulate=False):

@@ -7,6 +7,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.nn.losses import get_loss
 from repro.nn.optimizers import Adam
+from repro.nn.workspace import Workspace
 from repro.utils.rng import as_rng
 
 __all__ = ["Trainer", "accuracy", "mse", "steering_accuracy"]
@@ -54,6 +55,9 @@ class Trainer:
         params = self.network.parameters()
         history = {"loss": []}
         indices = np.arange(x.shape[0])
+        # Each step's backward finishes before the next forward, so
+        # every step can reuse the previous one's buffers.
+        workspace = Workspace()
         for epoch in range(epochs):
             self.rng.shuffle(indices)
             epoch_loss = 0.0
@@ -61,9 +65,10 @@ class Trainer:
             for start in range(0, x.shape[0], batch_size):
                 batch_idx = indices[start:start + batch_size]
                 self.optimizer.zero_grad(params)
-                tape = self.network.run(x[batch_idx], training=True)
+                tape = self.network.run(x[batch_idx], training=True,
+                                        workspace=workspace)
                 loss_value, grad = self.loss(tape.outputs(), y[batch_idx])
-                tape.backward(grad)
+                tape.gradient_of_output(grad, accumulate=True)
                 self.optimizer.step(params)
                 epoch_loss += loss_value
                 batches += 1

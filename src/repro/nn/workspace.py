@@ -2,27 +2,31 @@
 
 The ascent loop calls ``network.run`` hundreds of times per seed batch
 with identical shapes (the batch only ever *shrinks* as seeds resolve).
-Without a workspace every iteration reallocates the same im2col column
+Without reuse every iteration would reallocate the same im2col column
 matrix, conv output, pooling scatter buffer, and gradient arrays —
 allocation and page-faulting costs that rival the GEMMs at smoke scale.
 
-A :class:`Workspace` is a caller-owned dict of flat 1-D arrays keyed by
-``(id(layer), tag)``.  Layers request views via :meth:`get` /
-:meth:`zeros`; a request that fits inside an existing buffer is served
-as a reshaped view of its prefix (so a shrinking batch never
-reallocates), otherwise the buffer is grown.  Layers never store the
-workspace — it is threaded through ``forward(x, workspace=...)`` and
-carried to ``backward`` inside the immutable ctx tuple, which keeps the
-"no residual state on layers" guarantee intact.
+A :class:`Workspace` is a dict of flat 1-D arrays keyed by
+``(id(layer), tag)``.  Layers request views via :meth:`get`; a request
+that fits inside an existing buffer is served as a reshaped view of its
+prefix (so a shrinking batch never reallocates), otherwise the buffer is
+grown.  Every pass draws its buffers from one: the caller's, or a fresh
+one that :meth:`~repro.nn.network.Network.run` makes for that pass.
+Layers never store the workspace — it is threaded through
+``forward(x, workspace=...)`` and carried to ``backward`` inside the
+immutable ctx tuple, which keeps the "no residual state on layers"
+guarantee intact.
 
 The trade-off is aliasing: arrays handed out by a workspace are only
 valid until the **next** forward/backward that reuses the same buffers.
-:class:`~repro.nn.tape.ForwardPass` defensively copies the final input
-gradient it returns, and the ascent engine consumes each tape's
-gradients before running the next forward, so the loop never observes a
-stale view.  Code that holds tapes across forwards (tests, notebooks)
-should simply not pass a workspace — everything allocates fresh by
-default.
+:class:`~repro.nn.tape.ForwardPass` copies the input gradient it
+returns, the ascent engine consumes each tape's gradients before
+running the next forward, and ``Trainer.fit`` finishes each step's
+backward before the next step's forward, so neither loop observes a
+stale view.  Backwards from one tape share its workspace's scratch
+buffers, so one thread at a time takes them.  Code that holds tapes
+across forwards (tests, notebooks) should simply not pass a workspace:
+each such pass then owns its buffers.
 """
 
 from __future__ import annotations
@@ -57,17 +61,3 @@ class Workspace:
             self._buffers[key] = buf
             self.allocations += 1
         return buf[:size].reshape(shape)
-
-    def zeros(self, key, shape, dtype):
-        """Like :meth:`get` but zero-filled."""
-        out = self.get(key, shape, dtype)
-        out.fill(0.0)
-        return out
-
-    def nbytes(self):
-        """Total bytes currently held by the pool."""
-        return sum(buf.nbytes for buf in self._buffers.values())
-
-    def clear(self):
-        """Drop every buffer (keeps the allocation counter)."""
-        self._buffers.clear()

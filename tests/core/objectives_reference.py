@@ -13,7 +13,7 @@ entry per model, ``None``, a flat neuron id, or a list of ids.
 import numpy as np
 
 from repro.errors import ConfigError
-from tests.nn.gradcheck import neuron_value
+from tests.nn.gradcheck import gradient_of_class, neuron_value
 
 
 def _neuron_ids(pick):
@@ -64,7 +64,7 @@ class DifferentialObjective:
     def gradient(self, x):
         grad = np.zeros_like(x)
         for k, model in enumerate(self.models):
-            g = model.run(x).gradient_of_class(self.seed_class)
+            g = gradient_of_class(model.run(x), self.seed_class)
             grad += -self.lambda1 * g if k == self.target_index else g
         return grad
 

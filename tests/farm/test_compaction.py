@@ -12,6 +12,7 @@ import pytest
 from repro.corpus import CorpusStore
 from repro.errors import FarmError
 from repro.farm import FarmDaemon, normalize_spec
+from repro.models import TRIOS
 
 
 def make_daemon(tmp_path, model_source, **kwargs):
@@ -271,4 +272,23 @@ def test_sweep_skips_stores_without_dataset(tmp_path, model_source):
     daemon = make_daemon(tmp_path, model_source, compact_every=60.0)
     _seed_store(daemon.store_path("raw"), 2)    # no config, no tests
     assert daemon._compact_sweep() == []
+    assert daemon.drain(timeout=30)
+
+
+def test_sweep_skips_a_garbled_store_and_compacts_the_next(tmp_path,
+                                                           model_source):
+    """A store whose ``meta.jsonl`` holds a line that is not an entry
+    record is skipped like one that fails to open: the sweep still
+    submits the distill of every store sorted after it."""
+    daemon = make_daemon(tmp_path, model_source, compact_every=60.0)
+    garbled = _seed_store(daemon.store_path("a"), 1)
+    with open(garbled.meta_path, "a") as fh:
+        fh.write("[1, 2]\n")
+    store = _seed_store(daemon.store_path("b"), 1)
+    store.add_entry(np.ones((4, 4)), "test", origin=0)
+    store.bind_config({"models": list(TRIOS["mnist"])})
+    submitted = daemon._compact_sweep()
+    assert [daemon.status(job_id)["spec"] for job_id in submitted] == [
+        normalize_spec({"kind": "compact-distill", "store": "b",
+                        "dataset": "mnist"})]
     assert daemon.drain(timeout=30)

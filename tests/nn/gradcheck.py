@@ -4,8 +4,31 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ShapeError
+from repro.nn import Workspace
+
 __all__ = ["numeric_input_gradient", "check_layer_gradients",
-           "neuron_value"]
+           "neuron_value", "apply", "gradient_of_class"]
+
+
+def apply(layer, x, training=False):
+    """``layer``'s output for ``x``, from a pass with its own workspace
+    (so the output stays valid after later passes)."""
+    out, _ = layer.forward(x, training=training, workspace=Workspace())
+    return out
+
+
+def gradient_of_class(tape, class_index):
+    """Gradient of ``output[:, class_index]`` of a recorded
+    :class:`~repro.nn.tape.ForwardPass` with respect to its input."""
+    network = tape.network
+    if network.output_shape != (int(np.prod(network.output_shape)),):
+        raise ShapeError(
+            f"{network.name}: class gradients need a flat output, "
+            f"got {network.output_shape}")
+    seed = np.zeros(network.output_shape, dtype=tape.dtype)
+    seed[class_index] = 1.0
+    return tape.gradient_of_output(seed)
 
 
 def neuron_value(tape, flat_neuron_index):
@@ -42,18 +65,18 @@ def check_layer_gradients(layer, x, rng, atol=1e-7, n_probe=6,
     loss: ``L = sum(W * layer(x))``.  Probes ``n_probe`` random input
     coordinates and parameter coordinates.
     """
-    out, _ = layer.forward(x, training=training)
+    out, _ = layer.forward(x, training=training, workspace=Workspace())
     weights = rng.normal(size=out.shape)
 
     def loss_of_input(x_probe):
-        return float((layer.apply(x_probe, training=training)
+        return float((apply(layer, x_probe, training=training)
                       * weights).sum())
 
     # Analytic pass: forward (returning ctx) then backward with
     # dL/dout = weights.
     for param in layer.parameters():
         param.zero_grad()
-    _, ctx = layer.forward(x, training=training)
+    _, ctx = layer.forward(x, training=training, workspace=Workspace())
     grad_in = layer.backward(ctx, weights)
 
     flat_indices = [tuple(rng.integers(0, s) for s in x.shape)

@@ -16,7 +16,7 @@ from repro.models.vgg import build_vgg16, build_vgg19
 from repro.nn import Conv2D, Residual, Workspace, dtypes
 from repro.nn.conv import conv_output_size, im2col
 
-from tests.nn.gradcheck import check_layer_gradients
+from tests.nn.gradcheck import apply, check_layer_gradients
 
 
 def col2im(cols, input_shape, kernel_h, kernel_w, stride, pad):
@@ -62,7 +62,7 @@ def test_im2col_matches_naive_convolution():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(2, 3, 6, 6))
     w = rng.normal(size=(4, 3, 3, 3))
-    cols = im2col(x, 3, 3, 1, 0)
+    cols = im2col(x, 3, 3, 1, 0, Workspace(), "im2col")
     out = (w.reshape(4, -1) @ cols).reshape(2, 4, 4, 4)
     # Naive direct convolution.
     naive = np.zeros_like(out)
@@ -83,7 +83,7 @@ def test_im2col_col2im_adjoint(kernel, stride, pad, size):
     which is exactly what the conv backward pass relies on."""
     rng = np.random.default_rng(42)
     x = rng.normal(size=(2, 2, size, size))
-    cols = im2col(x, kernel, kernel, stride, pad)
+    cols = im2col(x, kernel, kernel, stride, pad, Workspace(), "im2col")
     c = rng.normal(size=cols.shape)
     lhs = float((cols * c).sum())
     rhs = float((x * col2im(c, x.shape, kernel, kernel, stride, pad)).sum())
@@ -102,7 +102,7 @@ def test_conv_gradients(stride, padding):
 def test_conv_rejects_wrong_channels():
     layer = Conv2D(3, 4, 3, rng=0)
     with pytest.raises(ShapeError):
-        layer.apply(np.zeros((1, 2, 8, 8)))
+        apply(layer, np.zeros((1, 2, 8, 8)))
 
 
 def test_conv_output_shape_helper():
@@ -114,7 +114,7 @@ def test_neuron_semantics_channel_mean():
     rng = np.random.default_rng(4)
     layer = Conv2D(1, 2, 3, padding=1, activation="linear", rng=rng)
     x = rng.normal(size=(2, 1, 4, 4))
-    out = layer.apply(x)
+    out = apply(layer, x)
     neurons = layer.neuron_outputs(out)
     assert neurons.shape == (2, 2)
     np.testing.assert_allclose(neurons, out.mean(axis=(2, 3)))
@@ -127,7 +127,7 @@ def test_neuron_semantics_channel_mean():
 def test_asymmetric_kernel():
     rng = np.random.default_rng(5)
     layer = Conv2D(1, 2, (3, 5), rng=rng)
-    out = layer.apply(rng.normal(size=(1, 1, 8, 10)))
+    out = apply(layer, rng.normal(size=(1, 1, 8, 10)))
     assert out.shape == (1, 2, 6, 6)
 
 
@@ -198,7 +198,7 @@ def poisoned_empty(monkeypatch):
                          ids=_shape_id)
 def test_input_gradient_is_col2im_bit_for_bit(shape, dtype, poisoned_empty):
     """Conv2D.backward's input gradient has the bytes of
-    ``col2im(W.T @ grad_z)`` — signed zeros included — without a
+    ``col2im(W.T @ grad_z)`` — signed zeros included — through a fresh
     workspace and through one workspace whose batch shrinks (prefix
     reuse), down to one sample, and then grows past its buffers (fresh
     zero tails)."""
@@ -209,7 +209,7 @@ def test_input_gradient_is_col2im_bit_for_bit(shape, dtype, poisoned_empty):
         layer = Conv2D(c, f, kernel, stride=stride, padding=pad,
                        activation="linear", rng=rng)
     workspace = Workspace()
-    for n, ws in [(12, None), (12, workspace), (3, workspace),
+    for n, ws in [(12, Workspace()), (12, workspace), (3, workspace),
                   (1, workspace), (16, workspace)]:
         x = rng.normal(size=(n, c, h, w)).astype(dtype)
         out, ctx = layer.forward(x, workspace=ws)
@@ -221,4 +221,4 @@ def test_input_gradient_is_col2im_bit_for_bit(shape, dtype, poisoned_empty):
                       x.shape, *kernel, stride, pad)
         got = layer.backward(ctx, grad_z, accumulate=False)
         assert got.shape == want.shape and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes(), (n, ws is not None)
+        assert got.tobytes() == want.tobytes(), (n, ws is workspace)

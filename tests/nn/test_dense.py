@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.nn import Dense
+from repro.nn import Dense, Workspace
 
-from tests.nn.gradcheck import check_layer_gradients
+from tests.nn.gradcheck import apply, check_layer_gradients
 
 
 def test_forward_shape_and_value():
     rng = np.random.default_rng(0)
     layer = Dense(4, 3, activation="linear", rng=rng)
     x = rng.normal(size=(5, 4))
-    out = layer.apply(x)
+    out = apply(layer, x)
     assert out.shape == (5, 3)
     expected = x @ layer.weight.value.T + layer.bias.value
     np.testing.assert_allclose(out, expected)
@@ -22,7 +22,7 @@ def test_forward_shape_and_value():
 def test_rejects_wrong_input_shape():
     layer = Dense(4, 3, rng=0)
     with pytest.raises(ShapeError):
-        layer.apply(np.zeros((2, 5)))
+        apply(layer, np.zeros((2, 5)))
 
 
 @pytest.mark.parametrize("activation", ["linear", "relu", "softmax", "atan"])
@@ -37,10 +37,10 @@ def test_gradients_accumulate_until_zeroed():
     rng = np.random.default_rng(2)
     layer = Dense(3, 2, activation="linear", rng=rng)
     x = rng.normal(size=(2, 3))
-    _, ctx = layer.forward(x)
+    _, ctx = layer.forward(x, workspace=Workspace())
     layer.backward(ctx, np.ones((2, 2)))
     first = layer.weight.grad.copy()
-    _, ctx = layer.forward(x)
+    _, ctx = layer.forward(x, workspace=Workspace())
     layer.backward(ctx, np.ones((2, 2)))
     np.testing.assert_allclose(layer.weight.grad, 2 * first)
     layer.weight.zero_grad()

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ConfigError, ShapeError
 from repro.nn import Dropout, FixedScale, Flatten
 
-from tests.nn.gradcheck import check_layer_gradients
+from tests.nn.gradcheck import apply, check_layer_gradients
 
 
 class TestDropout:
@@ -14,13 +14,13 @@ class TestDropout:
         rng = np.random.default_rng(0)
         layer = Dropout(0.5, rng=rng)
         x = rng.normal(size=(4, 10))
-        np.testing.assert_array_equal(layer.apply(x, training=False), x)
+        np.testing.assert_array_equal(apply(layer, x, training=False), x)
 
     def test_inverted_scaling_preserves_expectation(self):
         rng = np.random.default_rng(1)
         layer = Dropout(0.3, rng=rng)
         x = np.ones((200, 50))
-        out = layer.apply(x, training=True)
+        out = apply(layer, x, training=True)
         kept = out[out != 0]
         np.testing.assert_allclose(kept, 1.0 / 0.7)
         assert abs(out.mean() - 1.0) < 0.05
@@ -42,7 +42,7 @@ class TestDropout:
     def test_zero_rate_is_identity_even_training(self):
         x = np.ones((2, 3))
         layer = Dropout(0.0)
-        np.testing.assert_array_equal(layer.apply(x, training=True), x)
+        np.testing.assert_array_equal(apply(layer, x, training=True), x)
 
 
 class TestFlatten:
@@ -68,7 +68,7 @@ class TestFixedScale:
         rng = np.random.default_rng(5)
         x = rng.normal(loc=10.0, scale=3.0, size=(500, 4))
         layer = FixedScale.from_data(x)
-        out = layer.apply(x)
+        out = apply(layer, x)
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-10)
 
@@ -76,7 +76,7 @@ class TestFixedScale:
         x = np.ones((10, 2))
         x[:, 1] = np.arange(10)
         layer = FixedScale.from_data(x)
-        out = layer.apply(x)
+        out = apply(layer, x)
         # Constant feature: std 0 is replaced by 1, no division blowup.
         np.testing.assert_allclose(out[:, 0], 0.0)
         assert np.all(np.isfinite(out))
@@ -91,7 +91,7 @@ class TestFixedScale:
             FixedScale(np.zeros(3), np.ones(4))
         layer = FixedScale(np.zeros(3), np.ones(3))
         with pytest.raises(ShapeError):
-            layer.apply(np.zeros((2, 4)))
+            apply(layer, np.zeros((2, 4)))
 
     def test_buffers(self):
         layer = FixedScale(np.zeros(2), np.ones(2), name="std")

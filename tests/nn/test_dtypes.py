@@ -10,6 +10,7 @@ from repro.nn import (BatchNorm, Conv2D, Dense, FixedScale, Flatten, Network,
                       dtypes)
 from repro.nn.config import (network_from_config, network_from_payload,
                              network_to_config, network_to_payload)
+from tests.nn.gradcheck import gradient_of_class
 
 
 def _net(name="dtype_net"):
@@ -45,7 +46,7 @@ def test_network_built_under_policy_runs_at_that_dtype():
         tape = net.run(x)
         assert tape.x.dtype == np.dtype(dtype)
         assert tape.outputs().dtype == np.dtype(dtype)
-        assert tape.gradient_of_class(0).dtype == np.dtype(dtype)
+        assert gradient_of_class(tape, 0).dtype == np.dtype(dtype)
         assert net.neuron_activations(x).dtype == np.dtype(dtype)
 
 

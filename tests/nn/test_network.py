@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import CoverageError, ShapeError
 from repro.nn import (Conv2D, Dense, Flatten, MaxPool2D, Network)
-from tests.nn.gradcheck import neuron_value
+from tests.nn.gradcheck import gradient_of_class, neuron_value
 
 
 @pytest.fixture
@@ -62,7 +62,7 @@ def test_neuron_activations_shape_and_values(small_cnn, rng):
 
 def test_class_gradient_matches_numeric(small_cnn, rng):
     x = rng.random((2, 1, 8, 8))
-    grad = small_cnn.run(x).gradient_of_class(1)
+    grad = gradient_of_class(small_cnn.run(x), 1)
     assert grad.shape == x.shape
     eps = 1e-6
     for idx in [(0, 0, 2, 3), (1, 0, 7, 7)]:
@@ -122,4 +122,4 @@ def test_class_gradient_requires_flat_output():
     rng = np.random.default_rng(1)
     net = Network([Conv2D(1, 2, 3, padding=1, rng=rng)], (1, 4, 4))
     with pytest.raises(ShapeError):
-        net.run(np.zeros((1, 1, 4, 4))).gradient_of_class(0)
+        gradient_of_class(net.run(np.zeros((1, 1, 4, 4))), 0)

@@ -6,14 +6,14 @@ import pytest
 from repro.errors import ShapeError
 from repro.nn import BatchNorm
 
-from tests.nn.gradcheck import check_layer_gradients
+from tests.nn.gradcheck import apply, check_layer_gradients
 
 
 def test_training_normalizes_batch():
     rng = np.random.default_rng(0)
     layer = BatchNorm(4)
     x = rng.normal(loc=3.0, scale=2.0, size=(64, 4))
-    out = layer.apply(x, training=True)
+    out = apply(layer, x, training=True)
     np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-10)
     np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-3)
 
@@ -22,7 +22,7 @@ def test_running_stats_converge():
     rng = np.random.default_rng(1)
     layer = BatchNorm(2, momentum=0.5)
     for _ in range(30):
-        layer.apply(rng.normal(loc=5.0, size=(128, 2)), training=True)
+        apply(layer, rng.normal(loc=5.0, size=(128, 2)), training=True)
     np.testing.assert_allclose(layer.running_mean, 5.0, atol=0.2)
     np.testing.assert_allclose(layer.running_var, 1.0, atol=0.2)
 
@@ -32,7 +32,7 @@ def test_inference_uses_running_stats():
     layer.running_mean[:] = [1.0, -1.0]
     layer.running_var[:] = [4.0, 0.25]
     x = np.array([[3.0, 0.0]])
-    out = layer.apply(x, training=False)
+    out = apply(layer, x, training=False)
     np.testing.assert_allclose(out, [[1.0, 2.0]], atol=1e-4)
 
 
@@ -40,7 +40,7 @@ def test_conv_mode_normalizes_per_channel():
     rng = np.random.default_rng(2)
     layer = BatchNorm(3)
     x = rng.normal(loc=2.0, size=(16, 3, 5, 5))
-    out = layer.apply(x, training=True)
+    out = apply(layer, x, training=True)
     np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-10)
 
 
@@ -68,4 +68,4 @@ def test_buffers_serialized():
 
 def test_rejects_wrong_features():
     with pytest.raises(ShapeError):
-        BatchNorm(3).apply(np.zeros((2, 4)))
+        apply(BatchNorm(3), np.zeros((2, 4)))

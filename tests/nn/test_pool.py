@@ -4,21 +4,21 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.nn import AvgPool2D, GlobalAvgPool2D, MaxPool2D
+from repro.nn import AvgPool2D, GlobalAvgPool2D, MaxPool2D, Workspace
 
-from tests.nn.gradcheck import check_layer_gradients
+from tests.nn.gradcheck import apply, check_layer_gradients
 
 
 def test_maxpool_values():
     x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-    out = MaxPool2D(2).apply(x)
+    out = apply(MaxPool2D(2), x)
     np.testing.assert_array_equal(out[0, 0], [[5, 7], [13, 15]])
 
 
 def test_maxpool_backward_routes_to_argmax():
     x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
     layer = MaxPool2D(2)
-    _, ctx = layer.forward(x)
+    _, ctx = layer.forward(x, workspace=Workspace())
     grad = layer.backward(ctx, np.ones((1, 1, 2, 2)))
     expected = np.zeros((1, 1, 4, 4))
     for i, j in [(1, 1), (1, 3), (3, 1), (3, 3)]:
@@ -30,7 +30,7 @@ def test_avgpool_values_and_gradcheck():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(2, 3, 4, 4))
     layer = AvgPool2D(2)
-    out = layer.apply(x)
+    out = apply(layer, x)
     np.testing.assert_allclose(
         out, x.reshape(2, 3, 2, 2, 2, 2).mean(axis=(3, 5)))
     check_layer_gradients(layer, x, rng)
@@ -46,7 +46,7 @@ def test_global_avgpool():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(3, 4, 5, 5))
     layer = GlobalAvgPool2D()
-    out = layer.apply(x)
+    out = apply(layer, x)
     np.testing.assert_allclose(out, x.mean(axis=(2, 3)))
     check_layer_gradients(layer, x, rng)
     assert layer.output_shape((4, 5, 5)) == (4,)
@@ -54,13 +54,13 @@ def test_global_avgpool():
 
 def test_pool_divisibility_enforced():
     with pytest.raises(ShapeError):
-        MaxPool2D(2).apply(np.zeros((1, 1, 5, 4)))
+        apply(MaxPool2D(2), np.zeros((1, 1, 5, 4)))
     with pytest.raises(ShapeError):
         AvgPool2D(3).output_shape((1, 4, 4))
 
 
 def test_nonsquare_pool():
     x = np.arange(8, dtype=float).reshape(1, 1, 2, 4)
-    out = MaxPool2D((2, 4)).apply(x)
+    out = apply(MaxPool2D((2, 4)), x)
     assert out.shape == (1, 1, 1, 1)
     assert out[0, 0, 0, 0] == 7.0

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ShapeError
 from repro.nn import BatchNorm, Conv2D, Residual
 
-from tests.nn.gradcheck import check_layer_gradients
+from tests.nn.gradcheck import apply, check_layer_gradients
 
 
 def _block(rng, channels=3):
@@ -25,7 +25,7 @@ def test_identity_shortcut_addition():
     for param in block.parameters():
         param.value[:] = 0.0
     x = rng.normal(size=(2, 3, 4, 4))
-    np.testing.assert_allclose(block.apply(x), np.maximum(x, 0.0))
+    np.testing.assert_allclose(apply(block, x), np.maximum(x, 0.0))
 
 
 def test_projection_shortcut():
@@ -34,7 +34,7 @@ def test_projection_shortcut():
     projection = [Conv2D(2, 4, 1, activation="linear", rng=rng)]
     block = Residual(body, shortcut=projection)
     x = rng.normal(size=(1, 2, 4, 4))
-    assert block.apply(x).shape == (1, 4, 4, 4)
+    assert apply(block, x).shape == (1, 4, 4, 4)
     assert block.output_shape((2, 4, 4)) == (4, 4, 4)
 
 
@@ -43,7 +43,7 @@ def test_shape_mismatch_raises():
     body = [Conv2D(2, 4, 3, padding=1, rng=rng)]
     block = Residual(body)
     with pytest.raises(ShapeError):
-        block.apply(np.zeros((1, 2, 4, 4)))
+        apply(block, np.zeros((1, 2, 4, 4)))
     with pytest.raises(ShapeError):
         block.output_shape((2, 4, 4))
 
@@ -81,7 +81,7 @@ def test_neuron_exposure_spatial_mean():
     block = _block(rng)
     assert block.neuron_count((3, 4, 4)) == 3
     x = rng.normal(size=(2, 3, 4, 4))
-    out = block.apply(x)
+    out = apply(block, x)
     np.testing.assert_allclose(block.neuron_outputs(out),
                                out.mean(axis=(2, 3)))
     seed = block.neuron_seed((3, 4, 4), 2)

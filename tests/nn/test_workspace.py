@@ -7,6 +7,7 @@ import pytest
 from repro.core import AscentEngine, Hyperparams, Unconstrained
 from repro.nn import (Conv2D, Dense, Flatten, MaxPool2D, Network, Workspace,
                       dtypes)
+from tests.nn.gradcheck import gradient_of_class
 
 
 def _net(name, seed):
@@ -34,11 +35,6 @@ def test_workspace_reuses_buffers_and_counts_allocations():
     assert ws.allocations == 2
     ws.get("k", (2, 8), np.float32)
     assert ws.allocations == 3
-    z = ws.zeros("z", (3, 3), np.float64)
-    assert np.all(z == 0.0) and ws.allocations == 4
-    assert ws.nbytes() > 0
-    ws.clear()
-    assert ws.nbytes() == 0
 
 
 def test_forward_backward_steady_state_allocates_nothing(monkeypatch):
@@ -48,7 +44,7 @@ def test_forward_backward_steady_state_allocates_nothing(monkeypatch):
     net = _net("ws_net", 0)
     x = np.random.default_rng(1).random((6, 1, 8, 8))
     ws = Workspace()
-    net.run(x, workspace=ws).gradient_of_class(0)  # warmup sizes the pool
+    gradient_of_class(net.run(x, workspace=ws), 0)  # warmup sizes the pool
     warm = ws.allocations
 
     calls = {"empty": 0}
@@ -60,7 +56,7 @@ def test_forward_backward_steady_state_allocates_nothing(monkeypatch):
 
     monkeypatch.setattr(np, "empty", counting_empty)
     for _ in range(3):
-        net.run(x, workspace=ws).gradient_of_class(0)
+        gradient_of_class(net.run(x, workspace=ws), 0)
     monkeypatch.undo()
     assert ws.allocations == warm, "workspace pool grew after warmup"
     assert calls["empty"] == 0, (
@@ -88,8 +84,22 @@ def test_workspace_and_plain_paths_agree_bitwise():
     ws = Workspace()
     pooled = net.run(x, workspace=ws)
     np.testing.assert_array_equal(plain.outputs(), pooled.outputs())
-    np.testing.assert_array_equal(plain.gradient_of_class(1),
-                                  pooled.gradient_of_class(1))
+    np.testing.assert_array_equal(gradient_of_class(plain, 1),
+                                  gradient_of_class(pooled, 1))
     np.testing.assert_array_equal(plain.neuron_activations(),
                                   pooled.neuron_activations())
+
+    # A tape recorded with no caller workspace keeps its outputs and
+    # gradients after later passes, and each backward from it returns
+    # an array of its own.
+    outputs = plain.outputs().copy()
+    first = gradient_of_class(plain, 1)
+    other = gradient_of_class(plain, 2)
+    assert not np.shares_memory(first, other)
+    assert not np.array_equal(first, other)
+    flipped = x[:, :, ::-1].copy()
+    for tape in (net.run(flipped), net.run(flipped, workspace=ws)):
+        gradient_of_class(tape, 0)
+    np.testing.assert_array_equal(plain.outputs(), outputs)
+    np.testing.assert_array_equal(gradient_of_class(plain, 1), first)
 

@@ -3,9 +3,11 @@
 Boots an in-process :class:`~repro.farm.FarmDaemon` (one worker thread)
 and pushes generate jobs through it.  The *cold* job is a fresh
 daemon's first: it also pays the daemon's first-job costs (loading the
-trio from its model source, first-touch allocations).  The *warm* jobs
-are the ones that follow on the same daemon.  Every job runs on the
-daemon's loaded trio; none rebuilds a model.  Both phases land in
+trio from its model source, starting the worker thread's engine
+process, which rebuilds the trio from payloads, first-touch
+allocations).  The *warm* jobs are the ones that follow on the same
+daemon; they run on the engine process the cold job started and
+rebuild no model.  Both phases land in
 ``BENCH_fuzz.json`` with ``jobs_per_sec`` and ``seeds_per_sec`` so the
 farm's dispatch overhead has a perf trajectory alongside the raw fuzz
 loop's.

@@ -9,7 +9,6 @@ images; multi-channel images average the per-channel index.
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from repro.errors import ShapeError
 
@@ -20,6 +19,10 @@ _C2 = (0.03) ** 2
 
 
 def _ssim_single(a, b, window):
+    # Imported here: scipy.ndimage takes about 0.25 s to import, which
+    # every process that imports ``repro`` would pay, each campaign
+    # engine process included.
+    from scipy.ndimage import uniform_filter
     mu_a = uniform_filter(a, size=window)
     mu_b = uniform_filter(b, size=window)
     mu_aa = uniform_filter(a * a, size=window)

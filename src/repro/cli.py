@@ -167,8 +167,9 @@ def build_parser():
                        help="farm root directory (created if absent); "
                             "tenant stores live under DIR/stores/")
     serve.add_argument("--workers", type=int, default=2,
-                       help="worker threads pulling jobs (jobs on one "
-                            "store always serialize)")
+                       help="worker threads pulling jobs, each running "
+                            "its jobs' ascent in its own engine process "
+                            "(jobs on one store always serialize)")
     serve.add_argument("--capacity", type=int, default=8,
                        help="max jobs in flight before submits are "
                             "rejected with a retry-after hint")
@@ -220,7 +221,8 @@ def build_parser():
     submit.add_argument("--constraint", default="default",
                         help="image constraint: light | occl | blackout")
     submit.add_argument("--workers", type=int, default=1,
-                        help="campaign worker processes inside the job")
+                        help="engine processes the job's worker thread "
+                             "runs its shards on (throughput only)")
     submit.add_argument("--wait", action="store_true",
                         help="block until the job finishes and print "
                              "its result")

@@ -2,7 +2,7 @@
 
 A :class:`Campaign` splits a seed corpus into fixed-size shards, runs
 the vectorized :class:`~repro.core.engine.AscentEngine` on each shard —
-in worker processes when ``workers > 1``, under any
+in engine processes when ``workers > 1``, under any
 :class:`~repro.core.engine.AscentRule` — and merges the per-shard
 results into one :class:`~repro.core.engine.GenerationResult` plus one
 merged
@@ -25,19 +25,22 @@ coverage to ``workers=1`` under the same seed, which
 ``tests/core/test_campaign.py`` pins and
 ``benchmarks/test_campaign_throughput.py`` times.
 
-Worker processes never retrain or touch the weight cache: models travel
-as architecture+weights payloads
-(:func:`repro.nn.config.network_to_payload`) and coverage comes back as
-plain ``state_dict()`` masks, so the only things crossing process
-boundaries are picklable dicts of numpy arrays.
+Engine processes never retrain or touch the weight cache: models travel
+once, as architecture+weights payloads
+(:func:`repro.nn.config.network_to_payload`), each task carries the
+campaign's static spec and its shard, and coverage comes back as plain
+``state_dict()`` masks, so the only things crossing process boundaries
+are picklable objects and dicts of numpy arrays.
 """
 
 from __future__ import annotations
 
 import hashlib
 import multiprocessing
+import signal
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -48,10 +51,12 @@ from repro.core.engine import (AscentEngine, AscentRule, GenerationResult,
 from repro.coverage import NeuronCoverageTracker
 from repro.errors import ConfigError
 from repro.nn.config import network_from_payload, network_to_payload
+from repro.nn.instrumentation import (PassCounter, PayloadCounter,
+                                      record_counts)
 from repro.utils.rng import rng_from_seed_sequence, spawn_seed_sequences
 
-__all__ = ["Campaign", "CampaignPool", "CampaignShard", "shard_corpus",
-           "payload_digest", "DEFAULT_SHARD_SIZE"]
+__all__ = ["Campaign", "CampaignPool", "CampaignShard", "EngineProcessError",
+           "shard_corpus", "payload_digest", "DEFAULT_SHARD_SIZE"]
 
 #: Default seeds per shard.  Independent of ``workers`` on purpose: the
 #: shard layout (and therefore every random draw) must not change when a
@@ -113,22 +118,23 @@ def shard_corpus(seeds, shard_size=DEFAULT_SHARD_SIZE, seed=0,
 
 # -- worker side ----------------------------------------------------------------
 # A shard runs on models its caller already holds: the campaign's own
-# (in-process) or the copies a pool worker process rebuilt once at
-# startup.  Per-shard tasks carry only the dynamic state (the driver's
-# tracker snapshots plus the shard itself).
+# (in-process) or the copies an engine process rebuilt once, when it
+# started.  Each task carries the campaign's static spec beside the
+# dynamic state (the caller's tracker snapshots plus the shard itself),
+# so one engine process serves every campaign over its models, whatever
+# their rule, constraint or hyperparameters.
 
-#: A pool worker's models and spec, set once per process by
-#: :func:`_init_worker`.  A worker process runs one task at a time, so a
-#: plain module dict is all the state it needs.
-_WORKER = {}
+#: Seconds :meth:`CampaignPool.close` waits for an engine process to
+#: exit before killing it.
+_JOIN_TIMEOUT = 10.0
 
 
 def payload_digest(payload):
     """Content digest of a model payload (architecture JSON + weights).
 
     Computed from the payload's actual bytes — not object identity — so
-    a pool accepts a campaign exactly when its models are bit-identical
-    to the ones the pool's workers rebuilt.
+    it names exactly the weights a pool's engine processes rebuilt
+    (:attr:`CampaignPool.identity`).
     """
     import json
     digest = hashlib.sha256()
@@ -140,18 +146,6 @@ def payload_digest(payload):
         digest.update(repr((array.shape, str(array.dtype))).encode("utf-8"))
         digest.update(array.tobytes())
     return digest.hexdigest()
-
-
-def _init_worker(spec, payloads):
-    """Pool-worker setup: keep the spec, rebuild the models once."""
-    _WORKER["spec"] = spec
-    _WORKER["models"] = [network_from_payload(p) for p in payloads]
-
-
-def _pool_task(task):
-    tracker_states, shard = task
-    return _run_shard(_WORKER["models"], _WORKER["spec"], tracker_states,
-                      shard)
 
 
 def _run_shard(models, spec, tracker_states, shard):
@@ -182,58 +176,192 @@ def _run_shard(models, spec, tracker_states, shard):
             "coverage": [t.state_dict() for t in trackers]}
 
 
-def _pool_identity(campaign, payloads):
-    """What a pool's workers hold: model contents plus static config."""
-    parts = [payload_digest(payload) for payload in payloads]
-    parts.append(campaign.rule.identity())
-    parts.append(type(campaign.constraint).__name__)
-    parts.append(str(campaign.task))
-    parts.append(repr(campaign.hp))
-    return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
+def _engine_main(conn):
+    """An engine process: rebuild the models from the payloads that
+    arrive first on ``conn``, then run one shard per message until the
+    parent's end of ``conn`` closes.
+
+    The first message sent back reports the rebuilds, and each reply the
+    shard's passes, for the parent's counters.  SIGINT is ignored: a
+    terminal's Ctrl-C reaches the whole process group, and the parent
+    decides when its engines stop (a draining farm finishes the wave in
+    flight).
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        with PayloadCounter() as rebuilds:
+            models = [network_from_payload(p) for p in conn.recv()]
+        conn.send(rebuilds.counts())
+        while True:
+            spec, tracker_states, shard = conn.recv()
+            with PassCounter() as passes:
+                try:
+                    reply = (_run_shard(models, spec, tracker_states, shard),
+                             None)
+                except Exception as error:  # noqa: BLE001 — the caller
+                    reply = (None, error)   # re-raises it
+            conn.send(reply + (passes.counts(),))
+    except (EOFError, OSError):
+        return              # the parent closed its end, or died
+
+
+class EngineProcessError(RuntimeError):
+    """An engine process died while its pool needed it.
+
+    Not a :class:`~repro.errors.ReproError`: nothing was wrong with the
+    shards, and a fresh pool runs them, so a caller that retries (the
+    farm queue does) should.
+    """
 
 
 class CampaignPool:
-    """A worker-process shard runner pinned to one campaign's identity.
+    """Engine processes that run campaign shards over one set of models.
 
-    Built via :meth:`Campaign.make_pool` and passed as ``shard_runner``
-    to any number of :meth:`Campaign.run` calls whose identity (models,
-    hyperparams, constraint kind, rule, task) matches.  Each worker
-    process rebuilds the models from their payloads once, when it
-    starts, and keeps them for the pool's lifetime.  Throughput-only: a
-    pooled run is bit-identical to a fresh per-run pool (and to
-    ``workers=1``).
+    Built with :meth:`Campaign.make_pool` (or from the models directly)
+    and passed as ``shard_runner`` to any number of :meth:`Campaign.run`
+    calls whose campaigns hold the same model objects.  The processes
+    start on the first call, with the ``spawn`` method (a fresh
+    interpreter, never a fork of a threaded one), rebuild the models
+    from their payloads once and keep them until :meth:`close`.  Each
+    task carries its campaign's static spec (hyperparameters,
+    constraint, rule, task), so campaigns under any rule or constraint
+    share a pool, and a pooled run is bit-identical to an in-process
+    one.  One caller at a time.
+
+    The pool checks that a campaign's models are the very objects it
+    was built from, not their contents: it assumes its models are not
+    retrained in place (nothing in the repo does that).  ``identity`` is
+    their content digest, taken once when the pool is made.
+
+    Each process talks over its own duplex pipe, and only that process
+    holds the pipe's other end.  So a process that dies makes its pipe
+    read as closed, and the call raises :class:`EngineProcessError`
+    naming the exit code instead of waiting forever; and when the
+    parent dies, even by SIGKILL, each process reads end-of-file and
+    exits, after at most the shard it is running.  A call that raises
+    anything but a shard's own error closes the pool.
     """
 
-    def __init__(self, campaign, workers, mp_start_method=None):
-        if workers < 2:
+    def __init__(self, models, workers):
+        if workers < 1:
             raise ConfigError(
-                f"CampaignPool needs workers >= 2, got {workers} "
-                "(workers=1 runs in-process and needs no pool)")
+                f"CampaignPool needs workers >= 1, got {workers}")
+        self.models = list(models)
         self.workers = int(workers)
-        payloads = [network_to_payload(m) for m in campaign.models]
-        self.identity = _pool_identity(campaign, payloads)
-        ctx = multiprocessing.get_context(mp_start_method)
-        self._pool = ctx.Pool(self.workers, initializer=_init_worker,
-                              initargs=(campaign._spec(), payloads))
+        self._payloads = [network_to_payload(m) for m in self.models]
+        self.identity = hashlib.sha256("|".join(
+            payload_digest(p) for p in self._payloads).encode(
+                "utf-8")).hexdigest()
+        self._engines = []          # (process, connection), once started
         self._closed = False
+
+    @property
+    def closed(self):
+        return self._closed
+
+    def serves(self, models):
+        """Whether ``models`` are the objects this pool was built from."""
+        models = list(models)
+        return len(models) == len(self.models) and all(
+            a is b for a, b in zip(models, self.models))
 
     def __call__(self, campaign, tracker_states, shards):
         if self._closed:
             raise ConfigError("CampaignPool is closed")
-        payloads = [network_to_payload(m) for m in campaign.models]
-        if _pool_identity(campaign, payloads) != self.identity:
+        if not self.serves(campaign.models):
             raise ConfigError(
-                "CampaignPool was built for a different campaign "
-                "identity (models/rule/constraint/hyperparams); "
-                "make a fresh pool with Campaign.make_pool()")
-        return self._pool.map(_pool_task,
-                              [(tracker_states, shard) for shard in shards])
+                "CampaignPool was built for other model objects; make a "
+                "pool for these with Campaign.make_pool()")
+        try:
+            if not self._engines:
+                self._start()
+            outcomes, error = self._map(campaign._spec(), tracker_states,
+                                        shards)
+        except BaseException:
+            self._stop(kill=True)
+            raise
+        if error is not None:
+            raise error
+        return outcomes
+
+    def _start(self):
+        # The payloads go over the pipe, not as process arguments:
+        # ``start()`` writes those into a pipe it also holds the read
+        # end of, so a child that died before reading them all would
+        # block it forever.
+        ctx = multiprocessing.get_context("spawn")
+        for _ in range(self.workers):
+            conn, child_conn = ctx.Pipe()
+            process = ctx.Process(target=_engine_main, args=(child_conn,),
+                                  name="repro-engine", daemon=True)
+            process.start()
+            child_conn.close()
+            self._engines.append((process, conn))
+        for engine in self._engines:
+            self._send(engine, self._payloads)
+        self._payloads = None
+        for engine in self._engines:
+            record_counts(self._receive(engine))
+
+    @staticmethod
+    def _send(engine, message):
+        try:
+            engine[1].send(message)
+        except OSError:
+            pass            # its process is gone; the next read says how
+
+    def _receive(self, engine):
+        process, conn = engine
+        try:
+            return conn.recv()
+        except (EOFError, OSError):
+            process.join(_JOIN_TIMEOUT)
+            raise EngineProcessError(
+                f"engine process {process.pid} exited with code "
+                f"{process.exitcode}") from None
+
+    def _map(self, spec, tracker_states, shards):
+        """Run every shard on the engines; returns ``(outcomes, error)``,
+        ``error`` being the first exception a shard raised.  The shards
+        already in flight still finish, so every engine is idle again
+        when this returns."""
+        pending = list(shards)[::-1]
+        idle = list(self._engines)
+        busy = {}
+        outcomes, error = [], None
+        while busy or (pending and error is None):
+            while idle and pending and error is None:
+                engine = idle.pop()
+                self._send(engine, (spec, tracker_states, pending.pop()))
+                busy[engine[1]] = engine
+            for conn in wait(list(busy)):
+                engine = busy.pop(conn)
+                outcome, raised, counts = self._receive(engine)
+                record_counts(counts)
+                idle.append(engine)
+                if raised is None:
+                    outcomes.append(outcome)
+                elif error is None:
+                    error = raised
+        return outcomes, error
 
     def close(self):
-        if not self._closed:
-            self._closed = True
-            self._pool.close()
-            self._pool.join()
+        """Stop the engine processes (each exits on its pipe's end of
+        file) and join them."""
+        self._stop(kill=False)
+
+    def _stop(self, kill):
+        self._closed = True
+        engines, self._engines = self._engines, []
+        for process, conn in engines:
+            conn.close()
+            if kill:
+                process.kill()
+        for process, _ in engines:
+            process.join(_JOIN_TIMEOUT)
+            if process.is_alive():
+                process.kill()
+                process.join()
 
     def __enter__(self):
         return self
@@ -260,9 +388,9 @@ class Campaign:
         well as those of difference-inducing inputs, the reproduction's
         one departure from Algorithm 1's accounting.
     workers:
-        Worker processes.  ``1`` runs shards in-process on ``models``
-        (through the same ``_run_shard`` pool workers call); ``N > 1``
-        fans out over a process pool.
+        Engine processes.  ``1`` runs shards in-process on ``models``
+        (through the same ``_run_shard`` engine processes call);
+        ``N > 1`` fans out over a :class:`CampaignPool`.
     shard_size:
         Seeds per shard.  Part of the campaign's deterministic identity —
         changing it changes the random streams; changing ``workers``
@@ -274,15 +402,11 @@ class Campaign:
         under (each shard gets its own clone, so per-seed rule state
         never crosses shard boundaries); defaults to the vanilla rule.
         Like ``shard_size``, part of the deterministic identity.
-    mp_start_method:
-        ``multiprocessing`` start method (``"fork"``/``"spawn"``);
-        defaults to the platform default.
     """
 
     def __init__(self, models, hyperparams=None, constraint=None,
                  task="classification", trackers=None, workers=1,
-                 shard_size=DEFAULT_SHARD_SIZE, seed=0, rule=None,
-                 mp_start_method=None):
+                 shard_size=DEFAULT_SHARD_SIZE, seed=0, rule=None):
         if len(models) < 2:
             raise ConfigError("differential testing needs >= 2 models")
         self.models = list(models)
@@ -307,7 +431,6 @@ class Campaign:
         if len(trackers) != len(self.models):
             raise ConfigError("need exactly one tracker per model")
         self.trackers = list(trackers)
-        self.mp_start_method = mp_start_method
 
     def _spec(self):
         """The static shard configuration: everything a shard needs
@@ -320,19 +443,18 @@ class Campaign:
         }
 
     def make_pool(self):
-        """Build a :class:`CampaignPool` reusable across this campaign's
-        waves (and any later campaign with the same static identity)."""
-        return CampaignPool(self, self.workers,
-                            mp_start_method=self.mp_start_method)
+        """Build a :class:`CampaignPool` of ``workers`` engine processes,
+        reusable by any later campaign over the same model objects."""
+        return CampaignPool(self.models, self.workers)
 
     def execute_shard(self, tracker_states, shard):
         """Run exactly one shard in-process on this campaign's models.
 
         The escape hatch the distribution layer (``repro.dist``) builds
-        on: this is the same ``_run_shard`` pool workers execute, so a
-        shard's outcome is bit-identical whether it ran here, in a local
-        pool worker, or on another host that rebuilt the campaign from
-        the same models and seed.
+        on: this is the same ``_run_shard`` engine processes execute, so
+        a shard's outcome is bit-identical whether it ran here, in a
+        pool's engine process, or on another host that rebuilt the
+        campaign from the same models and seed.
         """
         return _run_shard(self.models, self._spec(), tracker_states, shard)
 
@@ -349,7 +471,7 @@ class Campaign:
         ``(campaign, tracker_states, shards) -> outcomes`` returning one
         ``_run_shard``-shaped dict per shard, in any order.  A
         :class:`CampaignPool` (from :meth:`make_pool`) is one, reusing
-        its worker processes across calls; the distribution layer's
+        its engine processes across calls; the distribution layer's
         ``repro.dist.shards.LedgerShardRunner`` splits shards across
         hosts that share a campaign directory.  A runner may only
         change where shards run, never what they compute, because the
@@ -369,8 +491,8 @@ class Campaign:
             outcomes = [self.execute_shard(tracker_states, shard)
                         for shard in shards]
         else:
-            with CampaignPool(self, min(self.workers, len(shards)),
-                              mp_start_method=self.mp_start_method) as pool:
+            with CampaignPool(self.models,
+                              min(self.workers, len(shards))) as pool:
                 outcomes = pool(self, tracker_states, shards)
         merged = GenerationResult()
         for outcome in sorted(outcomes, key=lambda o: o["shard_index"]):

@@ -280,10 +280,10 @@ class FuzzSession:
             return report
         children = spawn_seed_sequences(self.seed, rounds)
         tracked_total = sum(t.tracked_count for t in self.trackers)
-        # With workers > 1 and no runner given, one worker pool serves
-        # every wave of this call instead of a fresh pool per wave
-        # (throughput only — a pooled wave is bit-identical to a
-        # per-wave pool).
+        # With workers > 1 and no runner given, one pool of engine
+        # processes serves every wave of this call instead of a fresh
+        # pool per wave (throughput only — a pooled wave is
+        # bit-identical to an in-process one).
         pool = None
         try:
             for round_index in range(self.completed_rounds, rounds):

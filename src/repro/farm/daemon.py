@@ -9,12 +9,19 @@ One :class:`FarmDaemon` owns a *farm root* directory::
       stores/<name>/        # one corpus store per tenant
 
 and runs a fixed pool of worker *threads* that pull jobs from the
-queue.  The daemon loads each dataset's model trio once, and every
-thread runs its jobs' campaign shards on those same objects: a
-:class:`~repro.nn.network.Network` leaves no state on itself when it
-runs, and each ascent engine keeps its own scratch buffers, so threads
-can share a trio.  A job may still fan out its own campaign worker
-*processes* when its spec asks for ``workers > 1``.
+queue.  The daemon loads each dataset's model trio once.  Each thread
+runs the ascent of its fuzz and generate jobs in its own engine
+process(es): one :class:`~repro.core.campaign.CampaignPool`, with as
+many processes as the job spec's ``workers``, which the thread's first
+such wave starts.  The thread keeps it across waves, jobs and tenants,
+replaces it only when a job needs another trio or another ``workers``
+count, and closes and joins it when it exits at drain.  So the threads
+no longer take turns on one interpreter lock for the ascent.  The
+engine processes only compute shard outcomes; the thread keeps
+everything that touches disk (session open, absorb, commit, the queue
+and the store lock).  Federate jobs run their claimed shards on the
+thread itself (:class:`~repro.dist.shards.LedgerShardRunner`), and so
+do compaction jobs.
 
 Crash story (the tentpole contract): every durable structure already
 survives ``kill -9`` — the queue journal skips a torn append, running jobs
@@ -22,7 +29,12 @@ re-queue on reload, and corpus stores checkpoint per wave — so a
 daemon killed mid-wave restarts, re-claims the interrupted job, and
 the resumed store converges bit-identically to an uninterrupted run.
 ``tests/farm/`` pins exactly that with deterministic fault injection
-(:mod:`repro.utils.faults`).
+(:mod:`repro.utils.faults`).  An engine process orphaned by that kill
+reads end-of-file on its pipe and exits after at most its current
+shard; it never writes a store.  An engine process that dies fails only
+its job's current attempt: the wave raises
+:class:`~repro.core.campaign.EngineProcessError`, which the queue
+retries, and the thread starts a fresh pool for the retry.
 
 Graceful drain: :meth:`drain` stops workers at the next *wave
 boundary*; the interrupted job is released back to queued (not a
@@ -61,6 +73,7 @@ import numpy as np
 
 from repro.core import (Campaign, PAPER_HYPERPARAMS, constraint_for_dataset,
                         make_rule)
+from repro.core.campaign import CampaignPool
 from repro.corpus import CorpusStore, FuzzSession, corpus_fingerprint
 from repro.coverage import NeuronCoverageTracker
 from repro.errors import FarmError, ReproError
@@ -133,6 +146,8 @@ class FarmDaemon:
         self._wake = threading.Condition(self._lock)
         self._draining = False
         self._threads = []
+        #: Each worker thread's CampaignPool (``pool``), once started.
+        self._engines = threading.local()
         self._housekeeper = None
         self.compact_every = (None if compact_every is None
                               else float(compact_every))
@@ -248,6 +263,14 @@ class FarmDaemon:
         return self._draining
 
     def _worker_loop(self):
+        try:
+            self._claim_and_run()
+        finally:
+            pool = getattr(self._engines, "pool", None)
+            if pool is not None:
+                pool.close()
+
+    def _claim_and_run(self):
         while True:
             with self._wake:
                 job = None
@@ -311,6 +334,18 @@ class FarmDaemon:
                     job, models, dataset, store_path), True
             return self._run_fuzz(job, models, dataset, store_path)
 
+    def _pool_for(self, models, workers):
+        """This thread's engine pool for ``models``: the one it holds, or
+        a fresh one when there is none, it has closed (a process died)
+        or it serves another trio or ``workers`` count."""
+        pool = getattr(self._engines, "pool", None)
+        if pool is None or pool.closed or pool.workers != workers \
+                or not pool.serves(models):
+            if pool is not None:
+                pool.close()
+            pool = self._engines.pool = CampaignPool(models, workers)
+        return pool
+
     def _federate_runner(self, job):
         """Ledger runner for a federate job's shared campaign dir."""
         # Imported lazily: repro.dist imports the farm client for its
@@ -343,7 +378,8 @@ class FarmDaemon:
                            overshoot=spec["overshoot"]),
             dataset=dataset, initial_seed_count=spec["seeds"])
         shard_runner = (self._federate_runner(job)
-                        if spec["kind"] == "federate" else None)
+                        if spec["kind"] == "federate"
+                        else self._pool_for(models, spec["workers"]))
         new_tests = 0
         while session.completed_rounds < spec["rounds"]:
             if self._draining:
@@ -388,7 +424,8 @@ class FarmDaemon:
             shard_size=spec["shard_size"], seed=spec["seed"] + 2,
             rule=make_rule(spec["ascent"], beta=spec["beta"],
                            overshoot=spec["overshoot"]))
-        result = campaign.run(seeds)
+        result = campaign.run(seeds, shard_runner=self._pool_for(
+            models, spec["workers"]))
         new_tests = store.absorb(seeds, result, models, trackers)
         return {"seeds_processed": int(result.seeds_processed),
                 "differences": int(result.difference_count),

@@ -43,8 +43,9 @@ status`` without ever holding a live object.  Two kinds:
 
 The identity fields (``wave_size``, ``shard_size``, ``seed``,
 ``ascent``, ``constraint``) mean exactly what they mean on the ``repro
-fuzz`` command line; ``workers`` is campaign fan-out inside the job and
-is throughput-only as everywhere else.
+fuzz`` command line; ``workers`` is the number of engine processes the
+job's worker thread runs its shards on, and is throughput-only as
+everywhere else.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from repro.core import (Campaign, GenerationResult, PAPER_HYPERPARAMS,
 from repro.core.engine import GeneratedTest
 from repro.coverage import NeuronCoverageTracker
 from repro.errors import ConfigError
+from repro.nn.instrumentation import PassCounter
 
 
 def test_shard_corpus_layout(rng):
@@ -128,6 +129,19 @@ def test_workers_do_not_change_results(mnist_trio, mnist_smoke):
     assert rs.coverage == rp.coverage
     for ts, tp in zip(serial.trackers, parallel.trackers):
         np.testing.assert_array_equal(ts.covered, tp.covered)
+
+
+def test_workers_do_not_change_pass_counts(mnist_trio, mnist_smoke):
+    """Engine processes send their passes back with each shard, so a
+    counter around a pooled run sees what an in-process run does."""
+    seeds, _ = mnist_smoke.sample_seeds(24, np.random.default_rng(3))
+    counts = []
+    for workers in (1, 2):
+        with PassCounter() as counter:
+            _campaign(mnist_trio, workers=workers).run(seeds)
+        counts.append(counter.counts())
+    assert counts[0]["forwards"] and counts[0]["backwards"]
+    assert counts[0] == counts[1]
 
 
 def test_seed_indices_are_global(mnist_trio, mnist_smoke):

@@ -1,26 +1,28 @@
 """Model payloads: where a campaign's shards get their models.
 
 In-process shards (``workers=1``, :meth:`Campaign.execute_shard`) run on
-the campaign's own model objects, so they rebuild nothing.  Pool worker
-processes rebuild each model from its pickled payload once, when they
-start, and keep it for the pool's lifetime.
-:class:`repro.nn.instrumentation.PayloadCounter` counts the rebuilds
-that actually happen.
+the campaign's own model objects, so they rebuild nothing.  A pool's
+engine processes rebuild each model from its pickled payload once, when
+they start, keep it for the pool's lifetime, and report the rebuilds to
+the caller's :class:`repro.nn.instrumentation.PayloadCounter`.
 """
 
+import multiprocessing
 import os
+import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.core import (Campaign, LightingConstraint, MomentumRule,
-                        PAPER_HYPERPARAMS, shard_corpus)
+                        PAPER_HYPERPARAMS, VanillaRule, shard_corpus)
 from repro.core import campaign as campaign_mod
 from repro.corpus import FuzzSession
-from repro.errors import ConfigError
-from repro.nn.config import network_to_payload
+from repro.errors import ConfigError, ReproError
+from repro.nn.config import network_from_payload, network_to_payload
 from repro.nn.instrumentation import PayloadCounter
 
 
@@ -67,9 +69,10 @@ def test_campaign_runs_rebuild_no_model(mnist_trio, mnist_smoke):
 
 
 def test_threads_sharing_models_match_serial(mnist_trio, mnist_smoke):
-    """Farm worker threads run campaigns on one shared trio.  More
-    threads than cores, switching as often as the interpreter allows,
-    all on the same model objects: each must equal its serial run."""
+    """Farm worker threads run federate jobs' shards on one shared
+    trio.  More threads than cores, switching as often as the
+    interpreter allows, all on the same model objects: each must equal
+    its serial run."""
     seeds, _ = mnist_smoke.sample_seeds(8, np.random.default_rng(12))
     campaigns = [_campaign(mnist_trio, seed=i) for i in range(4)]
     results = [None] * len(campaigns)
@@ -121,59 +124,123 @@ def test_pool_reuse_is_bit_identical(mnist_trio, mnist_smoke):
 
 
 def test_pool_rejects_mismatched_campaign(mnist_trio, mnist_smoke):
-    seeds, _ = mnist_smoke.sample_seeds(4, np.random.default_rng(2))
-    campaign = _campaign(mnist_trio, workers=2)
-    other = _campaign(mnist_trio, workers=2, rule=MomentumRule(0.8))
-    with campaign.make_pool() as pool:
-        with pytest.raises(ConfigError):
-            other.run(seeds, shard_runner=pool)
+    """A pool serves any campaign over its model objects: one engine
+    process equals an in-process run, and a campaign under another rule
+    runs under its own rule.  Other model objects, even with the same
+    weights, and a closed pool are refused."""
+    seeds, _ = mnist_smoke.sample_seeds(8, np.random.default_rng(2))
     with pytest.raises(ConfigError):
-        campaign.run(seeds, shard_runner=pool)   # closed pool
-    with pytest.raises(ConfigError):              # workers=1 needs no pool
-        campaign_mod.CampaignPool(campaign, workers=1)
+        campaign_mod.CampaignPool(mnist_trio, workers=0)
+    copies = [network_from_payload(network_to_payload(m))
+              for m in mnist_trio]
+    with campaign_mod.CampaignPool(mnist_trio, workers=1) as pool:
+        pooled, serial = _campaign(mnist_trio), _campaign(mnist_trio)
+        vanilla = pooled.run(seeds, shard_runner=pool)
+        _assert_same_outcome(vanilla, serial.run(seeds), pooled, serial)
+
+        momentum = _campaign(mnist_trio, rule=MomentumRule(0.8))
+        fresh = _campaign(mnist_trio, workers=2, rule=MomentumRule(0.8))
+        result = momentum.run(seeds, shard_runner=pool)
+        _assert_same_outcome(result, fresh.run(seeds), momentum, fresh)
+        assert any(not np.array_equal(a.x, b.x)
+                   for a, b in zip(result.tests, vanilla.tests))
+
+        with pytest.raises(ConfigError):
+            _campaign(copies).run(seeds, shard_runner=pool)
+    with pytest.raises(ConfigError):
+        pooled.run(seeds, shard_runner=pool)     # closed pool
 
 
 def test_spawn_pool_matches_in_process(mnist_trio, mnist_smoke):
-    """A pool under the ``spawn`` start method — whose workers share no
-    memory with the driver and rebuild everything from the pickled
-    payloads and spec — equals ``workers=1`` byte for byte."""
+    """A pool's engine processes are spawned, so they share no memory
+    with the caller and rebuild everything from the pickled payloads and
+    each task's spec; the run equals ``workers=1`` byte for byte."""
     seeds, _ = mnist_smoke.sample_seeds(12, np.random.default_rng(6))
-    spawned = _campaign(mnist_trio, workers=2, mp_start_method="spawn")
+    spawned = _campaign(mnist_trio, workers=2)
     serial = _campaign(mnist_trio)
     _assert_same_outcome(spawned.run(seeds), serial.run(seeds),
                          spawned, serial)
 
 
-def _probe(_):
-    """Report (pid, payload rebuilds seen in this worker process)."""
-    from repro.nn import instrumentation
-    total = sum(c.total() for c in instrumentation._ACTIVE_PAYLOAD)
-    return (os.getpid(), total)
-
-
-@pytest.mark.skipif("fork" not in
-                    __import__("multiprocessing").get_all_start_methods(),
-                    reason="needs fork to inherit the installed counter")
 def test_pooled_workers_deserialize_once_per_lifetime(mnist_trio,
                                                       mnist_smoke):
-    """The cross-process pin: after three waves through one pool, every
-    worker process has rebuilt each model exactly once (at initializer
-    time), never once per wave.  The counter is installed *before* the
-    fork, so each child inherits — and increments — its own copy, which
-    the probe reads back from inside the worker."""
+    """After three waves through one pool, each engine process has
+    rebuilt each model exactly once (when it started), never once per
+    wave, and reported it to the caller's counter."""
     seeds, _ = mnist_smoke.sample_seeds(12, np.random.default_rng(4))
-    campaign = _campaign(mnist_trio, workers=2, mp_start_method="fork")
+    campaign = _campaign(mnist_trio, workers=2)
     with PayloadCounter() as counter:
         with campaign.make_pool() as pool:
             for _ in range(3):
                 campaign.run(seeds, shard_runner=pool)
-            probes = pool._pool.map(_probe, range(8), chunksize=1)
-    # Nothing was rebuilt in the parent (workers did all the work)...
-    assert counter.total() == 0
-    # ...and each worker rebuilt the trio once, not 3 waves x trio.
-    per_worker = dict(probes)
-    assert len(per_worker) >= 1
-    for pid, rebuilds in per_worker.items():
-        assert rebuilds == len(mnist_trio), (
-            f"worker {pid} rebuilt payloads {rebuilds} times; a pool "
-            f"worker should rebuild each model once, at startup")
+    assert counter.deserializations == {m.name: 2 for m in mnist_trio}
+
+
+def test_pooled_waves_digest_each_model_once(mnist_trio, mnist_smoke,
+                                             monkeypatch):
+    """The pool takes its models' content digest when it is made; a wave
+    only checks that the campaign holds the same model objects."""
+    seeds, _ = mnist_smoke.sample_seeds(8, np.random.default_rng(5))
+    digested = []
+    real_digest = campaign_mod.payload_digest
+
+    def counting_digest(payload):
+        digested.append(payload["config"]["name"])
+        return real_digest(payload)
+
+    monkeypatch.setattr(campaign_mod, "payload_digest", counting_digest)
+    campaign = _campaign(mnist_trio, workers=2)
+    with campaign.make_pool() as pool:
+        for _ in range(3):
+            campaign.run(seeds, shard_runner=pool)
+    assert sorted(digested) == sorted(m.name for m in mnist_trio)
+
+
+class _KillOnceRule(VanillaRule):
+    """Vanilla ascent whose first clone inside an engine process
+    SIGKILLs that process (``marker`` records that one already died)."""
+
+    def __init__(self, marker):
+        super().__init__()
+        self.marker = marker
+
+    def clone(self):
+        if multiprocessing.parent_process() is not None:
+            try:
+                os.close(os.open(self.marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return super().clone()
+
+
+def test_killed_engine_process_raises_and_leaves_no_process(
+        tmp_path, mnist_trio, mnist_smoke):
+    """An engine process SIGKILLed mid-shard: the run raises an error
+    that names its exit code, and is no ``ReproError`` (a farm retries
+    it), well within 60 s; the pool closes, and no process is left."""
+    seeds, _ = mnist_smoke.sample_seeds(16, np.random.default_rng(8))
+    campaign = _campaign(mnist_trio, workers=2,
+                         rule=_KillOnceRule(str(tmp_path / "killed")))
+    outcome = {}
+
+    def run():
+        try:
+            campaign.run(seeds, shard_runner=pool)
+        except BaseException as error:   # noqa: BLE001 — checked below
+            outcome["error"] = error
+
+    pool = campaign.make_pool()
+    start = time.monotonic()
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "a dead engine process hung the run"
+    assert time.monotonic() - start < 60
+    error = outcome.get("error")
+    assert isinstance(error, campaign_mod.EngineProcessError), error
+    assert not isinstance(error, ReproError)
+    assert f"code {-signal.SIGKILL}" in str(error)
+    assert pool.closed
+    assert multiprocessing.active_children() == []

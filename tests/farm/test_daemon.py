@@ -1,16 +1,20 @@
 """FarmDaemon in-process: multi-tenant execution, drain, retries,
-backpressure, and jobs running on the daemon's loaded models."""
+backpressure, and each worker thread's engine processes."""
 
 import json
+import multiprocessing
 import os
+import signal
+import sys
 
 import pytest
 
-from repro.core import PAPER_HYPERPARAMS, constraint_for_dataset
+from repro.core import PAPER_HYPERPARAMS, constraint_for_dataset, make_rule
 from repro.corpus import CorpusStore, FuzzSession
 from repro.farm import FarmDaemon, QueueSaturatedError, StoreLockedError
+from repro.farm.jobs import normalize_spec
 from repro.farm.locks import LOCK_NAME
-from repro.nn.instrumentation import PayloadCounter
+from repro.nn.instrumentation import PassCounter, PayloadCounter
 from repro.utils.faults import inject
 
 SPEC = {"store": "tenant-a", "kind": "fuzz", "rounds": 2, "seeds": 12,
@@ -26,10 +30,13 @@ def make_daemon(tmp_path, model_source, **kwargs):
 
 def reference_store(path, models, dataset, spec=SPEC):
     """What the daemon's fuzz job should produce, run directly."""
+    spec = normalize_spec(spec)
     FuzzSession(str(path), models, PAPER_HYPERPARAMS["mnist"],
-                constraint_for_dataset(dataset, kind="default"),
+                constraint_for_dataset(dataset, kind=spec["constraint"]),
                 task=dataset.task, wave_size=spec["wave_size"], workers=1,
                 shard_size=spec["shard_size"], seed=spec["seed"],
+                rule=make_rule(spec["ascent"], beta=spec["beta"],
+                               overshoot=spec["overshoot"]),
                 dataset=dataset,
                 initial_seed_count=spec["seeds"]).run(spec["rounds"])
     return str(path)
@@ -182,10 +189,10 @@ def test_submit_rejects_store_locked_by_live_outsider(
 
 
 def test_warm_worker_deserializes_models_once_across_jobs(
-        tmp_path, model_source, wait_for):
-    """The daemon loads each trio once and every job runs on it: one
-    worker thread, two jobs, and not one model rebuilt from a
-    payload."""
+        tmp_path, model_source, mnist_trio, wait_for):
+    """One worker thread, two jobs: the thread's engine process, started
+    by the first job's first wave, rebuilds each trio member once and
+    serves both jobs."""
     daemon = make_daemon(tmp_path, model_source, workers=1)
     with PayloadCounter() as counter:
         daemon.start()
@@ -196,4 +203,89 @@ def test_warm_worker_deserializes_models_once_across_jobs(
         assert daemon.drain(timeout=30)
     assert daemon.status(a.job_id)["status"] == "done"
     assert daemon.status(b.job_id)["status"] == "done"
-    assert counter.total() == 0
+    assert counter.deserializations == {m.name: 1 for m in mnist_trio}
+
+
+def test_multi_worker_job_starts_its_processes_once(
+        tmp_path, model_source, mnist_trio, mnist_smoke, wait_for,
+        assert_stores_identical):
+    """A three-wave job with ``workers: 2`` runs every wave on the same
+    two engine processes (each rebuilds the trio once), not on a pool
+    per wave, and equals the in-process reference."""
+    spec = dict(SPEC, rounds=3, workers=2)
+    daemon = make_daemon(tmp_path, model_source, workers=1)
+    with PayloadCounter() as counter:
+        daemon.start()
+        job = daemon.submit(spec)
+        assert wait_for(finished(daemon, job.job_id))
+        assert daemon.drain(timeout=30)
+    record = daemon.status(job.job_id)
+    assert record["status"] == "done"
+    assert record["result"]["completed_rounds"] == 3
+    assert counter.deserializations == {m.name: 2 for m in mnist_trio}
+    assert_stores_identical(
+        daemon.store_path(spec["store"]),
+        reference_store(tmp_path / "ref", mnist_trio, mnist_smoke, spec))
+
+
+def test_killed_engine_process_fails_only_that_attempt(
+        tmp_path, model_source, mnist_trio, mnist_smoke, wait_for,
+        assert_stores_identical):
+    """SIGKILL a worker thread's engine process: the job that next needs
+    it fails one attempt with a retryable error, the retry starts a
+    fresh engine process, and the job completes to the reference."""
+    daemon = make_daemon(tmp_path, model_source, workers=1).start()
+    first = daemon.submit(dict(SPEC, store="first", rounds=1))
+    assert wait_for(finished(daemon, first.job_id))
+    engines = multiprocessing.active_children()
+    assert len(engines) == 1
+    os.kill(engines[0].pid, signal.SIGKILL)
+    job = daemon.submit(SPEC)
+    assert wait_for(finished(daemon, job.job_id))
+    record = daemon.status(job.job_id)
+    assert record["status"] == "done"
+    assert record["attempts"] == 2
+    assert daemon.drain(timeout=30)
+    assert multiprocessing.active_children() == []
+    assert_stores_identical(
+        daemon.store_path(SPEC["store"]),
+        reference_store(tmp_path / "ref", mnist_trio, mnist_smoke))
+
+
+def test_more_workers_than_cores_match_solo_sessions(
+        tmp_path, model_source, mnist_trio, mnist_smoke, wait_for,
+        assert_stores_identical):
+    """Stress: more worker threads than cores, each with its own engine
+    process, fuzz four tenants under different rules and constraints at
+    once while the interpreter switches threads as often as it can.
+    Each store equals its solo FuzzSession byte for byte, the farm's
+    pass counts equal the solo sessions' (a lost update would break
+    that), and drain joins every engine process."""
+    specs = [dict(SPEC, store="t0", seed=7),
+             dict(SPEC, store="t1", seed=11, ascent="momentum", beta=0.8),
+             dict(SPEC, store="t2", seed=13, constraint="occl"),
+             dict(SPEC, store="t3", seed=17, ascent="adam")]
+    with PassCounter() as solo:
+        references = [
+            reference_store(tmp_path / f"ref-{spec['store']}", mnist_trio,
+                            mnist_smoke, spec) for spec in specs]
+    daemon = make_daemon(tmp_path, model_source,
+                         workers=max(4, (os.cpu_count() or 1) + 1),
+                         capacity=len(specs))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with PassCounter() as farm:
+            daemon.start()
+            jobs = [daemon.submit(spec) for spec in specs]
+            for job in jobs:
+                assert wait_for(finished(daemon, job.job_id))
+            assert daemon.drain(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert multiprocessing.active_children() == []
+    for job, spec, reference in zip(jobs, specs, references):
+        assert daemon.status(job.job_id)["status"] == "done"
+        assert_stores_identical(daemon.store_path(spec["store"]),
+                                reference)
+    assert farm.counts() == solo.counts()

@@ -6,9 +6,11 @@ concurrent jobs against separate tenant stores (one fuzz, one
 generate), SIGKILLs the daemon once the fuzz store shows committed
 progress, restarts it, and asserts both jobs run to ``done`` — the
 interrupted one resumed from its store checkpoint, the queue recovered
-from its journal.  This is the farm's crash contract (docs/FARM.md) at
-CLI-smoke scale; the deterministic fault-injection matrix lives in
-``tests/farm/``.
+from its journal.  The daemon's child processes (its worker threads'
+engine processes) are read just before the kill, and each must exit
+within 10 s of it: none may outlive the daemon as an orphan.  This is
+the farm's crash contract (docs/FARM.md) at CLI-smoke scale; the
+deterministic fault-injection matrix lives in ``tests/farm/``.
 
 Exit code 0 on success, non-zero with a summary on any failure.
 
@@ -17,6 +19,7 @@ Usage:  PYTHONPATH=src python tools/farm_smoke.py
 
 from __future__ import annotations
 
+import glob
 import os
 import signal
 import subprocess
@@ -74,6 +77,44 @@ def wait_for_store_progress(store_path, timeout=420.0):
     raise SystemExit("fuzz job never committed a round")
 
 
+def child_pids(pid):
+    """Pids of the processes ``pid``'s threads started (each worker
+    thread starts its own engine process)."""
+    children = []
+    for path in glob.glob(f"/proc/{pid}/task/*/children"):
+        try:
+            with open(path, encoding="ascii") as handle:
+                listed = handle.read().split()
+        except OSError:
+            continue            # that thread exited while we looked
+        children.extend(int(child) for child in listed)
+    return children
+
+
+def has_exited(pid):
+    """Whether ``pid`` is gone or a zombie (exited, awaiting its reaper:
+    an orphan's new parent need not reap it)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii",
+                  errors="replace") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:
+        return True
+
+
+def wait_children_exit(pids, timeout=10.0):
+    """Fail unless every pid in ``pids`` exits within ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while True:
+        alive = [pid for pid in pids if not has_exited(pid)]
+        if not alive:
+            return
+        if time.monotonic() > deadline:
+            raise SystemExit(f"daemon child process(es) {alive} still "
+                             f"running {timeout:.0f} s after its SIGKILL")
+        time.sleep(0.1)
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         root = os.path.join(tmp, "farm")
@@ -87,10 +128,16 @@ def main():
 
         state = wait_for_store_progress(
             os.path.join(root, "stores", "tenant-a"))
+        children = child_pids(proc.pid)
+        if not children:
+            raise SystemExit("the daemon runs no engine process mid-job")
         print(f"fuzz store at {state['completed_rounds']} committed "
-              f"round(s); sending SIGKILL to daemon pid {proc.pid}")
+              f"round(s); sending SIGKILL to daemon pid {proc.pid} "
+              f"(child processes {children})")
         os.kill(proc.pid, signal.SIGKILL)
         proc.wait()
+        wait_children_exit(children)
+        print("every child process of the killed daemon exited")
 
         proc = start_daemon(root)
         client = wait_ready(root, proc)
